@@ -26,13 +26,11 @@ def main() -> int:
     failures += cli("sweep", "--spec", "sweeps/to_fault_free.sweep", "--out", str(RESULTS / "to_ff"))
     failures += cli("sweep", "--spec", "sweeps/st_byzantine_mix.sweep", "--out", str(RESULTS / "st_mix"))
 
-    for topo, proto in (("path3_st.topo", "ss-st"), ("chain5_to.topo", "ss-to")):
-        if topo.startswith("chain"):
-            continue  # two Byzantine endpoints have no bounded worst case
-        failures += cli(
-            "oracle", "--topology", f"topologies/{topo}", "--protocol", proto,
-            "--property", "worst-disruptions", "--level-bound", "3",
-        )
+    # the two-Byzantine chain has no bounded worst case, so only the path is queried
+    failures += cli(
+        "oracle", "--topology", "topologies/path3_st.topo", "--protocol", "ss-st",
+        "--property", "worst-disruptions", "--level-bound", "3",
+    )
 
     failures += cli(
         "run", "--scenario", "scenarios/st_fakeroot_path6.scn", "--out", str(RESULTS / "fakeroot")

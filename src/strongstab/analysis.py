@@ -29,8 +29,8 @@ from .engine import (
     ProcessState,
     Protocol,
     RegisterValue,
-    first_enabled,
-    local_view,
+    apply_effects,
+    fire,
 )
 from .topology import Topology, distance_to_byzantine
 
@@ -115,19 +115,13 @@ class StabilityChecker:
         while frontier:
             cfg = frontier.pop()
             for v in self.correct:
-                view = local_view(topo, cfg, v)
-                action = first_enabled(view, protocol.role_of(topo, v), protocol)
-                if action is None:
+                fired = fire(topo, protocol, cfg, v)
+                if fired is None:
                     continue
-                effect = action.effect(view)
+                effect = fired[1]
                 if v in self.watch and o_vars_changed(cfg.states[v], effect.state, protocol):
                     return Stability.UNSTABLE
-                states = list(cfg.states)
-                registers = list(cfg.registers)
-                states[v] = effect.state
-                for slot, value in zip(topo.out_slot[v], effect.out_regs):
-                    registers[slot] = value
-                nxt = Configuration(tuple(states), tuple(registers))
+                nxt = apply_effects(cfg, topo, [(v, effect)])
                 if nxt not in seen:
                     if len(seen) > self.budget:
                         return Stability.UNKNOWN
@@ -429,17 +423,9 @@ def _lc_membership(protocol: Protocol, topo: Topology) -> Callable[[Configuratio
 
 def _singleton_moves(topo: Topology, protocol: Protocol, cfg: Configuration):
     for v in sorted(topo.correct):
-        view = local_view(topo, cfg, v)
-        action = first_enabled(view, protocol.role_of(topo, v), protocol)
-        if action is None:
-            continue
-        effect = action.effect(view)
-        states = list(cfg.states)
-        registers = list(cfg.registers)
-        states[v] = effect.state
-        for slot, value in zip(topo.out_slot[v], effect.out_regs):
-            registers[slot] = value
-        yield v, Configuration(tuple(states), tuple(registers))
+        fired = fire(topo, protocol, cfg, v)
+        if fired is not None:
+            yield v, apply_effects(cfg, topo, [(v, fired[1])])
 
 
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
@@ -545,15 +531,6 @@ def _byz_write_options(topo: Topology, protocol: Protocol, cfg: Configuration, b
         yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
 
 
-def _apply_byz(topo: Topology, cfg: Configuration, b: int, write: ByzWrite) -> Configuration:
-    registers = list(cfg.registers)
-    for slot, value in zip(topo.out_slot[b], write.out_regs):
-        registers[slot] = value
-    states = list(cfg.states)
-    states[b] = write.state
-    return Configuration(tuple(states), tuple(registers))
-
-
 class _Game:
     """Reachable game graph over (configuration, dirty-flag) nodes."""
 
@@ -624,7 +601,7 @@ class _Game:
             yield (v, None), nxt, changed
         for b in sorted(self.topo.byzantine):
             for write in _byz_write_options(self.topo, self.protocol, cfg, b, self.level_bound):
-                nxt = _apply_byz(self.topo, cfg, b, write)
+                nxt = apply_effects(cfg, self.topo, [(b, write)])
                 if nxt == cfg:
                     continue
                 yield (b, write), nxt, frozenset()

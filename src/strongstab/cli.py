@@ -27,9 +27,7 @@ from .engine import (
     RegisterValue,
     StopCondition,
     check_locality,
-    check_priority,
     check_replay,
-    check_simultaneity,
     read_trace,
     run,
     write_trace,
@@ -498,10 +496,8 @@ def cmd_replay(args) -> int:
     trace, topo, protocol_name = read_trace(args.trace)
     protocol = PROTOCOLS[protocol_name]
     try:
-        check_replay(trace, topo, protocol)
         check_locality(trace, topo)
-        check_simultaneity(trace, topo, protocol)
-        check_priority(trace, topo, protocol)
+        check_replay(trace, topo, protocol)
     except EngineError as exc:
         print(f"replay FAILED: {exc}")
         return 1

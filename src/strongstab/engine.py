@@ -10,6 +10,10 @@ their own state and output registers.
 
 Guards and actions receive a LocalView and nothing else: no process ids, no
 topology beyond the local degree. That is what keeps protocols anonymous.
+
+One step kernel serves every caller: `fire` evaluates a correct process's
+guards once and returns its action and effect, and `apply_effects` is the
+only code that writes effects into a configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .topology import Topology, build_topology
 
@@ -84,8 +88,6 @@ class Protocol:
 
     name: str = ""
     o_variables: tuple[str, ...] = ()
-    needs_root: bool = False
-    tree_only: bool = False
 
     def role_of(self, topo: Topology, pid: int) -> str:
         return "root" if topo.root == pid else "node"
@@ -141,13 +143,9 @@ class StopCondition:
 
 
 def local_view(topo: Topology, config: Configuration, v: int) -> LocalView:
+    degree, in_regs, out_regs = topo.register_access[v]
     regs = config.registers
-    return LocalView(
-        state=config.states[v],
-        degree=topo.degree(v),
-        in_regs=tuple(regs[s] for s in topo.in_slot[v]),
-        out_regs=tuple(regs[s] for s in topo.out_slot[v]),
-    )
+    return LocalView(config.states[v], degree, in_regs(regs), regs[out_regs])
 
 
 def evaluate_guards(view: LocalView, role: str, protocol: Protocol) -> list[str]:
@@ -155,28 +153,46 @@ def evaluate_guards(view: LocalView, role: str, protocol: Protocol) -> list[str]
     return [a.label for a in protocol.actions(role) if a.guard(view)]
 
 
-def first_enabled(view: LocalView, role: str, protocol: Protocol) -> Optional[GuardedAction]:
-    enabled = [a for a in protocol.actions(role) if a.guard(view)]
+def fire(topo: Topology, protocol: Protocol, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
+    """The step kernel: the label and effect of the action correct process
+    `v` fires in `config`, or None when no guard holds. Every guard is
+    evaluated exactly once."""
+    view = local_view(topo, config, v)
+    enabled = [a for a in protocol.actions(protocol.role_of(topo, v)) if a.guard(view)]
+    if not enabled:
+        return None
     if len(enabled) > 1:
         # the protocols under study write mutually exclusive guards; two
         # enabled guards at once means the transliteration is wrong
-        raise EngineError(
-            f"guards not mutually exclusive: {[a.label for a in enabled]}"
-        )
-    return enabled[0] if enabled else None
+        raise EngineError(f"guards not mutually exclusive at {v}: {[a.label for a in enabled]}")
+    return enabled[0].label, enabled[0].effect(view)
 
 
 def enabled_correct(topo: Topology, config: Configuration, protocol: Protocol) -> list[int]:
-    out = []
-    for v in sorted(topo.correct):
-        view = local_view(topo, config, v)
-        if first_enabled(view, protocol.role_of(topo, v), protocol) is not None:
-            out.append(v)
-    return out
+    return [v for v in sorted(topo.correct) if fire(topo, protocol, config, v) is not None]
+
+
+def apply_effects(
+    config: Configuration, topo: Topology, effects: Iterable[tuple[int, LocalEffect | ByzWrite]]
+) -> Configuration:
+    """Write each (process, effect) pair's new state and out-registers into a
+    copy of `config`. Every effect must carry one register per neighbor."""
+    states = list(config.states)
+    registers = list(config.registers)
+    access = topo.register_access
+    for pid, (state, out_regs) in effects:
+        degree, _, out_slots = access[pid]
+        if len(out_regs) != degree:
+            raise EngineError(f"effect for process {pid} has the wrong register count")
+        states[pid] = state
+        registers[out_slots] = out_regs
+    return Configuration(tuple(states), tuple(registers))
 
 
 def apply_step(config: Configuration, step: Step, protocol: Protocol, topo: Topology) -> Configuration:
-    """Apply one atomic step: all effects computed against `config`, then merged."""
+    """Re-execute one recorded step from `config`: every activated correct
+    process must have recorded the action enabled in `config`, and all
+    effects are computed against `config` (stale reads), then merged."""
     if not step.activated:
         raise EngineError("activated set must be nonempty")
     for pid in step.byz_writes:
@@ -185,34 +201,21 @@ def apply_step(config: Configuration, step: Step, protocol: Protocol, topo: Topo
         if pid not in step.activated:
             raise EngineError(f"byzantine write for non-activated process {pid}")
 
-    states = list(config.states)
-    registers = list(config.registers)
+    effects: list[tuple[int, LocalEffect | ByzWrite]] = []
     for pid in sorted(step.activated):
         if pid in topo.byzantine:
             write = step.byz_writes.get(pid)
-            if write is None:
-                continue
-            if len(write.out_regs) != topo.degree(pid):
-                raise EngineError("byzantine write has wrong register count")
-            states[pid] = write.state
-            for slot, value in zip(topo.out_slot[pid], write.out_regs):
-                registers[slot] = value
-        else:
-            view = local_view(topo, config, pid)
-            action = first_enabled(view, protocol.role_of(topo, pid), protocol)
-            recorded = step.actions.get(pid)
-            if (action.label if action else None) != recorded:
-                raise EngineError(
-                    f"step records action {recorded!r} for process {pid}, "
-                    f"but {action.label if action else None!r} is enabled"
-                )
-            if action is None:
-                continue
-            effect = action.effect(view)
-            states[pid] = effect.state
-            for slot, value in zip(topo.out_slot[pid], effect.out_regs):
-                registers[slot] = value
-    return Configuration(states=tuple(states), registers=tuple(registers))
+            if write is not None:
+                effects.append((pid, write))
+            continue
+        fired = fire(topo, protocol, config, pid)
+        label = fired[0] if fired else None
+        recorded = step.actions.get(pid)
+        if label != recorded:
+            raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
+        if fired:
+            effects.append((pid, fired[1]))
+    return apply_effects(config, topo, effects)
 
 
 class _Scheduler:
@@ -303,16 +306,19 @@ def run(
         activated = sched.pick(t, proposal)
         actions: dict[int, Optional[str]] = {}
         byz_writes: dict[int, Optional[ByzWrite]] = {}
+        effects: list[tuple[int, LocalEffect | ByzWrite]] = []
         for pid in sorted(activated):
             if pid in topo.byzantine:
-                byz_writes[pid] = adversary.act(config, topo, pid)
+                write = byz_writes[pid] = adversary.act(config, topo, pid)
+                if write is not None:
+                    effects.append((pid, write))
             else:
-                view = local_view(topo, config, pid)
-                action = first_enabled(view, protocol.role_of(topo, pid), protocol)
-                actions[pid] = action.label if action else None
-        step = Step(activated=frozenset(activated), actions=actions, byz_writes=byz_writes)
-        configs.append(apply_step(config, step, protocol, topo))
-        steps.append(step)
+                fired = fire(topo, protocol, config, pid)
+                actions[pid] = fired[0] if fired else None
+                if fired:
+                    effects.append((pid, fired[1]))
+        configs.append(apply_effects(config, topo, effects))
+        steps.append(Step(activated=activated, actions=actions, byz_writes=byz_writes))
     trace = ExecutionTrace(
         initial=init,
         configs=configs,
@@ -378,6 +384,16 @@ def consistent_registers(topo: Topology, states: Sequence[ProcessState]) -> tupl
 
 # ---------------------------------------------------------------------------
 # machine-checked execution-model invariants (used by tests on every trace)
+#
+# check_trace runs three audits:
+# - locality: a step changes only its activated processes' states and their
+#   out-registers;
+# - replay, one pass: the trace starts at its initial configuration, and
+#   each step, re-executed from its recorded before-configuration, finds
+#   mutually exclusive guards, the recorded action enabled at every activated
+#   correct process (priority), and the recorded after-configuration as the
+#   merge of effects computed against the before-configuration (simultaneity);
+# - fairness: no correct process idles for `bound` consecutive steps.
 
 def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
     for i, step in enumerate(trace.steps):
@@ -391,73 +407,50 @@ def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
                 raise EngineError(f"step {i}: register {slot} changed outside activated set")
 
 
-def check_simultaneity(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
-    """Sequentialize each step with stale reads and compare to the recorded result."""
+def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
+    """Guards, priority, simultaneity and replay determinism in one pass."""
+    if trace.configs[0] != trace.initial:
+        raise EngineError("trace does not start at its initial configuration")
     for i, step in enumerate(trace.steps):
-        before = trace.configs[i]
-        states = list(before.states)
-        registers = list(before.registers)
-        for pid in sorted(step.activated):
-            view = local_view(topo, before, pid)  # stale view, by construction
-            if pid in topo.byzantine:
-                write = step.byz_writes.get(pid)
-                if write is None:
-                    continue
-                states[pid] = write.state
-                for slot, value in zip(topo.out_slot[pid], write.out_regs):
-                    registers[slot] = value
-            else:
-                action = first_enabled(view, protocol.role_of(topo, pid), protocol)
-                if action is None:
-                    continue
-                effect = action.effect(view)
-                states[pid] = effect.state
-                for slot, value in zip(topo.out_slot[pid], effect.out_regs):
-                    registers[slot] = value
-        merged = Configuration(states=tuple(states), registers=tuple(registers))
-        if merged != trace.configs[i + 1]:
-            raise EngineError(f"step {i}: simultaneous result differs from merged stale-read result")
+        try:
+            after = apply_step(trace.configs[i], step, protocol, topo)
+        except EngineError as exc:
+            raise EngineError(f"step {i}: {exc}") from None
+        if after != trace.configs[i + 1]:
+            raise EngineError(f"step {i}: recorded result differs from the merged stale-read result")
+
+
+# the replay pass checks both; the names stay for callers that audit by part
+check_simultaneity = check_replay
+check_priority = check_replay
 
 
 def check_fairness(trace: ExecutionTrace, correct: frozenset[int], bound: int) -> None:
+    """Every window of `bound` consecutive steps activates every correct
+    process. One scan over the activations: a process idle from step a+1
+    to step b-1 (0-based) misses the windows starting at a+1 .. b-bound."""
     steps = trace.steps
-    for start in range(len(steps) - bound + 1):
-        window = set()
-        for step in steps[start : start + bound]:
-            window |= step.activated
-        missing = correct - window
-        if missing:
-            raise EngineError(
-                f"fairness violated: {sorted(missing)} absent from steps {start + 1}..{start + bound}"
-            )
-
-
-def check_priority(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
-    for i, step in enumerate(trace.steps):
-        before = trace.configs[i]
-        for pid in step.activated - topo.byzantine:
-            view = local_view(topo, before, pid)
-            enabled = evaluate_guards(view, protocol.role_of(topo, pid), protocol)
-            if len(enabled) > 1:
-                raise EngineError(f"step {i}: guards not mutually exclusive at {pid}")
-            expect = enabled[0] if enabled else None
-            if step.actions.get(pid) != expect:
-                raise EngineError(f"step {i}: process {pid} fired {step.actions.get(pid)!r}, expected {expect!r}")
-
-
-def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
-    config = trace.initial
-    for i, step in enumerate(trace.steps):
-        config = apply_step(config, step, protocol, topo)
-        if config != trace.configs[i + 1]:
-            raise EngineError(f"replay diverges at step {i}")
+    last = dict.fromkeys(correct, -1)
+    starts = []  # first window start of every idle gap that spans a window
+    for i, step in enumerate(steps):
+        for v in step.activated:
+            seen = last.get(v)
+            if seen is not None:
+                if i - seen > bound:
+                    starts.append(seen + 1)
+                last[v] = i
+    starts += [seen + 1 for seen in last.values() if len(steps) - seen > bound]
+    if starts:
+        first = min(starts)
+        window = set().union(*(step.activated for step in steps[first : first + bound]))
+        raise EngineError(
+            f"fairness violated: {sorted(correct - window)} absent from steps {first + 1}..{first + bound}"
+        )
 
 
 def check_trace(trace: ExecutionTrace, topo: Topology, protocol: Protocol, fairness_bound: int) -> None:
     """All engine-semantics invariants in one call."""
     check_locality(trace, topo)
-    check_simultaneity(trace, topo, protocol)
-    check_priority(trace, topo, protocol)
     check_replay(trace, topo, protocol)
     check_fairness(trace, topo.correct, fairness_bound)
 
@@ -520,9 +513,8 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
         [tuple(e) for e in meta["edges"]],
         root=meta["root"],
         byzantine=meta["byz"],
+        neighbor_order=meta["neighbor_order"],
     )
-    # the stored neighbor order overrides whatever the default seed produced
-    topo = _with_neighbor_order(topo, [tuple(o) for o in meta["neighbor_order"]])
     init_rec = records[1]
     init = Configuration(
         states=tuple(ProcessState(*s) for s in init_rec["states"]),
@@ -564,23 +556,3 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     )
     return trace, topo, meta["protocol"]
 
-
-def _with_neighbor_order(topo: Topology, order: list[tuple[int, ...]]) -> Topology:
-    neighbor_pos = tuple({u: k + 1 for k, u in enumerate(order[v])} for v in range(topo.n))
-    slot_of: dict[tuple[int, int], int] = {}
-    for v in range(topo.n):
-        for u in order[v]:
-            slot_of[(v, u)] = len(slot_of)
-    out_slot = tuple(tuple(slot_of[(v, u)] for u in order[v]) for v in range(topo.n))
-    in_slot = tuple(tuple(slot_of[(u, v)] for u in order[v]) for v in range(topo.n))
-    return Topology(
-        n=topo.n,
-        edges=topo.edges,
-        neighbor_order=tuple(order),
-        root=topo.root,
-        byzantine=topo.byzantine,
-        neighbor_pos=neighbor_pos,
-        out_slot=out_slot,
-        in_slot=in_slot,
-        num_registers=len(slot_of),
-    )

@@ -80,8 +80,6 @@ def ga2(view: LocalView) -> LocalEffect:
 class SpanningTreeProtocol(Protocol):
     name = "ss-st"
     o_variables = ("prnt", "level")
-    needs_root = True
-    tree_only = False
 
     _root_actions = (GuardedAction("GA0", pred0, ga0),)
     _node_actions = (

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 
 class TopologyError(ValueError):
@@ -27,7 +29,8 @@ class Topology:
     entry (1-based k) is the neighbor a protocol sees at position k.
     Register slots index the flat tuple of directed link registers kept in
     every Configuration: slot of (v, u) holds the register written by v and
-    read by u.
+    read by u. Each process's out-registers occupy consecutive slots, in
+    its neighbor order.
     """
 
     n: int
@@ -52,11 +55,24 @@ class Topology:
     def correct(self) -> frozenset[int]:
         return frozenset(range(self.n)) - self.byzantine
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.neighbor_order[v]
+    @cached_property
+    def register_access(self) -> tuple[tuple[int, Callable, slice], ...]:
+        """Per process: its degree, a function that reads its in-registers
+        from a configuration's register tuple, and the slice that holds its
+        out-registers, both in neighbor order. Built on first use, so
+        topologies that never run pay nothing."""
+        return tuple(
+            (len(slots), _in_getter(self.in_slot[v]), slice(slots[0], slots[-1] + 1))
+            for v, slots in enumerate(self.out_slot)
+        )
 
     def is_tree(self) -> bool:
         return len(self.edges) == self.n - 1
+
+
+def _in_getter(slots: tuple[int, ...]) -> Callable:
+    # itemgetter returns a bare item for one index; a one-wide slice keeps a tuple
+    return itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
 
 
 @dataclass(frozen=True)
@@ -74,13 +90,15 @@ def build_topology(
     byzantine: Iterable[int] = (),
     neighbor_seed: int = 0,
     mode: Optional[str] = None,
+    neighbor_order: Optional[Sequence[Sequence[int]]] = None,
 ) -> Topology:
     """Validate a graph and derive per-process neighbor orders.
 
     ``mode`` is None, ``"ss-st"`` (rooted, general graph, correct subgraph
     must stay connected) or ``"ss-to"`` (tree, no root). Neighbor orders are
     seeded-random permutations so nothing downstream can rely on a canonical
-    adjacency order.
+    adjacency order; a given ``neighbor_order`` (one permutation of each
+    process's neighbors, as stored in a trace file) replaces the draw.
     """
     edges = []
     seen = set()
@@ -115,12 +133,17 @@ def build_topology(
     if root is not None and not 0 <= root < n:
         raise TopologyError(f"root id {root} out of range")
 
-    rng = random.Random(neighbor_seed)
-    order = []
-    for v in range(n):
-        local = sorted(adjacency[v])
-        rng.shuffle(local)
-        order.append(tuple(local))
+    if neighbor_order is None:
+        rng = random.Random(neighbor_seed)
+        order = []
+        for v in range(n):
+            local = sorted(adjacency[v])
+            rng.shuffle(local)
+            order.append(tuple(local))
+    else:
+        order = [tuple(o) for o in neighbor_order]
+        if len(order) != n or any(sorted(order[v]) != sorted(adjacency[v]) for v in range(n)):
+            raise TopologyError("neighbor order is not a permutation of each process's neighbors")
 
     neighbor_pos = tuple({u: k + 1 for k, u in enumerate(order[v])} for v in range(n))
 

@@ -84,8 +84,6 @@ def ga3(view: LocalView) -> LocalEffect:
 class TreeOrientationProtocol(Protocol):
     name = "ss-to"
     o_variables = ("prnt",)
-    needs_root = False
-    tree_only = True
 
     _actions = (
         GuardedAction("GA1", pred1, ga1),

@@ -76,6 +76,16 @@ def test_neighbor_orders_seeded_and_reproducible():
     assert a.neighbor_order != c.neighbor_order  # overwhelmingly likely at n=12
 
 
+def test_given_neighbor_order_rebuilds_the_same_slots():
+    a = build_topology(random_tree_edges(12, 4), neighbor_seed=1)
+    b = build_topology(random_tree_edges(12, 4), neighbor_seed=2, neighbor_order=a.neighbor_order)
+    assert (b.neighbor_order, b.out_slot, b.in_slot) == (a.neighbor_order, a.out_slot, a.in_slot)
+    bad = list(a.neighbor_order)
+    bad[0] = bad[0] + bad[0][:1]
+    with pytest.raises(TopologyError, match="neighbor order"):
+        build_topology(random_tree_edges(12, 4), neighbor_order=bad)
+
+
 def test_correct_metrics_examples():
     t = build_topology([(0, 1), (1, 2), (2, 3)], byzantine=[3])
     m = correct_metrics(t)
