@@ -17,19 +17,19 @@ a blown budget is reported as unknown and treated as not stable.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from . import spanning_tree, tree_orientation
 from .engine import (
     ByzWrite,
     Configuration,
     ExecutionTrace,
-    ProcessState,
     Protocol,
     RegisterValue,
     apply_effects,
+    consistent_registers,
     fire,
 )
 from .topology import Topology, distance_to_byzantine
@@ -37,14 +37,6 @@ from .topology import Topology, distance_to_byzantine
 
 class OracleCapError(RuntimeError):
     """The exhaustive search exceeded its configured size limits."""
-
-
-def spec_for(protocol: Protocol) -> Callable[[int, Configuration, Topology], bool]:
-    if protocol.name == "ss-st":
-        return spanning_tree.spec_st
-    if protocol.name == "ss-to":
-        return tree_orientation.spec_to
-    raise ValueError(f"no specification for protocol {protocol.name!r}")
 
 
 def c_correct_set(topo: Topology, c: int) -> frozenset[int]:
@@ -59,10 +51,6 @@ def is_c_legitimate(config: Configuration, topo: Topology, radius: int, spec) ->
     return all(spec(v, config, topo) for v in c_correct_set(topo, radius))
 
 
-def o_vars_changed(before: ProcessState, after: ProcessState, protocol: Protocol) -> bool:
-    return any(getattr(before, f) != getattr(after, f) for f in protocol.o_variables)
-
-
 class Stability(Enum):
     STABLE = "stable"
     UNSTABLE = "unstable"
@@ -71,8 +59,8 @@ class Stability(Enum):
 
 class StabilityChecker:
     """Budgeted reachability search for O-variable changes under Byzantine
-    silence, memoized per configuration. Cheap membership tests for the
-    protocols' legitimate sets short-circuit the search."""
+    silence, memoized per configuration. The protocol's fast stability test
+    short-circuits the search."""
 
     def __init__(self, topo: Topology, protocol: Protocol, radius: int, budget: int = 20000):
         self.topo = topo
@@ -84,22 +72,11 @@ class StabilityChecker:
         self._cache: dict[Configuration, Stability] = {}
         self.saw_unknown = False
 
-    def _fast_stable(self, config: Configuration) -> bool:
-        topo, p = self.topo, self.protocol
-        if p.name == "ss-st" and topo.root is not None:
-            return spanning_tree.in_lc(config, topo)
-        if p.name == "ss-to":
-            if not topo.byzantine:
-                return tree_orientation.in_lc0(config, topo)
-            if len(topo.byzantine) == 1:
-                return tree_orientation.in_lc2(config, topo)
-        return False
-
     def check(self, config: Configuration) -> Stability:
         hit = self._cache.get(config)
         if hit is not None:
             return hit
-        if self._fast_stable(config):
+        if self.protocol.fast_stable(config, self.topo):
             self._cache[config] = Stability.STABLE
             return Stability.STABLE
         verdict = self._search(config)
@@ -119,7 +96,7 @@ class StabilityChecker:
                 if fired is None:
                     continue
                 effect = fired[1]
-                if v in self.watch and o_vars_changed(cfg.states[v], effect.state, protocol):
+                if v in self.watch and protocol.o_changed(cfg.states[v], effect.state):
                     return Stability.UNSTABLE
                 nxt = apply_effects(cfg, topo, [(v, effect)])
                 if nxt not in seen:
@@ -155,8 +132,9 @@ class TraceScan:
 
 
 def _changed_watch(trace: ExecutionTrace, i: int, watch, protocol: Protocol) -> list[int]:
-    before, after = trace.configs[i], trace.configs[i + 1]
-    return [v for v in watch if o_vars_changed(before.states[v], after.states[v], protocol)]
+    before, after = trace.configs[i].states, trace.configs[i + 1].states
+    changed = protocol.o_changed
+    return [v for v in watch if changed(before[v], after[v])]
 
 
 def find_disruptions(
@@ -173,7 +151,7 @@ def find_disruptions(
     stable before the window's first O-variable change (stability is not
     re-tested on quiet configurations in between; the count is unaffected).
     """
-    spec = spec_for(protocol)
+    spec = protocol.spec
     watch = c_correct_set(topo, radius)
     checker = checker or StabilityChecker(topo, protocol, radius, budget)
 
@@ -413,14 +391,6 @@ def brute_force_verify(
     raise ValueError(f"unknown oracle property {prop!r}")
 
 
-def _lc_membership(protocol: Protocol, topo: Topology) -> Callable[[Configuration], bool]:
-    if protocol.name == "ss-st":
-        return lambda cfg: spanning_tree.in_lc(cfg, topo)
-    if not topo.byzantine:
-        return lambda cfg: tree_orientation.in_lc0(cfg, topo)
-    return lambda cfg: tree_orientation.in_lc1(cfg, topo)
-
-
 def _singleton_moves(topo: Topology, protocol: Protocol, cfg: Configuration):
     for v in sorted(topo.correct):
         fired = fire(topo, protocol, cfg, v)
@@ -431,13 +401,9 @@ def _singleton_moves(topo: Topology, protocol: Protocol, cfg: Configuration):
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    lc = _lc_membership(protocol, topo)
     level_cap = level_bound + 2 * topo.n + 2
 
-    per_state = 1
-    for v in range(topo.n):
-        lo = 0 if protocol.name == "ss-st" else 1
-        per_state *= (topo.degree(v) - lo + 1) * (level_bound + 1)
+    per_state = math.prod(len(protocol.state_domain(topo.degree(v), level_bound)) for v in range(topo.n))
     total = per_state * (2 * (level_bound + 1)) ** topo.num_registers
     if total > state_cap:
         raise OracleCapError(f"{total} initial configurations exceed cap {state_cap}")
@@ -467,7 +433,7 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
                         raise OracleCapError("level escaped the bounded domain")
                     succs.append(nxt)
                 if not succs:
-                    memo[cfg] = lc(cfg)
+                    memo[cfg] = protocol.in_legitimate_set(cfg, topo)
                     continue
                 on_stack.add(cfg)
                 stack.append((cfg, succs))
@@ -493,18 +459,8 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
 
 def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int):
     """Every configuration with in-domain states and registers."""
-    lo = 0 if protocol.name == "ss-st" else 1
-    state_choices = [
-        [
-            ProcessState(p, l)
-            for p in range(lo, topo.degree(v) + 1)
-            for l in range(level_bound + 1)
-        ]
-        for v in range(topo.n)
-    ]
-    reg_choices = [
-        RegisterValue(b, l) for b in (False, True) for l in range(level_bound + 1)
-    ]
+    state_choices = [protocol.state_domain(topo.degree(v), level_bound) for v in range(topo.n)]
+    reg_choices = [RegisterValue(b, l) for b in (False, True) for l in range(level_bound + 1)]
     for states in itertools.product(*state_choices):
         for regs in itertools.product(reg_choices, repeat=topo.num_registers):
             yield Configuration(states, regs)
@@ -515,18 +471,7 @@ def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int):
 def _byz_write_options(topo: Topology, protocol: Protocol, cfg: Configuration, b: int, level_bound: int):
     """All register writes in the bounded domain; the Byzantine state is kept
     so the game graph stays small (correct processes cannot observe it)."""
-    degree = topo.degree(b)
-    if protocol.name == "ss-st":
-        # the construction protocol never reads the parent-bit of an
-        # in-register, so only the advertised levels matter
-        per_edge = [
-            [RegisterValue(cfg.registers[slot].prnt, l) for l in range(level_bound + 1)]
-            for slot in topo.out_slot[b]
-        ]
-    else:
-        per_edge = [
-            [RegisterValue(bit, l) for bit in (False, True) for l in range(level_bound + 1)]
-        ] * degree
+    per_edge = [protocol.register_domain(level_bound, cfg.registers[slot]) for slot in topo.out_slot[b]]
     for combo in itertools.product(*per_edge):
         yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
 
@@ -540,7 +485,7 @@ class _Game:
         self.level_bound = level_bound
         self.state_cap = state_cap
         self.watch = c_correct_set(topo, radius)
-        self.spec = spec_for(protocol)
+        self.spec = protocol.spec
         self.radius = radius
         self.checker = StabilityChecker(topo, protocol, radius)
         self.level_cap = level_bound + 2 * topo.n + 2
@@ -595,9 +540,7 @@ class _Game:
         for v, nxt in _singleton_moves(self.topo, self.protocol, cfg):
             if any(s.level > self.level_cap for s in nxt.states):
                 raise OracleCapError("level escaped the bounded domain")
-            changed = frozenset(
-                [v] if o_vars_changed(cfg.states[v], nxt.states[v], self.protocol) else []
-            )
+            changed = frozenset([v] if self.protocol.o_changed(cfg.states[v], nxt.states[v]) else [])
             yield (v, None), nxt, changed
         for b in sorted(self.topo.byzantine):
             for write in _byz_write_options(self.topo, self.protocol, cfg, b, self.level_bound):
@@ -769,49 +712,14 @@ def best_disruption_play(
 def _enumerate_lc_anchors(topo: Topology, protocol: Protocol, level_bound: int):
     """All members of the protocol's legitimate set with in-domain levels,
     consistent correct registers, and Byzantine registers over the domain."""
-    from .engine import consistent_registers
-
-    byz = sorted(topo.byzantine)
-    if protocol.name == "ss-st":
-        member = spanning_tree.in_lc
-        state_choices = []
-        for v in range(topo.n):
-            if v in topo.byzantine:
-                state_choices.append([ProcessState(0, 0)])
-            elif v == topo.root:
-                state_choices.append([ProcessState(0, 0)])
-            else:
-                state_choices.append(
-                    [
-                        ProcessState(p, l)
-                        for p in range(1, topo.degree(v) + 1)
-                        for l in range(level_bound + 1)
-                    ]
-                )
-        byz_bits = [False]
-    else:
-        member = tree_orientation.in_lc1 if byz else tree_orientation.in_lc0
-        state_choices = []
-        for v in range(topo.n):
-            if v in topo.byzantine:
-                state_choices.append([ProcessState(1, 0)])
-            else:
-                state_choices.append(
-                    [
-                        ProcessState(p, l)
-                        for p in range(1, topo.degree(v) + 1)
-                        for l in range(level_bound + 1)
-                    ]
-                )
-        byz_bits = [False, True]
-
-    byz_slots = [slot for b in byz for slot in topo.out_slot[b]]
-    byz_reg_choices = [RegisterValue(bit, l) for bit in byz_bits for l in range(level_bound + 1)]
+    state_choices = [protocol.anchor_states(topo, v, level_bound) for v in range(topo.n)]
+    byz_slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
+    byz_reg_choices = protocol.register_domain(level_bound, RegisterValue(False, 0))
     for states in itertools.product(*state_choices):
         base = list(consistent_registers(topo, states))
         for combo in itertools.product(byz_reg_choices, repeat=len(byz_slots)):
             for slot, val in zip(byz_slots, combo):
                 base[slot] = val
             cfg = Configuration(states, tuple(base))
-            if member(cfg, topo):
+            if protocol.in_legitimate_set(cfg, topo):
                 yield cfg

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import os
+import random
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,7 @@ from .engine import (
     Daemon,
     EngineError,
     ProcessState,
+    Protocol,
     RegisterValue,
     StopCondition,
     check_locality,
@@ -48,6 +50,11 @@ from .topology import (
 PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
 
 SEED_ENV = "STRONGSTAB_SEED"
+
+SCENARIO_KEYS = frozenset(
+    "topology protocol daemon hostile fairness_bound init adversary seed seed_daemon seed_init"
+    " seed_adversary seed_neighbor max_steps radius bounds expect_min_disruptions".split()
+)
 
 
 class ScenarioError(ValueError):
@@ -96,6 +103,8 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
         if not line:
             continue
         parts = line.split()
+        if parts[0] not in SCENARIO_KEYS:
+            raise ScenarioError(f"unknown scenario key {parts[0]!r} (line {lineno})")
         values.setdefault(parts[0], []).append(" ".join(parts[1:]))
 
     def one(key, default=None):
@@ -107,13 +116,19 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
             raise ScenarioError(f"duplicate scenario key {key!r}")
         return values[key][0]
 
+    def integer(key, default=None):
+        raw = one(key, default)
+        try:
+            return None if raw is None else int(raw)
+        except ValueError:
+            raise ScenarioError(f"scenario key {key!r} needs an integer, got {raw!r}") from None
+
     sc = Scenario(topology_path=one("topology"), protocol=one("protocol"), base_dir=base_dir)
     if sc.protocol not in PROTOCOLS:
         raise ScenarioError(f"unknown protocol {sc.protocol!r}")
     sc.daemon_kind = one("daemon", "distributed")
     sc.hostile = one("hostile", "false").lower() == "true"
-    if one("fairness_bound") is not None:
-        sc.fairness_bound = int(one("fairness_bound"))
+    sc.fairness_bound = integer("fairness_bound")
     init = one("init", "arbitrary").split()
     sc.init_mode = init[0]
     sc.init_arg = init[1] if len(init) > 1 else None
@@ -125,11 +140,12 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
         k, v = tok.split("=", 1)
         sc.adversary_params[k] = v
     for key in ("seed", "seed_daemon", "seed_init", "seed_adversary", "seed_neighbor"):
-        if one(key) is not None:
-            setattr(sc, key, int(one(key)))
-    sc.max_steps = int(one("max_steps", "2000"))
-    sc.radius = int(one("radius", "0"))
-    sc.expect_min_disruptions = int(one("expect_min_disruptions", "10"))
+        setattr(sc, key, integer(key, getattr(sc, key)))
+    sc.max_steps = integer("max_steps", "2000")
+    sc.radius = integer("radius", "0")
+    if sc.radius < 0:
+        raise ScenarioError("radius must be non-negative")
+    sc.expect_min_disruptions = integer("expect_min_disruptions", "10")
     if "bounds" in values:
         for entry in values["bounds"]:
             sc.bounds.extend(entry.split())
@@ -249,24 +265,25 @@ def bound_limits(names: list[str], topo: Topology, sc: Scenario) -> dict[str, tu
 # subcommands
 
 def _setup(sc: Scenario):
+    protocol = PROTOCOLS[sc.protocol]
+    foreign = set(sc.bounds) - set(protocol.bound_names) - {"min_disruptions"}
+    if foreign:
+        raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(foreign))}")
     seeds = sc.resolved_seeds()
     topo_path = sc.base_dir / sc.topology_path
-    topo = load_topology(str(topo_path), neighbor_seed=seeds["neighbor"], mode=sc.protocol)
-    protocol = PROTOCOLS[sc.protocol]
+    topo = load_topology(str(topo_path), neighbor_seed=seeds["neighbor"], mode=protocol.name)
     fairness = sc.fairness_bound if sc.fairness_bound is not None else 2 * topo.n
-    daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"], hostile=sc.hostile)
-    adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
+    try:
+        daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"], hostile=sc.hostile)
+        adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
+    except (EngineError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from None
     if sc.init_mode == "arbitrary":
         init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
     elif sc.init_mode == "legitimate":
-        if sc.protocol == "ss-st":
-            from .spanning_tree import legitimate_configuration
-
-            init = legitimate_configuration(topo, seeds["init"])
-        else:
-            from .tree_orientation import legitimate_configuration
-
-            init = legitimate_configuration(topo, seeds["init"], kind=sc.init_arg or "auto")
+        if sc.init_arg is not None and sc.init_arg not in protocol.legitimate_kinds:
+            raise ScenarioError(f"protocol {protocol.name} has no legitimate kind {sc.init_arg!r}")
+        init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
     elif sc.init_mode == "named":
         if not sc.init_arg:
             raise ScenarioError("init named needs a file name")
@@ -294,9 +311,8 @@ def cmd_run(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _sweep_topology(kind: str, n: int, f: int, protocol: str, seed: int, extra: int) -> Topology:
-    import random as _random
-
+def _sweep_topology(kind: str, n: int, f: int, protocol: Protocol, seed: int, extra: int) -> Topology:
+    reason = None
     for attempt in range(50):
         s = seed + 7919 * attempt
         if kind == "random-tree":
@@ -309,47 +325,27 @@ def _sweep_topology(kind: str, n: int, f: int, protocol: str, seed: int, extra: 
             edges = [(0, i) for i in range(1, n)]
         else:
             raise ScenarioError(f"unknown topology kind {kind!r}")
-        rng = _random.Random(s)
-        if protocol == "ss-st":
-            root = 0
-            candidates = [v for v in range(n) if v != root]
-            byz = rng.sample(candidates, f) if f else []
-            try:
-                return build_topology(edges, root=root, byzantine=byz, neighbor_seed=s, mode="ss-st")
-            except TopologyError:
-                continue  # byz choice disconnected the correct subgraph; retry
-        else:
-            byz = rng.sample(range(n), f) if f else []
-            return build_topology(edges, root=None, byzantine=byz, neighbor_seed=s, mode="ss-to")
-    raise ScenarioError("could not build a valid sweep topology")
+        root, byz = protocol.sweep_placement(n, f, random.Random(s))
+        try:
+            return build_topology(edges, root=root, byzantine=byz, neighbor_seed=s, mode=protocol.name)
+        except TopologyError as exc:
+            reason = exc  # e.g. the Byzantine choice disconnected the correct subgraph; retry
+    raise ScenarioError(f"could not build a valid sweep topology: {reason}")
 
 
 def _sweep_row(job: dict) -> dict:
     """One seeded replication; self-contained so replications can run in
     worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
-    topo = _sweep_topology(job["kind"], job["n"], job["f"], job["protocol"], job["seed"], job["extra"])
+    topo = _sweep_topology(job["kind"], job["n"], job["f"], protocol, job["seed"], job["extra"])
     metrics = correct_metrics(topo)
-    sc = Scenario(topology_path="-", protocol=job["protocol"])
-    sc.expect_min_disruptions = 0
-    names = (
-        ["st_disruptions", "st_changes", "st_rounds"]
-        if job["protocol"] == "ss-st"
-        else (["to_rounds"] if job["f"] == 0 else ["to_disruptions", "to_changes"])
-    )
-    limits = bound_limits(names, topo, sc)
+    sc = Scenario(topology_path="-", protocol=job["protocol"], expect_min_disruptions=0)
+    limits = bound_limits(protocol.sweep_bounds(job["f"]), topo, sc)
     seed = job["seed"]
     adversary = make_adversary(job["adv_name"], job["adv_params"], seed * 1000 + 3, topo, protocol)
     daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
     if job["init"] == "legitimate":
-        if job["protocol"] == "ss-st":
-            from .spanning_tree import legitimate_configuration as gen
-
-            init = gen(topo, seed * 1000 + 2)
-        else:
-            from .tree_orientation import legitimate_configuration as gen
-
-            init = gen(topo, seed * 1000 + 2)
+        init = protocol.legitimate_configuration(topo, seed * 1000 + 2)
     else:
         init = engine_mod.arbitrary_configuration(topo, protocol, seed * 1000 + 2)
     trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=job["max_steps"]))

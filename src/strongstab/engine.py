@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .topology import Topology, build_topology
@@ -80,14 +82,29 @@ class GuardedAction:
 
 
 class Protocol:
-    """Stateless rule set: ordered guarded actions per role.
+    """Stateless rule set (ordered guarded actions per role) that also owns
+    its semantics, so callers never switch on `name`. All protocol state
+    lives in the Configuration. A protocol fills in:
 
-    Subclasses fill in the class attributes and `actions`. All protocol
-    state lives in the Configuration.
+    - `name`, `o_variables` (the fields whose changes are disruptions),
+      `prnt_min` (lowest prnt in the state domain), `reads_parent_bit`
+      (whether it reads in-registers' parent bits), `bound_names` (the
+      bounds its theorems give) and `legitimate_kinds` (the subsets
+      `legitimate_configuration` draws from besides its default);
+    - `actions`; `spec`, the per-process specification; `in_legitimate_set`,
+      which the oracle converges to and anchors in; `fast_stable`, a
+      sufficient stability test that spares the search; and
+      `legitimate_configuration`;
+    - `sweep_bounds`, `sweep_placement` and `anchor_states` where the
+      defaults do not fit.
     """
 
     name: str = ""
     o_variables: tuple[str, ...] = ()
+    prnt_min: int = 0
+    reads_parent_bit: bool = True
+    bound_names: tuple[str, ...] = ()
+    legitimate_kinds: tuple[str, ...] = ()
 
     def role_of(self, topo: Topology, pid: int) -> str:
         return "root" if topo.root == pid else "node"
@@ -95,8 +112,53 @@ class Protocol:
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         raise NotImplementedError
 
-    def arbitrary_state(self, rng: random.Random, degree: int, role: str, n: int) -> ProcessState:
+    def spec(self, v: int, config: Configuration, topo: Topology) -> bool:
         raise NotImplementedError
+
+    def in_legitimate_set(self, config: Configuration, topo: Topology) -> bool:
+        raise NotImplementedError
+
+    def fast_stable(self, config: Configuration, topo: Topology) -> bool:
+        return False
+
+    def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
+        raise NotImplementedError
+
+    @cached_property
+    def _o_key(self) -> Callable[[ProcessState], object]:
+        return attrgetter(*self.o_variables)
+
+    def o_changed(self, before: ProcessState, after: ProcessState) -> bool:
+        """Whether going from `before` to `after` changes an O-variable."""
+        return self._o_key(before) != self._o_key(after)
+
+    def sweep_bounds(self, f: int) -> list[str]:
+        """The bounds a sweep checks with `f` Byzantine processes."""
+        return list(self.bound_names)
+
+    def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:
+        """Root and Byzantine processes of a sweep topology on `n` processes."""
+        return None, (rng.sample(range(n), f) if f else [])
+
+    def arbitrary_state(self, rng: random.Random, degree: int, n: int) -> ProcessState:
+        return ProcessState(prnt=rng.randint(self.prnt_min, degree), level=rng.randint(0, 2 * n))
+
+    def state_domain(self, degree: int, level_bound: int) -> list[ProcessState]:
+        """Every state of a process of this degree with levels up to `level_bound`."""
+        return [ProcessState(p, l) for p in range(self.prnt_min, degree + 1) for l in range(level_bound + 1)]
+
+    def anchor_states(self, topo: Topology, v: int, level_bound: int) -> list[ProcessState]:
+        """`v`'s states in legitimate configurations with levels up to
+        `level_bound`; one pinned state for a Byzantine `v`, which nobody reads."""
+        if v in topo.byzantine:
+            return [ProcessState(self.prnt_min, 0)]
+        return [s for s in self.state_domain(topo.degree(v), level_bound) if s.prnt >= 1]
+
+    def register_domain(self, level_bound: int, current: RegisterValue) -> list[RegisterValue]:
+        """Byzantine writes to a register holding `current`: every level up to
+        `level_bound`, with both parent bits only when the protocol reads them."""
+        bits = (False, True) if self.reads_parent_bit else (current.prnt,)
+        return [RegisterValue(bit, l) for bit in bits for l in range(level_bound + 1)]
 
 
 @dataclass(frozen=True)
@@ -357,13 +419,10 @@ def _check_shape(topo: Topology, config: Configuration) -> None:
 
 def arbitrary_configuration(topo: Topology, protocol: Protocol, seed: int) -> Configuration:
     """Uniform draw over the bounded value domain: levels in [0, 2n], prnt
-    in the per-role variable domain, registers unconstrained."""
+    from the protocol's prnt_min up to the degree, registers unconstrained."""
     rng = random.Random(seed)
     hi = 2 * topo.n
-    states = tuple(
-        protocol.arbitrary_state(rng, topo.degree(v), protocol.role_of(topo, v), topo.n)
-        for v in range(topo.n)
-    )
+    states = tuple(protocol.arbitrary_state(rng, topo.degree(v), topo.n) for v in range(topo.n))
     registers = tuple(
         RegisterValue(prnt=rng.random() < 0.5, level=rng.randint(0, hi))
         for _ in range(topo.num_registers)
@@ -371,14 +430,17 @@ def arbitrary_configuration(topo: Topology, protocol: Protocol, seed: int) -> Co
     return Configuration(states=states, registers=registers)
 
 
+def out_registers(prnt: int, level: int, degree: int) -> tuple[RegisterValue, ...]:
+    """The out-registers a process in state (prnt, level) writes: the
+    parent-facing one flagged true, all carrying its level."""
+    return tuple(RegisterValue(prnt=(k == prnt), level=level) for k in range(1, degree + 1))
+
+
 def consistent_registers(topo: Topology, states: Sequence[ProcessState]) -> tuple[RegisterValue, ...]:
-    """Registers every process would write for its own state: the parent-facing
-    one flagged true, all carrying the writer's level."""
-    registers = [RegisterValue(False, 0)] * topo.num_registers
-    for v in range(topo.n):
-        st = states[v]
-        for k, slot in enumerate(topo.out_slot[v], 1):
-            registers[slot] = RegisterValue(prnt=(st.prnt == k), level=st.level)
+    """Registers every process would write for its own state."""
+    registers: list[RegisterValue] = [RegisterValue(False, 0)] * topo.num_registers
+    for v, slots in enumerate(topo.out_slot):
+        registers[slots[0] : slots[-1] + 1] = out_registers(states[v].prnt, states[v].level, len(slots))
     return tuple(registers)
 
 

@@ -11,6 +11,7 @@ Protocol string name: ``ss-st``. O-variables: prnt and level.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from .engine import (
     Configuration,
@@ -21,6 +22,7 @@ from .engine import (
     Protocol,
     RegisterValue,
     consistent_registers,
+    out_registers,
 )
 from .topology import Topology, TopologyError
 
@@ -58,43 +60,19 @@ def pred2(view: LocalView) -> bool:
     return False
 
 
-def _write_all(prnt: int, level: int, degree: int) -> tuple[RegisterValue, ...]:
-    return tuple(RegisterValue(prnt=(k == prnt), level=level) for k in range(1, degree + 1))
-
-
 def ga0(view: LocalView) -> LocalEffect:
-    return LocalEffect(state=ProcessState(0, 0), out_regs=_write_all(0, 0, view.degree))
+    return LocalEffect(state=ProcessState(0, 0), out_regs=out_registers(0, 0, view.degree))
 
 
 def ga1(view: LocalView) -> LocalEffect:
     prnt = next_after(view.state.prnt, view.degree)
     level = view.in_regs[prnt - 1].level + 1
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=_write_all(prnt, level, view.degree))
+    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
 def ga2(view: LocalView) -> LocalEffect:
     prnt, level = view.state.prnt, view.state.level
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=_write_all(prnt, level, view.degree))
-
-
-class SpanningTreeProtocol(Protocol):
-    name = "ss-st"
-    o_variables = ("prnt", "level")
-
-    _root_actions = (GuardedAction("GA0", pred0, ga0),)
-    _node_actions = (
-        GuardedAction("GA1", pred1, ga1),
-        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
-    )
-
-    def actions(self, role: str) -> tuple[GuardedAction, ...]:
-        return self._root_actions if role == "root" else self._node_actions
-
-    def arbitrary_state(self, rng: random.Random, degree: int, role: str, n: int) -> ProcessState:
-        return ProcessState(prnt=rng.randint(0, degree), level=rng.randint(0, 2 * n))
-
-
-SS_ST = SpanningTreeProtocol()
+    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
 def spec_st(v: int, config: Configuration, topo: Topology) -> bool:
@@ -183,3 +161,42 @@ def legitimate_configuration(topo: Topology, seed: int) -> Configuration:
         else:
             states.append(ProcessState(topo.neighbor_pos[v][parent[v]], level[v]))
     return Configuration(states=tuple(states), registers=consistent_registers(topo, states))
+
+
+class SpanningTreeProtocol(Protocol):
+    name = "ss-st"
+    o_variables = ("prnt", "level")
+    # GA1 and GA2 read only the levels of in-registers
+    reads_parent_bit = False
+    bound_names = ("st_disruptions", "st_changes", "st_rounds")
+
+    _root_actions = (GuardedAction("GA0", pred0, ga0),)
+    _node_actions = (
+        GuardedAction("GA1", pred1, ga1),
+        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
+    )
+
+    def actions(self, role: str) -> tuple[GuardedAction, ...]:
+        return self._root_actions if role == "root" else self._node_actions
+
+    spec = staticmethod(spec_st)
+    in_legitimate_set = staticmethod(in_lc)
+
+    def fast_stable(self, config: Configuration, topo: Topology) -> bool:
+        return topo.root is not None and in_lc(config, topo)
+
+    def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
+        if kind is not None:
+            raise ValueError(f"{self.name} has no legitimate kind {kind!r}")
+        return legitimate_configuration(topo, seed)
+
+    def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:
+        return 0, (rng.sample(range(1, n), f) if f else [])
+
+    def anchor_states(self, topo: Topology, v: int, level_bound: int) -> list[ProcessState]:
+        if v == topo.root:
+            return [ProcessState(0, 0)]
+        return super().anchor_states(topo, v, level_bound)
+
+
+SS_ST = SpanningTreeProtocol()

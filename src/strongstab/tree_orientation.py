@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from typing import Optional
 
 from .engine import (
     Configuration,
@@ -24,6 +25,7 @@ from .engine import (
     Protocol,
     RegisterValue,
     consistent_registers,
+    out_registers,
 )
 from .topology import Topology, TopologyError
 
@@ -54,15 +56,11 @@ def pred3(view: LocalView) -> bool:
     return False
 
 
-def _write_all(prnt: int, level: int, degree: int) -> tuple[RegisterValue, ...]:
-    return tuple(RegisterValue(prnt=(k == prnt), level=level) for k in range(1, degree + 1))
-
-
 def ga1(view: LocalView) -> LocalEffect:
     # adopt the maximal advertised level; ties go to the lowest neighbor index
     best = max(r.level for r in view.in_regs)
     prnt = next(k for k, r in enumerate(view.in_regs, 1) if r.level == best)
-    return LocalEffect(state=ProcessState(prnt, best), out_regs=_write_all(prnt, best, view.degree))
+    return LocalEffect(state=ProcessState(prnt, best), out_regs=out_registers(prnt, best, view.degree))
 
 
 def ga2(view: LocalView) -> LocalEffect:
@@ -73,35 +71,12 @@ def ga2(view: LocalView) -> LocalEffect:
         if k != old_prnt and r.level == level and not r.prnt
     )
     level += 1
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=_write_all(prnt, level, view.degree))
+    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
 def ga3(view: LocalView) -> LocalEffect:
     prnt, level = view.state.prnt, view.state.level
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=_write_all(prnt, level, view.degree))
-
-
-class TreeOrientationProtocol(Protocol):
-    name = "ss-to"
-    o_variables = ("prnt",)
-
-    _actions = (
-        GuardedAction("GA1", pred1, ga1),
-        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
-        GuardedAction("GA3", lambda v: not pred1(v) and not pred2(v) and pred3(v), ga3),
-    )
-
-    def role_of(self, topo: Topology, pid: int) -> str:
-        return "node"
-
-    def actions(self, role: str) -> tuple[GuardedAction, ...]:
-        return self._actions
-
-    def arbitrary_state(self, rng: random.Random, degree: int, role: str, n: int) -> ProcessState:
-        return ProcessState(prnt=rng.randint(1, degree), level=rng.randint(0, 2 * n))
-
-
-SS_TO = TreeOrientationProtocol()
+    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
 def spec_to(v: int, config: Configuration, topo: Topology) -> bool:
@@ -211,24 +186,22 @@ def _single_byz(topo: Topology) -> int:
     return next(iter(topo.byzantine))
 
 
-def in_lc1(config: Configuration, topo: Topology) -> bool:
+def _every_subtree_in(config: Configuration, topo: Topology, classes: tuple[SubtreeClass, ...]) -> bool:
     z = _single_byz(topo)
-    if not _registers_consistent(config, topo, sorted(topo.correct)):
-        return False
-    return all(
-        classify_subtree(config, topo, comp, z) is not SubtreeClass.NEITHER
-        for comp in components_without(topo, z)
+    return _registers_consistent(config, topo, sorted(topo.correct)) and all(
+        classify_subtree(config, topo, comp, z) in classes for comp in components_without(topo, z)
     )
+
+
+def in_lc1(config: Configuration, topo: Topology) -> bool:
+    return _every_subtree_in(config, topo, (SubtreeClass.C1, SubtreeClass.C2))
 
 
 def in_lc2(config: Configuration, topo: Topology) -> bool:
-    z = _single_byz(topo)
-    if not _registers_consistent(config, topo, sorted(topo.correct)):
-        return False
-    return all(
-        classify_subtree(config, topo, comp, z) is SubtreeClass.C1
-        for comp in components_without(topo, z)
-    )
+    return _every_subtree_in(config, topo, (SubtreeClass.C1,))
+
+
+LEGITIMATE_KINDS = ("auto", "lc0", "lc1", "lc2")
 
 
 def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> Configuration:
@@ -238,6 +211,8 @@ def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> C
     each multi-process component internally rooted (C2) or z-oriented (C1)
     at random.
     """
+    if kind not in LEGITIMATE_KINDS:
+        raise ValueError(f"unknown legitimate kind {kind!r}; known: {', '.join(LEGITIMATE_KINDS)}")
     rng = random.Random(seed)
     if kind == "auto":
         kind = "lc0" if not topo.byzantine else "lc2"
@@ -311,3 +286,40 @@ def check_level_monotonic(trace: ExecutionTrace, topo: Topology) -> None:
         for v in topo.correct:
             if after.states[v].level < before.states[v].level:
                 raise AssertionError(f"level of {v} decreased at step {i + 1}")
+
+
+class TreeOrientationProtocol(Protocol):
+    name = "ss-to"
+    o_variables = ("prnt",)
+    prnt_min = 1
+    bound_names = ("to_disruptions", "to_changes", "to_rounds")
+    legitimate_kinds = LEGITIMATE_KINDS
+
+    _actions = (
+        GuardedAction("GA1", pred1, ga1),
+        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
+        GuardedAction("GA3", lambda v: not pred1(v) and not pred2(v) and pred3(v), ga3),
+    )
+
+    def actions(self, role: str) -> tuple[GuardedAction, ...]:
+        return self._actions
+
+    spec = staticmethod(spec_to)
+
+    def in_legitimate_set(self, config: Configuration, topo: Topology) -> bool:
+        return in_lc1(config, topo) if topo.byzantine else in_lc0(config, topo)
+
+    def fast_stable(self, config: Configuration, topo: Topology) -> bool:
+        if not topo.byzantine:
+            return in_lc0(config, topo)
+        return len(topo.byzantine) == 1 and in_lc2(config, topo)
+
+    def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
+        return legitimate_configuration(topo, seed, kind or "auto")
+
+    def sweep_bounds(self, f: int) -> list[str]:
+        # the round bound is proved fault-free, the containment bounds for f = 1
+        return ["to_rounds"] if f == 0 else ["to_disruptions", "to_changes"]
+
+
+SS_TO = TreeOrientationProtocol()

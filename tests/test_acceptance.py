@@ -256,7 +256,7 @@ def test_criterion_6_impossibility_demonstration():
         rep = _report(trace, topo, SS_TO, 0, {})
         assert rep.t_observed >= 10, (n, rep.t_observed)
         checker = analysis.StabilityChecker(topo, SS_TO, 0)
-        spec = analysis.spec_for(SS_TO)
+        spec = SS_TO.spec
         for rec in rep.disruptions:
             cfg = trace.configs[rec.start_index]
             assert analysis.is_c_legitimate(cfg, topo, 0, spec)

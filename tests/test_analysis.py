@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from conftest import path_edges, quick_run, random_st_topology, st_topology, to_topology
@@ -133,7 +135,7 @@ def test_radius_monotonicity():
         t, SS_ST, "oscillate", {"period": 1, "cycles": 4},
         init=st_legit(t, 4), daemon_seed=5, adversary_seed=6, max_steps=900,
     )
-    spec = analysis.spec_for(SS_ST)
+    spec = SS_ST.spec
     check0 = StabilityChecker(t, SS_ST, 0)
     check2 = StabilityChecker(t, SS_ST, 2)
     for cfg in trace.configs[:: max(1, len(trace.configs) // 40)]:
@@ -205,3 +207,67 @@ def test_oracle_caps():
     t = st_topology(3)
     with pytest.raises(OracleCapError):
         brute_force_verify(t, SS_ST, "converges-to", level_bound=6, state_cap=100)
+
+
+# --- fast paths against the exhaustive ones, on small instances --------------
+
+def _small_instances():
+    """Paths and stars with n <= 5 for both protocols: fault-free, and with
+    one Byzantine process at a leaf, and (ss-to) at an inner process."""
+    paths = [(f"path{n}", path_edges(n), 1) for n in (3, 4, 5)]
+    stars = [(f"star{n}", [(0, i) for i in range(1, n)], 0) for n in (4, 5)]
+    for name, edges, inner in paths + stars:
+        n = len(edges) + 1
+        yield pytest.param(SS_ST, st_topology(edges=edges, seed=n), id=f"ss-st-{name}")
+        yield pytest.param(SS_ST, st_topology(byz=(n - 1,), edges=edges, seed=n), id=f"ss-st-{name}-byz-leaf")
+        yield pytest.param(SS_TO, to_topology(edges=edges, seed=n), id=f"ss-to-{name}")
+        yield pytest.param(SS_TO, to_topology(byz=(n - 1,), edges=edges, seed=n), id=f"ss-to-{name}-byz-leaf")
+        yield pytest.param(SS_TO, to_topology(byz=(inner,), edges=edges, seed=n), id=f"ss-to-{name}-byz-inner")
+
+
+@pytest.mark.parametrize("protocol,topo", _small_instances())
+def test_fast_stable_implies_exhaustive_search_stable(protocol, topo):
+    kinds = ["lc1", "lc2"] if protocol is SS_TO and topo.byzantine else [None]
+    adversary = "level-inflation" if protocol is SS_TO else "oscillate"
+    configs = {}
+    for seed in range(4):
+        for kind in kinds:
+            init = protocol.legitimate_configuration(topo, seed, kind)
+            trace, _ = quick_run(topo, protocol, adversary, init=init, daemon_seed=seed, adversary_seed=seed, max_steps=40)
+            configs.update(dict.fromkeys(trace.configs))
+        trace, _ = quick_run(topo, protocol, adversary, init_seed=seed, daemon_seed=seed, adversary_seed=seed, max_steps=60)
+        configs.update(dict.fromkeys(trace.configs))
+    checker = StabilityChecker(topo, protocol, 0)
+    fast = [cfg for cfg in configs if protocol.fast_stable(cfg, topo)]
+    assert fast
+    for cfg in fast:
+        assert checker._search(cfg) is Stability.STABLE
+
+
+@pytest.mark.parametrize("protocol,topo", _small_instances())
+def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, topo):
+    # ss-to with a Byzantine process keeps level bound 1: every register value
+    # of the Byzantine writer multiplies the widened domain below
+    level_bound = 1 if protocol is SS_TO and topo.byzantine else 2
+    anchors = list(analysis._enumerate_lc_anchors(topo, protocol, level_bound))
+    for cfg in anchors:
+        assert protocol.in_legitimate_set(cfg, topo)
+        assert is_c_legitimate(cfg, topo, 0, protocol.spec)
+    # widen every correct process from its anchor states to its whole state
+    # domain: the legitimate configurations found must be the anchors
+    choices = [
+        protocol.state_domain(topo.degree(v), level_bound) if v in topo.correct else protocol.anchor_states(topo, v, level_bound)
+        for v in range(topo.n)
+    ]
+    byz_slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
+    byz_values = protocol.register_domain(level_bound, RegisterValue(False, 0))
+    members = []
+    for states in itertools.product(*choices):
+        registers = list(consistent_registers(topo, states))
+        for combo in itertools.product(byz_values, repeat=len(byz_slots)):
+            for slot, value in zip(byz_slots, combo):
+                registers[slot] = value
+            cfg = Configuration(states, tuple(registers))
+            if protocol.in_legitimate_set(cfg, topo):
+                members.append(cfg)
+    assert set(members) == set(anchors)

@@ -177,6 +177,42 @@ def test_usage_and_parse_errors_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+_TO_SCENARIO = {"protocol": "ss-to", "topology": "p3_to.topo", "bounds": "to_disruptions to_changes"}
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        pytest.param({"seed_init": "abc"}, id="non-integer-seed"),
+        pytest.param({"max_steps": "many"}, id="non-integer-max-steps"),
+        pytest.param({"fairness_bound": "x"}, id="non-integer-fairness-bound"),
+        pytest.param({"radius": "-1"}, id="negative-radius"),
+        pytest.param({"daemon": "centrl"}, id="unknown-daemon"),
+        pytest.param({"fairness_bound": "0"}, id="zero-fairness-bound"),
+        pytest.param({"adversary": "nobody"}, id="unknown-adversary"),
+        pytest.param({"adversary": "oscillate period=fast"}, id="non-integer-adversary-parameter"),
+        pytest.param({"max_step": "10"}, id="unknown-key"),
+        pytest.param({"init": "legitimate lc2"}, id="ss-st-takes-no-legitimate-kind"),
+        pytest.param({**_TO_SCENARIO, "init": "legitimate lc9"}, id="ss-to-unknown-legitimate-kind"),
+        pytest.param({**_TO_SCENARIO, "bounds": "st_rounds"}, id="ss-st-bound-on-ss-to"),
+        pytest.param({"bounds": "to_changes"}, id="ss-to-bound-on-ss-st"),
+    ],
+)
+def test_scenario_input_errors_exit_two(tmp_path, capsys, over):
+    _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
+    scn = _basic_scenario(tmp_path, **over)
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_legitimate_kinds_accepted_per_protocol(tmp_path):
+    _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
+    for over in [{"init": "legitimate"}] + [{**_TO_SCENARIO, "init": f"legitimate {k}"} for k in ("auto", "lc1", "lc2")]:
+        scn = _basic_scenario(tmp_path, **over)
+        assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0, over
+
+
 def test_empty_sweep_grid(tmp_path):
     spec = _write(tmp_path, "empty.sweep", "protocol ss-to\nn\nreplications 3\n")
     rc = main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")])
