@@ -20,11 +20,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .engine import (
     ByzWrite,
     Configuration,
+    EngineError,
     ExecutionTrace,
     Protocol,
     RegisterValue,
@@ -468,156 +470,166 @@ def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int):
 
 # --- worst-case disruption game ---------------------------------------------
 
-def _byz_write_options(topo: Topology, protocol: Protocol, cfg: Configuration, b: int, level_bound: int):
-    """All register writes in the bounded domain; the Byzantine state is kept
-    so the game graph stays small (correct processes cannot observe it)."""
-    per_edge = [protocol.register_domain(level_bound, cfg.registers[slot]) for slot in topo.out_slot[b]]
-    for combo in itertools.product(*per_edge):
-        yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
-
-
 class _Game:
-    """Reachable game graph over (configuration, dirty-flag) nodes."""
+    """Reachable game graph over (configuration, dirty-flag) nodes.
+
+    Node i is `nodes[i]`; `edges[i]` holds one (target, weight, changed)
+    triple per move, in `_successors` order. Weight 1 marks a move into an
+    anchor reached dirty (a disruption completes); changed is the watched
+    process whose O-variable the move changes, or None. `seen` maps a
+    configuration to [is anchor, clean node, dirty node], so a successor
+    costs one hash. Edges keep no moves: `move` replays the source's
+    successors to recover one. Byzantine writes keep the Byzantine state
+    (nobody reads it), which keeps the graph small.
+    """
 
     def __init__(self, topo, protocol, level_bound, radius, state_cap):
-        self.topo = topo
-        self.protocol = protocol
-        self.level_bound = level_bound
-        self.state_cap = state_cap
+        self.topo, self.protocol, self.level_bound, self.radius, self.state_cap = (
+            topo, protocol, level_bound, radius, state_cap)
         self.watch = c_correct_set(topo, radius)
-        self.spec = protocol.spec
-        self.radius = radius
         self.checker = StabilityChecker(topo, protocol, radius)
         self.level_cap = level_bound + 2 * topo.n + 2
-        self._anchor_cache: dict[Configuration, bool] = {}
-        self.index: dict[tuple, int] = {}
-        self.nodes: list[tuple] = []
-        self.edges: list[list] = []  # per node: (target, weight, changed frozenset, move)
+        self.seen: dict[Configuration, list] = {}
+        self.nodes: list[tuple[Configuration, bool]] = []
+        self.edges: list[Optional[list]] = []
 
-    def is_anchor(self, cfg: Configuration) -> bool:
-        hit = self._anchor_cache.get(cfg)
-        if hit is None:
-            hit = is_c_legitimate(cfg, self.topo, self.radius, self.spec) and (
+    def entry(self, cfg: Configuration) -> list:
+        entry = self.seen.get(cfg)
+        if entry is None:
+            anchor = is_c_legitimate(cfg, self.topo, self.radius, self.protocol.spec) and (
                 self.checker.check(cfg) is Stability.STABLE
             )
-            self._anchor_cache[cfg] = hit
-        return hit
+            entry = self.seen[cfg] = [anchor, None, None]
+        return entry
 
-    def node_id(self, node: tuple) -> int:
-        nid = self.index.get(node)
+    def _node(self, entry: list, cfg: Configuration, dirty: bool) -> int:
+        nid = entry[1 + dirty]
         if nid is None:
-            nid = len(self.nodes)
+            nid = entry[1 + dirty] = len(self.nodes)
             if nid > self.state_cap:
                 raise OracleCapError(f"game graph exceeds {self.state_cap} nodes")
-            self.index[node] = nid
-            self.nodes.append(node)
+            self.nodes.append((cfg, dirty))
             self.edges.append(None)
         return nid
 
-    def expand(self, starts: list[tuple]) -> list[int]:
-        start_ids = [self.node_id(s) for s in starts]
-        stack = list(start_ids)
+    def expand(self, starts: list[Configuration]) -> list[int]:
+        start_ids = [self._node(self.entry(c), c, False) for c in starts]
+        edges, stack = self.edges, list(start_ids)
         while stack:
             nid = stack.pop()
-            if self.edges[nid] is not None:
+            if edges[nid] is not None:
                 continue
-            cfg, dirty = self.nodes[nid]
             out = []
-            for move, nxt, changed in self._successors(cfg):
-                d2 = dirty or bool(changed & self.watch)
-                weight = 0
-                if self.is_anchor(nxt):
-                    weight = 1 if d2 else 0
-                    d2 = False
-                tid = self.node_id((nxt, d2))
-                out.append((tid, weight, changed & self.watch, move))
-                if self.edges[tid] is None:
+            for _, _, tid, weight, changed in self._edges(nid):
+                out.append((tid, weight, changed))
+                if edges[tid] is None:
                     stack.append(tid)
-            self.edges[nid] = out
+            edges[nid] = out
         return start_ids
 
+    def _edges(self, nid: int):
+        """(mover, register write or None, target, weight, changed) per move
+        from node `nid`; reached targets get ids."""
+        cfg, dirty = self.nodes[nid]
+        for pid, write, nxt, changed in self._successors(cfg):
+            entry = self.seen.get(nxt) or self.entry(nxt)
+            d2 = dirty or changed is not None
+            weight = 0
+            if entry[0]:
+                weight, d2 = int(d2), False
+            tid = entry[1 + d2]
+            yield pid, write, self._node(entry, nxt, d2) if tid is None else tid, weight, changed
+
     def _successors(self, cfg: Configuration):
-        for v, nxt in _singleton_moves(self.topo, self.protocol, cfg):
+        """Correct moves, then every Byzantine register write in the bounded
+        domain spliced into the register tuple."""
+        protocol = self.protocol
+        for v, nxt in _singleton_moves(self.topo, protocol, cfg):
             if any(s.level > self.level_cap for s in nxt.states):
                 raise OracleCapError("level escaped the bounded domain")
-            changed = frozenset([v] if self.protocol.o_changed(cfg.states[v], nxt.states[v]) else [])
-            yield (v, None), nxt, changed
+            changed = protocol.o_changed(cfg.states[v], nxt.states[v]) and v in self.watch
+            yield v, None, nxt, v if changed else None
+        states, regs = cfg
         for b in sorted(self.topo.byzantine):
-            for write in _byz_write_options(self.topo, self.protocol, cfg, b, self.level_bound):
-                nxt = apply_effects(cfg, self.topo, [(b, write)])
-                if nxt == cfg:
-                    continue
-                yield (b, write), nxt, frozenset()
+            degree, _, out = self.topo.register_access[b]
+            own = regs[out]
+            if len(own) != degree:
+                raise EngineError(f"process {b} has the wrong register count")
+            head, tail = regs[: out.start], regs[out.stop :]
+            domains = [protocol.register_domain(self.level_bound, r) for r in own]
+            for combo in itertools.product(*domains):
+                if combo != own:
+                    yield b, combo, Configuration(states, head + combo + tail), None
 
-    # Tarjan SCC, iterative
+    def move(self, nid: int, tid: int, weight: int) -> tuple:
+        """The move of the first edge from `nid` to `tid` with `weight`."""
+        pid, write = next((p, wr) for p, wr, t, w, _ in self._edges(nid) if (t, w) == (tid, weight))
+        return pid, None if write is None else ByzWrite(self.nodes[nid][0].states[pid], write)
+
     def sccs(self) -> list[int]:
+        """Each node's strongly connected component, by iterative Tarjan,
+        which numbers components in reverse topological order."""
         n = len(self.nodes)
-        comp = [-1] * n
-        low = [0] * n
-        num = [-1] * n
-        counter = 0
-        comp_count = 0
-        stack_s = []
-        on_stack = [False] * n
+        comp, num, low = [-1] * n, [-1] * n, [0] * n
+        stack, counter, self.comp_count = [], 0, 0
+        target = itemgetter(0)
         for root in range(n):
             if num[root] != -1:
                 continue
-            work = [(root, 0)]
+            num[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            work = [(root, map(target, self.edges[root]))]
             while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    num[v] = low[v] = counter
-                    counter += 1
-                    stack_s.append(v)
-                    on_stack[v] = True
-                advanced = False
-                out = self.edges[v] or []
-                while pi < len(out):
-                    w = out[pi][0]
-                    pi += 1
+                v, out = work[-1]
+                for w in out:
                     if num[w] == -1:
-                        work[-1] = (v, pi)
-                        work.append((w, 0))
-                        advanced = True
+                        num[w] = low[w] = counter
+                        counter += 1
+                        stack.append(w)
+                        work.append((w, map(target, self.edges[w])))
                         break
-                    if on_stack[w]:
-                        low[v] = min(low[v], num[w])
-                if advanced:
-                    continue
-                if low[v] == num[v]:
-                    while True:
-                        w = stack_s.pop()
-                        on_stack[w] = False
-                        comp[w] = comp_count
-                        if w == v:
-                            break
-                    comp_count += 1
-                work.pop()
-                if work:
-                    u, _ = work[-1]
-                    low[u] = min(low[u], low[v])
-        self.comp_count = comp_count
+                    if comp[w] == -1 and num[w] < low[v]:  # w is still on the stack
+                        low[v] = num[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == num[v]:
+                        while comp[v] == -1:
+                            comp[stack.pop()] = self.comp_count
+                        self.comp_count += 1
         return comp
 
-    def longest(self, comp: list[int], weight_of) -> tuple[Optional[list[int]], bool]:
-        """Max path value per component; None,True when a positive cycle exists.
+    def condense(self) -> list[int]:
+        """Each node's component, after building the condensed DAG: per component,
+        its distinct (target component, weight, changed) labels out and (weight, changed) in."""
+        comp = self.sccs()
+        self.cross = [set() for _ in range(self.comp_count)]
+        self.inner = [set() for _ in range(self.comp_count)]
+        for nid, out in enumerate(self.edges):
+            c = comp[nid]
+            for tid, weight, changed in out:
+                tc = comp[tid]
+                if tc == c:
+                    self.inner[c].add((weight, changed))
+                else:
+                    self.cross[c].add((tc, weight, changed))
+        return comp
+
+    def longest(self, weight_of) -> tuple[Optional[list[int]], bool]:
+        """Max path value per component of the condensed DAG; None,True when
+        a positive cycle exists.
 
         Tarjan numbers components in reverse topological order, so a single
         pass in component order sees successors first.
         """
+        if any(weight_of(w, ch) > 0 for labels in self.inner for w, ch in labels):
+            return None, True
         value = [0] * self.comp_count
-        for nid in range(len(self.nodes)):
-            for tid, w, changed, _ in self.edges[nid]:
-                if comp[nid] == comp[tid] and weight_of(w, changed) > 0:
-                    return None, True
-        order = sorted(range(len(self.nodes)), key=lambda nid: comp[nid])
-        for nid in order:
-            c = comp[nid]
-            for tid, w, changed, _ in self.edges[nid]:
-                tc = comp[tid]
-                if tc == c:
-                    continue
-                cand = weight_of(w, changed) + value[tc]
+        for c, labels in enumerate(self.cross):
+            for tc, w, ch in labels:
+                cand = weight_of(w, ch) + value[tc]
                 if cand > value[c]:
                     value[c] = cand
         return value, False
@@ -626,11 +638,11 @@ class _Game:
 def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> OracleResult:
     game = _Game(topo, protocol, level_bound, radius, state_cap)
     if anchors is None:
-        anchor_list = [c for c in _enumerate_lc_anchors(topo, protocol, level_bound) if game.is_anchor(c)]
+        anchor_list = [c for c in _enumerate_lc_anchors(topo, protocol, level_bound) if game.entry(c)[0]]
     else:
         anchor_list = list(anchors)
         for c in anchor_list:
-            if not game.is_anchor(c):
+            if not game.entry(c)[0]:
                 raise ValueError("supplied start is not legitimate and stable")
     result = OracleResult(prop="worst-disruptions", anchors=len(anchor_list))
     if not anchor_list:
@@ -638,11 +650,11 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
         result.worst_per_process = 0
         return result
 
-    start_ids = game.expand([(c, False) for c in anchor_list])
-    comp = game.sccs()
+    start_ids = game.expand(anchor_list)
+    comp = game.condense()
     result.states_explored = len(game.nodes)
 
-    value, unbounded = game.longest(comp, lambda w, ch: w)
+    value, unbounded = game.longest(lambda w, ch: w)
     if unbounded:
         result.unbounded = True
         return result
@@ -654,7 +666,7 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
 
     worst_k = 0
     for p in sorted(game.watch):
-        val_p, unb = game.longest(comp, lambda w, ch, p=p: 1 if p in ch else 0)
+        val_p, unb = game.longest(lambda w, ch, p=p: int(ch == p))
         if unb:
             result.unbounded = True
             return result
@@ -676,25 +688,21 @@ def _extract_play(game: _Game, comp, value, start: int) -> list:
         hop = None
         while queue and hop is None:
             cur = queue.pop(0)
-            for tid, w, _, move in game.edges[cur]:
+            for tid, w, _ in game.edges[cur]:
                 if w == 1 and value[comp[tid]] == remaining - 1:
-                    hop = (cur, tid, move)
+                    hop = (cur, tid, 1)
                     break
                 if w == 0 and value[comp[tid]] == remaining and tid not in prev:
-                    prev[tid] = (cur, move)
+                    prev[tid] = cur
                     queue.append(tid)
         if hop is None:
             raise OracleCapError("play extraction failed")  # cannot happen on a sound DP
-        cur, tid, move = hop
-        path = []
-        node = cur
-        while prev[node] is not None:
-            pnode, pmove = prev[node]
-            path.append(pmove)
-            node = pnode
-        play.extend(reversed(path))
-        play.append(move)
-        nid = tid
+        hops = [hop]
+        while prev[hops[-1][0]] is not None:
+            node = hops[-1][0]
+            hops.append((prev[node], node, 0))
+        play.extend(game.move(*h) for h in reversed(hops))
+        nid = hop[1]
         remaining -= 1
     return play
 

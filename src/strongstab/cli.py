@@ -61,6 +61,22 @@ class ScenarioError(ValueError):
     pass
 
 
+def _integer(source: str, key: str, raw: Optional[str]) -> Optional[int]:
+    try:
+        return None if raw is None else int(raw)
+    except ValueError:
+        raise ScenarioError(f"{source} key {key!r} needs an integer, got {raw!r}") from None
+
+
+def _adversary_spec(text: str) -> tuple[str, dict]:
+    """`name key=value...` into the adversary name and its parameters."""
+    name, *params = text.split() or [""]
+    for tok in params:
+        if "=" not in tok:
+            raise ScenarioError(f"adversary parameter {tok!r} must be key=value")
+    return name, dict(tok.split("=", 1) for tok in params)
+
+
 @dataclass
 class Scenario:
     topology_path: str
@@ -117,28 +133,20 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
         return values[key][0]
 
     def integer(key, default=None):
-        raw = one(key, default)
-        try:
-            return None if raw is None else int(raw)
-        except ValueError:
-            raise ScenarioError(f"scenario key {key!r} needs an integer, got {raw!r}") from None
+        return _integer("scenario", key, one(key, default))
 
     sc = Scenario(topology_path=one("topology"), protocol=one("protocol"), base_dir=base_dir)
     if sc.protocol not in PROTOCOLS:
         raise ScenarioError(f"unknown protocol {sc.protocol!r}")
     sc.daemon_kind = one("daemon", "distributed")
-    sc.hostile = one("hostile", "false").lower() == "true"
+    sc.hostile = {"true": True, "false": False}.get(one("hostile", "false").lower())
+    if sc.hostile is None:
+        raise ScenarioError(f"scenario key 'hostile' needs true or false, got {one('hostile')!r}")
     sc.fairness_bound = integer("fairness_bound")
     init = one("init", "arbitrary").split()
     sc.init_mode = init[0]
     sc.init_arg = init[1] if len(init) > 1 else None
-    adv = one("adversary", "silent").split()
-    sc.adversary = adv[0]
-    for tok in adv[1:]:
-        if "=" not in tok:
-            raise ScenarioError(f"adversary parameter {tok!r} must be key=value")
-        k, v = tok.split("=", 1)
-        sc.adversary_params[k] = v
+    sc.adversary, sc.adversary_params = _adversary_spec(one("adversary", "silent"))
     for key in ("seed", "seed_daemon", "seed_init", "seed_adversary", "seed_neighbor"):
         setattr(sc, key, integer(key, getattr(sc, key)))
     sc.max_steps = integer("max_steps", "2000")
@@ -342,8 +350,11 @@ def _sweep_row(job: dict) -> dict:
     sc = Scenario(topology_path="-", protocol=job["protocol"], expect_min_disruptions=0)
     limits = bound_limits(protocol.sweep_bounds(job["f"]), topo, sc)
     seed = job["seed"]
-    adversary = make_adversary(job["adv_name"], job["adv_params"], seed * 1000 + 3, topo, protocol)
-    daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
+    try:
+        adversary = make_adversary(job["adv_name"], job["adv_params"], seed * 1000 + 3, topo, protocol)
+        daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
+    except (EngineError, ValueError) as exc:
+        raise ScenarioError(str(exc)) from None
     if job["init"] == "legitimate":
         init = protocol.legitimate_configuration(topo, seed * 1000 + 2)
     else:
@@ -384,18 +395,17 @@ def cmd_sweep(args) -> int:
     protocol_name = one("protocol", "ss-to")
     if protocol_name not in PROTOCOLS:
         raise ScenarioError(f"unknown protocol {protocol_name!r}")
-    ns = [int(x) for x in one("n", "").split()]
-    fs = [int(x) for x in one("f", "0").split()]
-    adversaries = values.get("adversary", ["silent"])
-    reps = int(one("replications", "5"))
-    base_seed = int(one("seed", "0"))
+    ns = [_integer("sweep", "n", x) for x in one("n", "").split()]
+    fs = [_integer("sweep", "f", x) for x in one("f", "0").split()]
+    adversaries = [_adversary_spec(line) for line in values.get("adversary", ["silent"])]
+    defaults = {"replications": "5", "seed": "0", "max_steps": "3000", "radius": "0", "extra_edges": "1"}
+    reps, base_seed, max_steps, radius, extra = (_integer("sweep", k, one(k, d)) for k, d in defaults.items())
 
     jobs = []
     idx = 0
     for n in ns:
         for f in fs:
-            for adv_line in adversaries:
-                adv_parts = adv_line.split()
+            for adv_name, adv_params in adversaries:
                 for rep in range(reps):
                     idx += 1
                     jobs.append(
@@ -404,13 +414,13 @@ def cmd_sweep(args) -> int:
                             "kind": one("topology_kind", "random-tree"),
                             "n": n,
                             "f": f,
-                            "adv_name": adv_parts[0],
-                            "adv_params": dict(tok.split("=", 1) for tok in adv_parts[1:]),
+                            "adv_name": adv_name,
+                            "adv_params": adv_params,
                             "seed": base_seed + idx,
-                            "max_steps": int(one("max_steps", "3000")),
-                            "radius": int(one("radius", "0")),
+                            "max_steps": max_steps,
+                            "radius": radius,
                             "init": one("init", "arbitrary"),
-                            "extra": int(one("extra_edges", "1")),
+                            "extra": extra,
                             "daemon": one("daemon", "distributed"),
                         }
                     )
@@ -489,7 +499,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    trace, topo, protocol_name = read_trace(args.trace)
+    try:
+        trace, topo, protocol_name = read_trace(args.trace)
+    except (EngineError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ScenarioError(f"malformed trace file {args.trace}: {type(exc).__name__}: {exc}") from None
+    if protocol_name not in PROTOCOLS:
+        raise ScenarioError(f"trace names unknown protocol {protocol_name!r}")
     protocol = PROTOCOLS[protocol_name]
     try:
         check_locality(trace, topo)

@@ -91,10 +91,10 @@ class Protocol:
       (whether it reads in-registers' parent bits), `bound_names` (the
       bounds its theorems give) and `legitimate_kinds` (the subsets
       `legitimate_configuration` draws from besides its default);
-    - `actions`; `spec`, the per-process specification; `in_legitimate_set`,
-      which the oracle converges to and anchors in; `fast_stable`, a
-      sufficient stability test that spares the search; and
-      `legitimate_configuration`;
+    - `actions` (and `enabled`, where guards share predicates); `spec`, the
+      per-process specification; `in_legitimate_set`, which the oracle
+      converges to and anchors in; `fast_stable`, a sufficient stability
+      test that spares the search; and `legitimate_configuration`;
     - `sweep_bounds`, `sweep_placement` and `anchor_states` where the
       defaults do not fit.
     """
@@ -111,6 +111,11 @@ class Protocol:
 
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         raise NotImplementedError
+
+    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
+        """The actions whose guards hold in `view`, in declaration order.
+        Overrides may share predicates between guards but must return this."""
+        return [a for a in self.actions(role) if a.guard(view)]
 
     def spec(self, v: int, config: Configuration, topo: Topology) -> bool:
         raise NotImplementedError
@@ -212,15 +217,15 @@ def local_view(topo: Topology, config: Configuration, v: int) -> LocalView:
 
 def evaluate_guards(view: LocalView, role: str, protocol: Protocol) -> list[str]:
     """Labels of all enabled actions, in declaration order. Pure."""
-    return [a.label for a in protocol.actions(role) if a.guard(view)]
+    return [a.label for a in protocol.enabled(role, view)]
 
 
 def fire(topo: Topology, protocol: Protocol, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
     """The step kernel: the label and effect of the action correct process
-    `v` fires in `config`, or None when no guard holds. Every guard is
-    evaluated exactly once."""
+    `v` fires in `config`, or None when no guard holds. The protocol's
+    `enabled` evaluates each guard once."""
     view = local_view(topo, config, v)
-    enabled = [a for a in protocol.actions(protocol.role_of(topo, v)) if a.guard(view)]
+    enabled = protocol.enabled(protocol.role_of(topo, v), view)
     if not enabled:
         return None
     if len(enabled) > 1:
@@ -568,7 +573,7 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     """Rebuild a trace and its topology from a trace file."""
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
-    meta = records[0]
+    meta = records[0] if records else {}
     if meta.get("type") != "meta":
         raise EngineError("trace file missing meta record")
     topo = build_topology(

@@ -179,6 +179,12 @@ class SpanningTreeProtocol(Protocol):
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         return self._root_actions if role == "root" else self._node_actions
 
+    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
+        if role == "root":
+            return super().enabled(role, view)
+        a1, a2 = self._node_actions  # the node guards, with pred1 evaluated once
+        return [a1] if pred1(view) else [a2] if pred2(view) else []
+
     spec = staticmethod(spec_st)
     in_legitimate_set = staticmethod(in_lc)
 

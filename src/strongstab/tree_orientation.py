@@ -304,6 +304,11 @@ class TreeOrientationProtocol(Protocol):
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         return self._actions
 
+    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
+        # the guards above, with pred1 and pred2 evaluated once
+        a1, a2, a3 = self._actions
+        return [a1] if pred1(view) else [a2] if pred2(view) else [a3] if pred3(view) else []
+
     spec = staticmethod(spec_to)
 
     def in_legitimate_set(self, config: Configuration, topo: Topology) -> bool:

@@ -1,6 +1,9 @@
 import itertools
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import path_edges, quick_run, random_st_topology, st_topology, to_topology
 
@@ -18,7 +21,7 @@ from strongstab.analysis import (
     render_report,
     verify_containment,
 )
-from strongstab.engine import Configuration, ProcessState, RegisterValue, consistent_registers
+from strongstab.engine import ByzWrite, Configuration, ProcessState, RegisterValue, apply_effects, consistent_registers
 from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
 from strongstab.tree_orientation import SS_TO, spec_to
@@ -271,3 +274,276 @@ def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, to
             if protocol.in_legitimate_set(cfg, topo):
                 members.append(cfg)
     assert set(members) == set(anchors)
+
+
+# --- the compact game graph against the move-storing one ---------------------
+#
+# The reference below is the earlier game: every edge keeps its move and a
+# frozenset of changed processes, every Byzantine write goes through
+# `apply_effects`, nodes are keyed by (configuration, dirty) tuples, and the
+# longest paths scan every edge per weight function.
+
+def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
+    per_edge = [protocol.register_domain(level_bound, cfg.registers[slot]) for slot in topo.out_slot[b]]
+    for combo in itertools.product(*per_edge):
+        yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
+
+
+class _RefGame:
+    def __init__(self, topo, protocol, level_bound, radius, state_cap):
+        self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
+        self.watch = c_correct_set(topo, radius)
+        self.radius = radius
+        self.checker = StabilityChecker(topo, protocol, radius)
+        self.level_cap = level_bound + 2 * topo.n + 2
+        self._anchor_cache = {}
+        self.index = {}
+        self.nodes = []
+        self.edges = []
+
+    def is_anchor(self, cfg):
+        hit = self._anchor_cache.get(cfg)
+        if hit is None:
+            hit = is_c_legitimate(cfg, self.topo, self.radius, self.protocol.spec) and (
+                self.checker.check(cfg) is Stability.STABLE
+            )
+            self._anchor_cache[cfg] = hit
+        return hit
+
+    def node_id(self, node):
+        nid = self.index.get(node)
+        if nid is None:
+            nid = len(self.nodes)
+            if nid > self.state_cap:
+                raise OracleCapError("game graph too large")
+            self.index[node] = nid
+            self.nodes.append(node)
+            self.edges.append(None)
+        return nid
+
+    def expand(self, starts):
+        start_ids = [self.node_id(s) for s in starts]
+        stack = list(start_ids)
+        while stack:
+            nid = stack.pop()
+            if self.edges[nid] is not None:
+                continue
+            cfg, dirty = self.nodes[nid]
+            out = []
+            for move, nxt, changed in self._successors(cfg):
+                d2 = dirty or bool(changed & self.watch)
+                weight = 0
+                if self.is_anchor(nxt):
+                    weight = 1 if d2 else 0
+                    d2 = False
+                tid = self.node_id((nxt, d2))
+                out.append((tid, weight, changed & self.watch, move))
+                if self.edges[tid] is None:
+                    stack.append(tid)
+            self.edges[nid] = out
+        return start_ids
+
+    def _successors(self, cfg):
+        for v, nxt in analysis._singleton_moves(self.topo, self.protocol, cfg):
+            if any(s.level > self.level_cap for s in nxt.states):
+                raise OracleCapError("level escaped the bounded domain")
+            changed = frozenset([v] if self.protocol.o_changed(cfg.states[v], nxt.states[v]) else [])
+            yield (v, None), nxt, changed
+        for b in sorted(self.topo.byzantine):
+            for write in _ref_byz_write_options(self.topo, self.protocol, cfg, b, self.level_bound):
+                nxt = apply_effects(cfg, self.topo, [(b, write)])
+                if nxt != cfg:
+                    yield (b, write), nxt, frozenset()
+
+    def sccs(self):
+        # iterative Tarjan with an explicit on-stack flag and edge cursors
+        n = len(self.nodes)
+        comp, low, num, on_stack = [-1] * n, [0] * n, [-1] * n, [False] * n
+        counter = comp_count = 0
+        stack_s = []
+        for root in range(n):
+            if num[root] != -1:
+                continue
+            work = [(root, 0)]
+            while work:
+                v, pi = work[-1]
+                if pi == 0:
+                    num[v] = low[v] = counter
+                    counter += 1
+                    stack_s.append(v)
+                    on_stack[v] = True
+                advanced = False
+                out = self.edges[v] or []
+                while pi < len(out):
+                    w = out[pi][0]
+                    pi += 1
+                    if num[w] == -1:
+                        work[-1] = (v, pi)
+                        work.append((w, 0))
+                        advanced = True
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], num[w])
+                if advanced:
+                    continue
+                if low[v] == num[v]:
+                    while True:
+                        w = stack_s.pop()
+                        on_stack[w] = False
+                        comp[w] = comp_count
+                        if w == v:
+                            break
+                    comp_count += 1
+                work.pop()
+                if work:
+                    u, _ = work[-1]
+                    low[u] = min(low[u], low[v])
+        return comp, comp_count
+
+    def longest(self, comp, comp_count, weight_of):
+        for nid in range(len(self.nodes)):
+            for tid, w, changed, _ in self.edges[nid]:
+                if comp[nid] == comp[tid] and weight_of(w, changed) > 0:
+                    return None, True
+        value = [0] * comp_count
+        for nid in sorted(range(len(self.nodes)), key=lambda nid: comp[nid]):
+            for tid, w, changed, _ in self.edges[nid]:
+                if comp[tid] != comp[nid]:
+                    value[comp[nid]] = max(value[comp[nid]], weight_of(w, changed) + value[comp[tid]])
+        return value, False
+
+
+def _ref_extract_play(game, comp, value, start):
+    play = []
+    nid = start
+    remaining = value[comp[start]]
+    while remaining > 0:
+        prev = {nid: None}
+        queue = [nid]
+        hop = None
+        while queue and hop is None:
+            cur = queue.pop(0)
+            for tid, w, _, move in game.edges[cur]:
+                if w == 1 and value[comp[tid]] == remaining - 1:
+                    hop = (cur, tid, move)
+                    break
+                if w == 0 and value[comp[tid]] == remaining and tid not in prev:
+                    prev[tid] = (cur, move)
+                    queue.append(tid)
+        cur, tid, move = hop
+        path = []
+        node = cur
+        while prev[node] is not None:
+            node, pmove = prev[node]
+            path.append(pmove)
+        play.extend(reversed(path))
+        play.append(move)
+        nid = tid
+        remaining -= 1
+    return play
+
+
+def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000):
+    game = _RefGame(topo, protocol, level_bound, 0, state_cap)
+    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if game.is_anchor(c)]
+    result = analysis.OracleResult(prop="worst-disruptions", anchors=len(anchors))
+    start_ids = game.expand([(c, False) for c in anchors])
+    comp, comp_count = game.sccs()
+    result.states_explored = len(game.nodes)
+    value, unbounded = game.longest(comp, comp_count, lambda w, ch: w)
+    if unbounded:
+        result.unbounded = True
+        return result
+    best = max(value[comp[s]] for s in start_ids)
+    result.worst_disruptions = best
+    best_start = next(s for s in start_ids if value[comp[s]] == best)
+    result.best_anchor = game.nodes[best_start][0]
+    result.best_play = _ref_extract_play(game, comp, value, best_start)
+    worst_k = 0
+    for p in sorted(game.watch):
+        val_p, unb = game.longest(comp, comp_count, lambda w, ch, p=p: 1 if p in ch else 0)
+        if unb:
+            result.unbounded = True
+            return result
+        worst_k = max(worst_k, max(val_p[comp[s]] for s in start_ids))
+    result.worst_per_process = worst_k
+    return result
+
+
+def _assert_same_graph(topo, protocol, level_bound, check_moves):
+    # the same nodes and edges in the same order, and every recovered move is
+    # the one the earlier game stored on the first edge with that (target, weight)
+    game = analysis._Game(topo, protocol, level_bound, 0, 500_000)
+    ref = _RefGame(topo, protocol, level_bound, 0, 500_000)
+    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if game.entry(c)[0]]
+    assert anchors == [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if ref.is_anchor(c)]
+    assert game.expand(anchors) == ref.expand([(c, False) for c in anchors])
+    assert game.nodes == ref.nodes
+    assert game.edges == [[(t, w, min(ch, default=None)) for t, w, ch, _ in out] for out in ref.edges]
+    for nid, out in enumerate(ref.edges if check_moves else ()):
+        first = {}
+        for t, w, _, move in out:
+            first.setdefault((t, w), move)
+        assert [game.move(nid, t, w) for t, w in first] == list(first.values())
+
+
+def _every_neighbor_order(edges, **kwargs):
+    base = build_topology(edges, **kwargs)
+    for order in itertools.product(*(itertools.permutations(o) for o in base.neighbor_order)):
+        yield build_topology(edges, neighbor_order=order, **kwargs)
+
+
+_GAME_CASES = [
+    pytest.param(SS_ST, dict(root=0, byzantine=[2], mode="ss-st"), [(0, 1), (1, 2), (2, 3), (0, 3)], 2, id="ss-st-cycle4-lb2"),
+    pytest.param(SS_ST, dict(root=0, byzantine=[2], mode="ss-st"), [(0, 1), (1, 2), (2, 3), (0, 3)], 3, id="ss-st-cycle4-lb3"),
+    pytest.param(SS_TO, dict(byzantine=[1], mode="ss-to"), path_edges(4), 2, id="ss-to-path4-byz-inner-lb2"),
+]
+_GAME_FIELDS = (
+    "worst_disruptions", "worst_per_process", "unbounded", "anchors", "states_explored", "best_anchor", "best_play",
+)
+
+
+@pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
+def test_compact_game_matches_move_storing_game(protocol, kwargs, edges, level_bound):
+    orders = 0
+    for topo in _every_neighbor_order(edges, **kwargs):
+        _assert_same_graph(topo, protocol, level_bound, check_moves=orders == 0)
+        orders += 1
+        got = brute_force_verify(topo, protocol, "worst-disruptions", level_bound)
+        want = _ref_oracle_worst(topo, protocol, level_bound)
+        for name in _GAME_FIELDS:
+            assert getattr(got, name) == getattr(want, name), (name, topo.neighbor_order)
+    assert orders == math.prod(math.factorial(len(edges_of)) for edges_of in topo.neighbor_order)
+
+
+def test_compact_game_state_cap():
+    topo = build_topology([(0, 1), (1, 2), (2, 3), (0, 3)], root=0, byzantine=[2], mode="ss-st")
+    with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
+        brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=20)
+
+
+_edge_lists = st.lists(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 1), st.sampled_from([None, 0, 1])), max_size=4),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjacency=_edge_lists)
+def test_condensed_longest_matches_edge_scan(adjacency):
+    # random graphs, positive cycles included, on the SCC and longest-path steps alone
+    n = len(adjacency)
+    edges = [[(t % n, w, ch) for t, w, ch in out] for out in adjacency]
+    game = analysis._Game.__new__(analysis._Game)
+    game.nodes, game.edges = [None] * n, edges
+    comp = game.condense()
+    ref = _RefGame.__new__(_RefGame)
+    ref.nodes = game.nodes
+    ref.edges = [[(t, w, frozenset() if ch is None else frozenset([ch]), None) for t, w, ch in out] for out in edges]
+    assert (comp, game.comp_count) == ref.sccs()
+    assert game.longest(lambda w, ch: w) == ref.longest(comp, game.comp_count, lambda w, ch: w)
+    for p in (0, 1):
+        assert game.longest(lambda w, ch: int(ch == p)) == ref.longest(
+            comp, game.comp_count, lambda w, ch: 1 if p in ch else 0
+        )

@@ -269,3 +269,75 @@ def test_replay_subcommand(tmp_path, capsys):
     rc = main(["replay", str(tmp_path / "o" / "trace.jsonl")])
     assert rc == 0
     assert "replay ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["yes", "ture", "1"])
+def test_hostile_takes_only_true_or_false(tmp_path, capsys, value):
+    scn = _basic_scenario(tmp_path, hostile=value)
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "hostile" in err, err
+    for value in ("true", "false"):
+        sc = load_scenario(str(_basic_scenario(tmp_path, hostile=value)))
+        assert sc.hostile is (value == "true")
+
+
+_SWEEP = {
+    "protocol": "ss-to",
+    "topology_kind": "random-tree",
+    "n": "4",
+    "f": "0",
+    "adversary": "silent",
+    "replications": "1",
+    "seed": "5",
+    "max_steps": "200",
+}
+
+
+@pytest.mark.parametrize(
+    "over",
+    [pytest.param({key: "x"}, id=f"non-integer-{key}") for key in ("n", "f", "replications", "seed", "max_steps", "radius", "extra_edges")]
+    + [
+        pytest.param({"n": "4 six"}, id="non-integer-in-n-list"),
+        pytest.param({"adversary": "nobody"}, id="unknown-adversary"),
+        pytest.param({"adversary": "level-inflation rate"}, id="adversary-parameter-without-equals"),
+        pytest.param({"daemon": "centrl"}, id="unknown-daemon"),
+    ],
+)
+def test_sweep_spec_errors_exit_two(tmp_path, capsys, over):
+    spec = _write(tmp_path, "bad.sweep", "\n".join(f"{k} {v}" for k, v in {**_SWEEP, **over}.items()))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_sweep_spec_base_runs(tmp_path):
+    spec = _write(tmp_path, "ok.sweep", "\n".join(f"{k} {v}" for k, v in _SWEEP.items()))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("not json\n", id="not-json-lines"),
+        pytest.param("", id="empty"),
+        pytest.param("5\n", id="record-not-an-object"),
+        pytest.param('{"type": "init", "states": [], "registers": []}\n', id="no-meta-record"),
+        pytest.param('{"type": "meta", "protocol": "ss-st"}\n', id="meta-without-topology"),
+    ],
+)
+def test_replay_input_errors_exit_two(tmp_path, capsys, text):
+    trace = _write(tmp_path, "trace.jsonl", text)
+    assert main(["replay", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):
+    scn = _basic_scenario(tmp_path)
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
+    path = tmp_path / "o" / "trace.jsonl"
+    path.write_text(path.read_text().replace('"protocol": "ss-st"', '"protocol": "ss-xx"', 1))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "ss-xx" in err and err.count("\n") == 1, err

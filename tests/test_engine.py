@@ -12,7 +12,9 @@ from strongstab.engine import (
     Daemon,
     EngineError,
     ExecutionTrace,
+    LocalView,
     ProcessState,
+    Protocol,
     RegisterValue,
     Step,
     StopCondition,
@@ -541,3 +543,41 @@ def test_fairness_scan_matches_window_unions(n, bound, sets):
         return None
 
     assert message(check_fairness) == message(_ref_check_fairness)
+
+
+# --- protocol `enabled` overrides against the per-guard list -----------------
+
+def _enabled_outcome(enabled, role, view):
+    try:
+        return [a.label for a in enabled(role, view)]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+_registers = st.builds(RegisterValue, st.booleans(), st.integers(0, 3))
+
+
+@st.composite
+def _views(draw):
+    degree = draw(st.integers(1, 4))
+    # prnt outside 1..degree makes the predicates that need a parent raise
+    state = ProcessState(draw(st.integers(-1, degree + 1)), draw(st.integers(0, 3)))
+    regs = st.lists(_registers, min_size=degree, max_size=degree).map(tuple)
+    return LocalView(state, degree, draw(regs), draw(regs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(protocol_role=st.sampled_from([(SS_TO, "node"), (SS_ST, "node"), (SS_ST, "root")]), view=_views())
+def test_enabled_override_equals_per_guard_list(protocol_role, view):
+    protocol, role = protocol_role
+    base = _enabled_outcome(lambda r, v: Protocol.enabled(protocol, r, v), role, view)
+    assert _enabled_outcome(protocol.enabled, role, view) == base
+
+
+def test_enabled_override_raises_where_the_guards_raise():
+    # no higher neighbor, the equal neighbor claims this process, prnt 0:
+    # only pred3 is left to decide, and it needs a valid parent
+    view = LocalView(ProcessState(0, 2), 1, (RegisterValue(True, 2),), (RegisterValue(False, 2),))
+    for enabled in (SS_TO.enabled, lambda r, v: Protocol.enabled(SS_TO, r, v)):
+        with pytest.raises(ValueError, match="pred3"):
+            enabled("node", view)
