@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import random
 import sys
@@ -24,6 +25,7 @@ from .engine import (
     Configuration,
     Daemon,
     EngineError,
+    FairnessError,
     ProcessState,
     Protocol,
     RegisterValue,
@@ -38,11 +40,14 @@ from . import engine as engine_mod
 from .spanning_tree import SS_ST
 from .tree_orientation import SS_TO
 from .topology import (
+    InputError,
+    Line,
     Topology,
     TopologyError,
     build_topology,
     correct_metrics,
     load_topology,
+    parse_lines,
     random_connected_graph_edges,
     random_tree_edges,
 )
@@ -51,29 +56,24 @@ PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
 
 SEED_ENV = "STRONGSTAB_SEED"
 
-SCENARIO_KEYS = frozenset(
-    "topology protocol daemon hostile fairness_bound init adversary seed seed_daemon seed_init"
-    " seed_adversary seed_neighbor max_steps radius bounds expect_min_disruptions".split()
-)
+_SCENARIO_INTEGERS = (
+    "fairness_bound seed seed_daemon seed_init seed_adversary seed_neighbor max_steps radius expect_min_disruptions"
+).split()
+# key -> (fewest, most arguments); every key but `bounds` may appear once
+SCENARIO_KEYS = {key: (1, 1) for key in ("topology", "protocol", "daemon", "hostile", *_SCENARIO_INTEGERS)}
+SCENARIO_KEYS.update(init=(1, 2), adversary=(1, None), bounds=(0, None))
 
 
-class ScenarioError(ValueError):
+class ScenarioError(InputError):
     pass
 
 
-def _integer(source: str, key: str, raw: Optional[str]) -> Optional[int]:
-    try:
-        return None if raw is None else int(raw)
-    except ValueError:
-        raise ScenarioError(f"{source} key {key!r} needs an integer, got {raw!r}") from None
-
-
-def _adversary_spec(text: str) -> tuple[str, dict]:
-    """`name key=value...` into the adversary name and its parameters."""
-    name, *params = text.split() or [""]
+def _adversary_spec(line: Line) -> tuple[str, dict]:
+    """`adversary name key=value...` into the adversary name and its parameters."""
+    name, *params = line.args
     for tok in params:
         if "=" not in tok:
-            raise ScenarioError(f"adversary parameter {tok!r} must be key=value")
+            line.fail(f"adversary parameter {tok!r} must be key=value")
     return name, dict(tok.split("=", 1) for tok in params)
 
 
@@ -113,57 +113,36 @@ class Scenario:
 
 
 def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
-    values: dict[str, list[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] not in SCENARIO_KEYS:
-            raise ScenarioError(f"unknown scenario key {parts[0]!r} (line {lineno})")
-        values.setdefault(parts[0], []).append(" ".join(parts[1:]))
-
-    def one(key, default=None):
-        if key not in values:
-            if default is None and key in ("topology", "protocol"):
-                raise ScenarioError(f"scenario missing required key {key!r}")
-            return default
-        if len(values[key]) > 1:
-            raise ScenarioError(f"duplicate scenario key {key!r}")
-        return values[key][0]
-
-    def integer(key, default=None):
-        return _integer("scenario", key, one(key, default))
-
-    sc = Scenario(topology_path=one("topology"), protocol=one("protocol"), base_dir=base_dir)
-    if sc.protocol not in PROTOCOLS:
-        raise ScenarioError(f"unknown protocol {sc.protocol!r}")
-    sc.daemon_kind = one("daemon", "distributed")
-    sc.hostile = {"true": True, "false": False}.get(one("hostile", "false").lower())
-    if sc.hostile is None:
-        raise ScenarioError(f"scenario key 'hostile' needs true or false, got {one('hostile')!r}")
-    sc.fairness_bound = integer("fairness_bound")
-    init = one("init", "arbitrary").split()
-    sc.init_mode = init[0]
-    sc.init_arg = init[1] if len(init) > 1 else None
-    sc.adversary, sc.adversary_params = _adversary_spec(one("adversary", "silent"))
-    for key in ("seed", "seed_daemon", "seed_init", "seed_adversary", "seed_neighbor"):
-        setattr(sc, key, integer(key, getattr(sc, key)))
-    sc.max_steps = integer("max_steps", "2000")
-    sc.radius = integer("radius", "0")
-    if sc.radius < 0:
-        raise ScenarioError("radius must be non-negative")
-    sc.expect_min_disruptions = integer("expect_min_disruptions", "10")
-    if "bounds" in values:
-        for entry in values["bounds"]:
-            sc.bounds.extend(entry.split())
-    return sc
+    fields: dict = {"base_dir": base_dir}
+    for line in parse_lines(text, "scenario", SCENARIO_KEYS, ScenarioError, repeatable=("bounds",)):
+        key, args = line.key, line.args
+        if key in _SCENARIO_INTEGERS:
+            fields[key] = line.integers()[0]
+            if key == "radius" and fields[key] < 0:
+                line.fail("radius must be non-negative")
+        elif key == "protocol" and args[0] not in PROTOCOLS:
+            line.fail(f"unknown protocol {args[0]!r}")
+        elif key == "hostile":
+            if args[0].lower() not in ("true", "false"):
+                line.fail(f"'hostile' needs true or false, got {args[0]!r}")
+            fields["hostile"] = args[0].lower() == "true"
+        elif key == "init":
+            fields["init_mode"] = args[0]
+            fields["init_arg"] = args[1] if len(args) > 1 else None
+        elif key == "adversary":
+            fields["adversary"], fields["adversary_params"] = _adversary_spec(line)
+        elif key == "bounds":
+            fields.setdefault("bounds", []).extend(args)
+        else:
+            fields[{"topology": "topology_path", "daemon": "daemon_kind"}.get(key, key)] = args[0]
+    for key, name in (("topology", "topology_path"), ("protocol", "protocol")):
+        if name not in fields:
+            raise ScenarioError(f"scenario missing required key {key!r}")
+    return Scenario(**fields)
 
 
 def load_scenario(path: str) -> Scenario:
-    p = Path(path)
-    with open(p, encoding="utf-8") as fh:
-        return parse_scenario_text(fh.read(), p.parent)
+    return parse_scenario_text(Path(path).read_text(encoding="utf-8"), Path(path).parent)
 
 
 # ---------------------------------------------------------------------------
@@ -173,35 +152,28 @@ def load_scenario(path: str) -> Scenario:
 def read_config_file(path: str, topo: Topology) -> Configuration:
     states: dict[int, ProcessState] = {}
     regs: dict[tuple[int, int], RegisterValue] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "state":
-                    states[int(parts[1])] = ProcessState(int(parts[2]), int(parts[3]))
-                elif parts[0] == "reg":
-                    regs[(int(parts[1]), int(parts[2]))] = RegisterValue(
-                        bool(int(parts[3])), int(parts[4])
-                    )
-                else:
-                    raise ScenarioError(f"unknown config directive {parts[0]!r} (line {lineno})")
-            except (IndexError, ValueError) as exc:
-                if isinstance(exc, ScenarioError):
-                    raise
-                raise ScenarioError(f"bad config line {lineno}: {raw!r}") from exc
+    text = Path(path).read_text(encoding="utf-8")
+    for line in parse_lines(text, "init file", {"state": (3, 3), "reg": (4, 4)}, ScenarioError, ("state", "reg")):
+        if line.key == "state":
+            pid, prnt, level = line.integers()
+            if pid in states:
+                line.fail(f"second state for process {pid}")
+            states[pid] = ProcessState(prnt, level)
+        else:
+            writer, reader, bit, level = line.integers()
+            if (writer, reader) in regs:
+                line.fail(f"second reg for link {writer} -> {reader}")
+            if bit not in (0, 1):
+                line.fail(f"reg parent bit must be 0 or 1, got {bit}")
+            regs[(writer, reader)] = RegisterValue(bool(bit), level)
     if set(states) != set(range(topo.n)):
         raise ScenarioError("config file must give a state for every process")
-    registers = [None] * topo.num_registers
-    for v in range(topo.n):
-        for k, slot in enumerate(topo.out_slot[v], 1):
-            u = topo.neighbor_order[v][k - 1]
-            if (v, u) not in regs:
-                raise ScenarioError(f"config file missing register {v} -> {u}")
-            registers[slot] = regs[(v, u)]
-    return Configuration(tuple(states[v] for v in range(topo.n)), tuple(registers))
+    # register slots hold each process's out-links in its neighbor order, process by process
+    links = [(v, u) for v in range(topo.n) for u in topo.neighbor_order[v]]
+    wrong = sorted(set(regs).symmetric_difference(links))
+    if wrong:
+        raise ScenarioError(f"config file must give a reg for each link and for no other pair: {wrong}")
+    return Configuration(tuple(states[v] for v in range(topo.n)), tuple(regs[link] for link in links))
 
 
 def write_config_file(path: str, topo: Topology, config: Configuration, header: str = "") -> None:
@@ -213,8 +185,7 @@ def write_config_file(path: str, topo: Topology, config: Configuration, header: 
             st = config.states[v]
             fh.write(f"state {v} {st.prnt} {st.level}\n")
         for v in range(topo.n):
-            for k, slot in enumerate(topo.out_slot[v], 1):
-                u = topo.neighbor_order[v][k - 1]
+            for u, slot in zip(topo.neighbor_order[v], topo.out_slot[v]):
                 r = config.registers[slot]
                 fh.write(f"reg {v} {u} {int(r.prnt)} {r.level}\n")
 
@@ -224,15 +195,9 @@ def _corpus_dir() -> Path:
 
 
 def resolve_named_init(name: str, base_dir: Path) -> Path:
-    cand = base_dir / name
-    if cand.exists():
-        return cand
-    cand = _corpus_dir() / name
-    if cand.exists():
-        return cand
-    cand = _corpus_dir() / f"{name}.init"
-    if cand.exists():
-        return cand
+    for cand in (base_dir / name, _corpus_dir() / name, _corpus_dir() / f"{name}.init"):
+        if cand.exists():
+            return cand
     raise ScenarioError(f"named initial configuration {name!r} not found")
 
 
@@ -345,13 +310,14 @@ def _sweep_row(job: dict) -> dict:
     """One seeded replication; self-contained so replications can run in
     worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
-    topo = _sweep_topology(job["kind"], job["n"], job["f"], protocol, job["seed"], job["extra"])
+    topo = _sweep_topology(job["topology_kind"], job["n"], job["f"], protocol, job["seed"], job["extra_edges"])
     metrics = correct_metrics(topo)
     sc = Scenario(topology_path="-", protocol=job["protocol"], expect_min_disruptions=0)
     limits = bound_limits(protocol.sweep_bounds(job["f"]), topo, sc)
     seed = job["seed"]
+    adv_name, adv_params = job["adversary"]
     try:
-        adversary = make_adversary(job["adv_name"], job["adv_params"], seed * 1000 + 3, topo, protocol)
+        adversary = make_adversary(adv_name, adv_params, seed * 1000 + 3, topo, protocol)
         daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
     except (EngineError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
@@ -366,7 +332,7 @@ def _sweep_row(job: dict) -> dict:
         "protocol": job["protocol"],
         "n": job["n"],
         "f": job["f"],
-        "adversary": job["adv_name"],
+        "adversary": adv_name,
         "seed": seed,
         "delta": topo.max_degree,
         "d": metrics.d,
@@ -378,52 +344,48 @@ def _sweep_row(job: dict) -> dict:
     }
 
 
+_SWEEP_INTEGERS = ("replications", "seed", "max_steps", "radius", "extra_edges")
+# key -> (fewest, most arguments); every key but `adversary` may appear once
+SWEEP_KEYS = {key: (1, 1) for key in ("protocol", "topology_kind", "init", "daemon", *_SWEEP_INTEGERS)}
+SWEEP_KEYS.update(n=(0, None), f=(0, None), adversary=(1, None))
+
+
+def parse_sweep_text(text: str) -> dict:
+    """A sweep spec as its keys' values, defaults filled in; `n` and `f`
+    are integer lists and `adversary` a list of (name, parameters)."""
+    spec: dict = {
+        "protocol": "ss-to", "topology_kind": "random-tree", "n": [], "f": [0], "adversary": [],
+        "replications": 5, "seed": 0, "max_steps": 3000, "radius": 0, "extra_edges": 1,
+        "init": "arbitrary", "daemon": "distributed",
+    }
+    for line in parse_lines(text, "sweep spec", SWEEP_KEYS, ScenarioError, repeatable=("adversary",)):
+        key, args = line.key, line.args
+        if key in ("n", "f"):
+            spec[key] = line.integers()
+        elif key in _SWEEP_INTEGERS:
+            spec[key] = line.integers()[0]
+            if key == "radius" and spec[key] < 0:
+                line.fail("radius must be non-negative")
+        elif key == "adversary":
+            spec["adversary"].append(_adversary_spec(line))
+        elif key == "protocol" and args[0] not in PROTOCOLS:
+            line.fail(f"unknown protocol {args[0]!r}")
+        elif key == "init" and args[0] not in ("arbitrary", "legitimate"):
+            line.fail(f"'init' must be arbitrary or legitimate, got {args[0]!r}")
+        else:
+            spec[key] = args[0]
+    spec["adversary"] = spec["adversary"] or [("silent", {})]
+    return spec
+
+
 def cmd_sweep(args) -> int:
-    p = Path(args.spec)
-    with open(p, encoding="utf-8") as fh:
-        text = fh.read()
-    values: dict[str, list[str]] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            parts = line.split()
-            values.setdefault(parts[0], []).append(" ".join(parts[1:]))
-
-    def one(key, default):
-        return values.get(key, [default])[0]
-
-    protocol_name = one("protocol", "ss-to")
-    if protocol_name not in PROTOCOLS:
-        raise ScenarioError(f"unknown protocol {protocol_name!r}")
-    ns = [_integer("sweep", "n", x) for x in one("n", "").split()]
-    fs = [_integer("sweep", "f", x) for x in one("f", "0").split()]
-    adversaries = [_adversary_spec(line) for line in values.get("adversary", ["silent"])]
-    defaults = {"replications": "5", "seed": "0", "max_steps": "3000", "radius": "0", "extra_edges": "1"}
-    reps, base_seed, max_steps, radius, extra = (_integer("sweep", k, one(k, d)) for k, d in defaults.items())
-
-    jobs = []
-    idx = 0
-    for n in ns:
-        for f in fs:
-            for adv_name, adv_params in adversaries:
-                for rep in range(reps):
-                    idx += 1
-                    jobs.append(
-                        {
-                            "protocol": protocol_name,
-                            "kind": one("topology_kind", "random-tree"),
-                            "n": n,
-                            "f": f,
-                            "adv_name": adv_name,
-                            "adv_params": adv_params,
-                            "seed": base_seed + idx,
-                            "max_steps": max_steps,
-                            "radius": radius,
-                            "init": one("init", "arbitrary"),
-                            "extra": extra,
-                            "daemon": one("daemon", "distributed"),
-                        }
-                    )
+    spec = parse_sweep_text(Path(args.spec).read_text(encoding="utf-8"))
+    # one job per grid point and replication: the spec with that point filled in
+    grid = itertools.product(spec["n"], spec["f"], spec["adversary"], range(spec["replications"]))
+    jobs = [
+        {**spec, "n": n, "f": f, "adversary": adversary, "seed": spec["seed"] + idx}
+        for idx, (n, f, adversary, _) in enumerate(grid, 1)
+    ]
 
     # replications are independent; `map` keeps the grid order either way
     if args.jobs > 1 and len(jobs) > 1:
@@ -498,20 +460,24 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+# what a trace file of the wrong shape or value types raises while it is read or re-executed
+_MALFORMED_TRACE = (ValueError, LookupError, TypeError, AttributeError, RecursionError)
+
+
 def cmd_replay(args) -> int:
     try:
         trace, topo, protocol_name = read_trace(args.trace)
-    except (EngineError, ValueError, LookupError, TypeError, AttributeError) as exc:
-        raise ScenarioError(f"malformed trace file {args.trace}: {type(exc).__name__}: {exc}") from None
-    if protocol_name not in PROTOCOLS:
-        raise ScenarioError(f"trace names unknown protocol {protocol_name!r}")
-    protocol = PROTOCOLS[protocol_name]
-    try:
-        check_locality(trace, topo)
-        check_replay(trace, topo, protocol)
+        protocol = PROTOCOLS.get(protocol_name)
+        if protocol is not None:
+            check_locality(trace, topo)
+            check_replay(trace, topo, protocol)
     except EngineError as exc:
         print(f"replay FAILED: {exc}")
         return 1
+    except _MALFORMED_TRACE as exc:
+        raise ScenarioError(f"malformed trace file {args.trace}: {type(exc).__name__}: {exc}") from None
+    if protocol is None:
+        raise ScenarioError(f"trace names unknown protocol {protocol_name!r}")
     print(f"replay ok: {len(trace.steps)} steps, stop={trace.stop_reason}, rounds={len(trace.round_ends)}")
     return 0
 
@@ -552,7 +518,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, TopologyError, analysis.OracleCapError, OSError) as exc:
+    except (InputError, UnicodeDecodeError, FairnessError, analysis.OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -575,7 +575,7 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
         records = [json.loads(line) for line in fh if line.strip()]
     meta = records[0] if records else {}
     if meta.get("type") != "meta":
-        raise EngineError("trace file missing meta record")
+        raise ValueError("trace file missing meta record")
     topo = build_topology(
         [tuple(e) for e in meta["edges"]],
         root=meta["root"],

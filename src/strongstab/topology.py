@@ -14,10 +14,16 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, NoReturn, Optional, Sequence
 
 
-class TopologyError(ValueError):
+class InputError(ValueError):
+    """Malformed input from outside the program: the CLI reports it as one
+    `error:` line and exits 2."""
+
+
+class TopologyError(InputError):
     """Raised for malformed graphs or graphs invalid for a protocol mode."""
 
 
@@ -115,7 +121,7 @@ def build_topology(
 
     ids = {w for e in edges for w in e}
     n = max(ids) + 1
-    if ids != set(range(n)):
+    if min(ids) != 0 or len(ids) != n:  # dense without building range(n): ids come from files
         raise TopologyError("process ids must be dense in 0..n-1")
 
     adjacency: list[set[int]] = [set() for _ in range(n)]
@@ -123,7 +129,7 @@ def build_topology(
         adjacency[u].add(v)
         adjacency[v].add(u)
 
-    if _bfs_reach(adjacency, 0) != set(range(n)):
+    if len(_bfs_dist(adjacency, [0])) != n:
         raise TopologyError("graph is disconnected")
 
     byz = frozenset(byzantine)
@@ -202,13 +208,11 @@ def correct_metrics(t: Topology) -> CorrectSubgraphMetrics:
     if not correct:
         return CorrectSubgraphMetrics(connected=False, d=None, f=f)
     adjacency = {v: [u for u in t.neighbor_order[v] if u not in t.byzantine] for v in correct}
-    start = correct[0]
-    dist0 = _bfs_dist(adjacency, [start])
-    if len(dist0) != len(correct):
-        return CorrectSubgraphMetrics(connected=False, d=None, f=f)
     diameter = 0
     for v in correct:
         dist = _bfs_dist(adjacency, [v])
+        if len(dist) != len(correct):
+            return CorrectSubgraphMetrics(connected=False, d=None, f=f)
         diameter = max(diameter, max(dist.values()))
     return CorrectSubgraphMetrics(connected=True, d=diameter, f=f)
 
@@ -222,27 +226,15 @@ def distance_to_byzantine(t: Topology) -> dict[int, float]:
     return {v: dist.get(v, math.inf) for v in range(t.n)}
 
 
-def _bfs_reach(adjacency: Sequence[set[int]], start: int) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
-
-
-def _bfs_dist(adjacency: dict[int, list[int]], sources: list[int]) -> dict[int, int]:
+def _bfs_dist(adjacency: Sequence[Iterable[int]] | dict[int, list[int]], sources: list[int]) -> dict[int, int]:
+    """Hop distance from the nearest source to every process it reaches;
+    ``adjacency`` needs an entry for each of them."""
     dist = {s: 0 for s in sources}
     frontier = list(sources)
     while frontier:
         nxt = []
         for v in frontier:
-            for u in adjacency.get(v, ()):
+            for u in adjacency[v]:
                 if u not in dist:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
@@ -251,43 +243,83 @@ def _bfs_dist(adjacency: dict[int, list[int]], sources: list[int]) -> dict[int, 
 
 
 # ---------------------------------------------------------------------------
-# file format: `n <count>` header, optional `root <id>` / `byz <id> ...`,
-# one `edge <u> <v>` per line, '#' comments.
+# the line format shared by topology, scenario, sweep and init files:
+# `key arg...` per line, '#' starts a comment, blank lines are skipped
+
+class Line(NamedTuple):
+    """One `key arg...` line of an input file of the given kind."""
+
+    kind: str
+    number: int
+    key: str
+    args: list[str]
+    error: type
+
+    def fail(self, message: str) -> NoReturn:
+        raise self.error(f"{self.kind} line {self.number}: {message}")
+
+    def integers(self) -> list[int]:
+        """Every argument as an integer."""
+        out = []
+        for arg in self.args:
+            try:
+                out.append(int(arg))
+            except ValueError:
+                self.fail(f"{self.key!r} needs an integer, got {arg!r}")
+        return out
+
+
+def parse_lines(text: str, kind: str, arity: dict, error: type, repeatable: Iterable[str] = ()) -> list[Line]:
+    """Split input text into its `key arg...` lines, in file order.
+
+    ``arity`` maps each key the file kind knows to the fewest and the most
+    arguments it takes (None: no upper limit). A key outside ``arity``, a
+    second line with a key not in ``repeatable``, and a wrong argument count
+    raise ``error`` naming the line.
+    """
+    lines: list[Line] = []
+    first: dict[str, int] = {}
+    for number, raw in enumerate(text.splitlines(), 1):
+        words = raw.split("#", 1)[0].split()
+        if not words:
+            continue
+        line = Line(kind, number, words[0], words[1:], error)
+        if line.key not in arity:
+            line.fail(f"unknown directive {line.key!r}")
+        if line.key in first and line.key not in repeatable:
+            line.fail(f"duplicate {line.key!r} (first on line {first[line.key]})")
+        low, high = arity[line.key]
+        if len(line.args) < low or (high is not None and len(line.args) > high):
+            takes = f"{low}" if high == low else f"at least {low}" if high is None else f"{low} to {high}"
+            line.fail(f"wrong argument count for {line.key!r}: takes {takes}, got {len(line.args)}")
+        first.setdefault(line.key, number)
+        lines.append(line)
+    return lines
+
+
+# topology files: `n <count>` header, optional `root <id>` / `byz <id> ...`,
+# one `edge <u> <v>` per line
+
+_TOPOLOGY_ARITY = {"n": (1, 1), "root": (1, 1), "byz": (0, None), "edge": (2, 2)}
+
 
 def parse_topology_text(text: str) -> dict:
-    n = None
-    root = None
-    byz: list[int] = []
-    edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key, args = parts[0], parts[1:]
-        try:
-            if key == "n":
-                n = int(args[0])
-            elif key == "root":
-                root = int(args[0])
-            elif key == "byz":
-                byz.extend(int(a) for a in args)
-            elif key == "edge":
-                edges.append((int(args[0]), int(args[1])))
-            else:
-                raise TopologyError(f"unknown directive {key!r} (line {lineno})")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, TopologyError):
-                raise
-            raise TopologyError(f"bad topology line {lineno}: {raw!r}") from exc
-    if n is None:
+    parsed: dict = {"n": None, "root": None, "byzantine": [], "edges": []}
+    for line in parse_lines(text, "topology", _TOPOLOGY_ARITY, TopologyError, repeatable=("byz", "edge")):
+        ids = line.integers()
+        if line.key == "byz":
+            parsed["byzantine"].extend(ids)
+        elif line.key == "edge":
+            parsed["edges"].append(tuple(ids))
+        else:
+            parsed[line.key] = ids[0]
+    if parsed["n"] is None:
         raise TopologyError("missing 'n' header")
-    return {"n": n, "root": root, "byzantine": byz, "edges": edges}
+    return parsed
 
 
 def load_topology(path: str, neighbor_seed: int = 0, mode: Optional[str] = None) -> Topology:
-    with open(path, encoding="utf-8") as fh:
-        parsed = parse_topology_text(fh.read())
+    parsed = parse_topology_text(Path(path).read_text(encoding="utf-8"))
     topo = build_topology(
         parsed["edges"],
         root=parsed["root"],

@@ -1,5 +1,7 @@
 import random
 
+from hypothesis import strategies as st
+
 from strongstab.engine import Daemon, StopCondition, arbitrary_configuration, run
 from strongstab.adversary import make_adversary
 from strongstab.topology import (
@@ -68,3 +70,23 @@ def quick_run(topo, protocol, adversary_name="silent", adversary_params=None, *,
         init = arbitrary_configuration(topo, protocol, init_seed)
     trace = run(topo, protocol, adv, daemon, init, StopCondition(max_steps=max_steps, predicate=predicate))
     return trace, daemon
+
+
+def keyed_text(arity, words=()):
+    """Hypothesis strategy for `key arg...` input text over the keys of
+    ``arity`` (key -> (fewest, most arguments or None)): lines with a known
+    key and an argument count it takes (five in seven lines), stray tokens,
+    comments, blank lines and arbitrary text."""
+    token = st.one_of(
+        st.integers(-1, 4).map(str),
+        st.sampled_from(sorted(arity) + list(words)),
+        st.text(alphabet="az=#-_.0123456789", min_size=1, max_size=5),
+    )
+
+    def well_formed(key):
+        low, high = arity[key]
+        return st.lists(token, min_size=low, max_size=low + 3 if high is None else high).map(lambda args: " ".join([key, *args]))
+
+    known = st.sampled_from(sorted(arity)).flatmap(well_formed)
+    line = st.one_of(known, known, known, known, known, st.lists(token, max_size=5).map(" ".join), st.text(max_size=12))
+    return st.lists(line, max_size=12).map("\n".join)

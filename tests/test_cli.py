@@ -1,20 +1,31 @@
+import contextlib
+import io
+import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import keyed_text
 from strongstab.cli import (
+    SCENARIO_KEYS,
+    SWEEP_KEYS,
     Scenario,
     ScenarioError,
+    _setup,
     bound_limits,
     load_scenario,
     main,
     parse_scenario_text,
+    parse_sweep_text,
     read_config_file,
     resolve_named_init,
     write_config_file,
 )
-from strongstab.spanning_tree import legitimate_configuration
-from strongstab.topology import build_topology
+from strongstab.engine import arbitrary_configuration
+from strongstab.spanning_tree import SS_ST, legitimate_configuration
+from strongstab.topology import InputError, build_topology, load_topology, random_tree_edges
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -97,6 +108,76 @@ def test_config_file_roundtrip(tmp_path):
     (tmp_path / "short.init").write_text("state 0 0 0\n")
     with pytest.raises(ScenarioError, match="every process"):
         read_config_file(str(tmp_path / "short.init"), t)
+    text = path.read_text()
+    (tmp_path / "dup.init").write_text(text + "reg 1 0 1 3\n")
+    with pytest.raises(ScenarioError, match=r"init file line \d+: second reg for link 1 -> 0"):
+        read_config_file(str(tmp_path / "dup.init"), t)
+    (tmp_path / "bit.init").write_text(text + "reg 0 2 1 3\n")
+    with pytest.raises(ScenarioError, match=r"no other pair: \[\(0, 2\)\]"):
+        read_config_file(str(tmp_path / "bit.init"), t)
+    (tmp_path / "bit.init").write_text("# two\nreg 0 1 2 3\n")
+    with pytest.raises(ScenarioError, match="init file line 2: reg parent bit must be 0 or 1, got 2"):
+        read_config_file(str(tmp_path / "bit.init"), t)
+    (tmp_path / "missing.init").write_text("".join(line for line in text.splitlines(True) if not line.startswith("reg 0 ")))
+    with pytest.raises(ScenarioError, match=r"no other pair: \[\(0, 1\)\]"):
+        read_config_file(str(tmp_path / "missing.init"), t)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(2, 9), seed=st.integers(0, 10_000))
+def test_written_config_reads_back(tmp_path, n, seed):
+    t = build_topology(random_tree_edges(n, seed), root=0, neighbor_seed=seed, mode="ss-st")
+    cfg = arbitrary_configuration(t, SS_ST, seed)
+    path = tmp_path / "c.init"
+    write_config_file(str(path), t, cfg, header=f"seed {seed}\nsecond line")
+    assert read_config_file(str(path), t) == cfg
+
+
+_WORDS = ("ss-st", "ss-to", "true", "false", "central", "legitimate", "arbitrary", "silent", "period=2", "chain")
+
+
+@settings(max_examples=200, deadline=None)
+@given(head=st.sampled_from(["", "topology t.topo\nprotocol ss-st\n"]), text=keyed_text(SCENARIO_KEYS, _WORDS))
+def test_scenario_reader_parses_or_raises_input_error(head, text):
+    try:
+        parse_scenario_text(head + text, Path("."))
+    except InputError:
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=keyed_text(SWEEP_KEYS, _WORDS))
+def test_sweep_reader_parses_or_raises_input_error(text):
+    try:
+        parse_sweep_text(text)
+    except InputError:
+        pass
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=keyed_text({"state": (3, 3), "reg": (4, 4)}))
+def test_init_file_reader_parses_or_raises_input_error(tmp_path, text):
+    t = build_topology([(0, 1), (1, 2)], root=0, byzantine=[2], mode="ss-st")
+    path = tmp_path / "fuzz.init"
+    path.write_text(text, encoding="utf-8")
+    try:
+        read_config_file(str(path), t)
+    except InputError:
+        pass
+
+
+def test_every_checked_in_input_parses():
+    named = set()
+    for path in sorted((REPO / "scenarios").glob("*.scn")):
+        sc = load_scenario(str(path))
+        _setup(sc)  # loads the scenario's topology and named init file
+        if sc.init_mode == "named":
+            named.add(resolve_named_init(sc.init_arg, sc.base_dir).name)
+    assert named == {p.name for p in (REPO / "src" / "strongstab" / "corpus").glob("*.init")}
+    for path in sorted((REPO / "sweeps").glob("*.sweep")):
+        assert parse_sweep_text(path.read_text(encoding="utf-8"))["n"]
+    for path in sorted((REPO / "topologies").glob("*.topo")):
+        load_topology(str(path))
 
 
 def test_named_init_resolution(tmp_path):
@@ -180,30 +261,46 @@ def test_usage_and_parse_errors_exit_two(tmp_path):
 _TO_SCENARIO = {"protocol": "ss-to", "topology": "p3_to.topo", "bounds": "to_disruptions to_changes"}
 
 
+# input files a scenario below can name; each holds one error on the named line
+_BAD_INPUTS = {
+    "dup_n.topo": "n 3\nroot 0\nn 2\nedge 0 1\nedge 1 2\n",
+    "edge3.topo": "n 3\nroot 0\nedge 0 1 7\nedge 1 2\n",
+    "dup_state.init": "state 0 0 0\nstate 1 0 0\nstate 1 0 1\nstate 2 0 0\n",
+}
+
+
 @pytest.mark.parametrize(
-    "over",
+    "over, where",
     [
-        pytest.param({"seed_init": "abc"}, id="non-integer-seed"),
-        pytest.param({"max_steps": "many"}, id="non-integer-max-steps"),
-        pytest.param({"fairness_bound": "x"}, id="non-integer-fairness-bound"),
-        pytest.param({"radius": "-1"}, id="negative-radius"),
-        pytest.param({"daemon": "centrl"}, id="unknown-daemon"),
-        pytest.param({"fairness_bound": "0"}, id="zero-fairness-bound"),
-        pytest.param({"adversary": "nobody"}, id="unknown-adversary"),
-        pytest.param({"adversary": "oscillate period=fast"}, id="non-integer-adversary-parameter"),
-        pytest.param({"max_step": "10"}, id="unknown-key"),
-        pytest.param({"init": "legitimate lc2"}, id="ss-st-takes-no-legitimate-kind"),
-        pytest.param({**_TO_SCENARIO, "init": "legitimate lc9"}, id="ss-to-unknown-legitimate-kind"),
-        pytest.param({**_TO_SCENARIO, "bounds": "st_rounds"}, id="ss-st-bound-on-ss-to"),
-        pytest.param({"bounds": "to_changes"}, id="ss-to-bound-on-ss-st"),
+        pytest.param({"seed_init": "abc"}, None, id="non-integer-seed"),
+        pytest.param({"max_steps": "many"}, None, id="non-integer-max-steps"),
+        pytest.param({"fairness_bound": "x"}, None, id="non-integer-fairness-bound"),
+        pytest.param({"radius": "-1"}, None, id="negative-radius"),
+        pytest.param({"daemon": "centrl"}, None, id="unknown-daemon"),
+        pytest.param({"fairness_bound": "0"}, None, id="zero-fairness-bound"),
+        pytest.param({"adversary": "nobody"}, None, id="unknown-adversary"),
+        pytest.param({"adversary": "oscillate period=fast"}, None, id="non-integer-adversary-parameter"),
+        pytest.param({"max_step": "10"}, None, id="unknown-key"),
+        pytest.param({"init": "legitimate lc2"}, None, id="ss-st-takes-no-legitimate-kind"),
+        pytest.param({**_TO_SCENARIO, "init": "legitimate lc9"}, None, id="ss-to-unknown-legitimate-kind"),
+        pytest.param({**_TO_SCENARIO, "bounds": "st_rounds"}, None, id="ss-st-bound-on-ss-to"),
+        pytest.param({"bounds": "to_changes"}, None, id="ss-to-bound-on-ss-st"),
+        pytest.param({"daemon": "central", "fairness_bound": "1"}, None, id="unsatisfiable-fairness-bound"),
+        pytest.param({"topology": "dup_n.topo"}, "topology line 3", id="repeated-topology-n"),
+        pytest.param({"topology": "edge3.topo"}, "topology line 3", id="edge-with-three-ids"),
+        pytest.param({"init": "named dup_state.init"}, "init file line 3", id="duplicate-state-line"),
+        pytest.param({"init": "legitimate\ninit arbitrary"}, "scenario line 8", id="repeated-init"),
     ],
 )
-def test_scenario_input_errors_exit_two(tmp_path, capsys, over):
+def test_scenario_input_errors_exit_two(tmp_path, capsys, over, where):
     _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
+    for name, text in _BAD_INPUTS.items():
+        _write(tmp_path, name, text)
     scn = _basic_scenario(tmp_path, **over)
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert where is None or f"error: {where}: " in err, err
 
 
 def test_legitimate_kinds_accepted_per_protocol(tmp_path):
@@ -295,20 +392,26 @@ _SWEEP = {
 
 
 @pytest.mark.parametrize(
-    "over",
-    [pytest.param({key: "x"}, id=f"non-integer-{key}") for key in ("n", "f", "replications", "seed", "max_steps", "radius", "extra_edges")]
+    "over, where",
+    [pytest.param({key: "x"}, None, id=f"non-integer-{key}") for key in ("n", "f", "replications", "seed", "max_steps", "radius", "extra_edges")]
     + [
-        pytest.param({"n": "4 six"}, id="non-integer-in-n-list"),
-        pytest.param({"adversary": "nobody"}, id="unknown-adversary"),
-        pytest.param({"adversary": "level-inflation rate"}, id="adversary-parameter-without-equals"),
-        pytest.param({"daemon": "centrl"}, id="unknown-daemon"),
+        pytest.param({"n": "4 six"}, None, id="non-integer-in-n-list"),
+        pytest.param({"adversary": "nobody"}, None, id="unknown-adversary"),
+        pytest.param({"adversary": "level-inflation rate"}, None, id="adversary-parameter-without-equals"),
+        pytest.param({"daemon": "centrl"}, None, id="unknown-daemon"),
+        pytest.param({"topology_kid": "chain"}, "sweep spec line 9", id="unknown-key"),
+        pytest.param({"n": "4\nn 6"}, "sweep spec line 4", id="repeated-n"),
+        pytest.param({"init": "legitimat"}, "sweep spec line 9", id="misspelt-init"),
+        pytest.param({"protocol": "ss-xx"}, "sweep spec line 1", id="unknown-protocol"),
+        pytest.param({"radius": "-1"}, "sweep spec line 9", id="negative-radius"),
     ],
 )
-def test_sweep_spec_errors_exit_two(tmp_path, capsys, over):
+def test_sweep_spec_errors_exit_two(tmp_path, capsys, over, where):
     spec = _write(tmp_path, "bad.sweep", "\n".join(f"{k} {v}" for k, v in {**_SWEEP, **over}.items()))
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert where is None or f"error: {where}: " in err, err
 
 
 def test_sweep_spec_base_runs(tmp_path):
@@ -324,6 +427,7 @@ def test_sweep_spec_base_runs(tmp_path):
         pytest.param("5\n", id="record-not-an-object"),
         pytest.param('{"type": "init", "states": [], "registers": []}\n', id="no-meta-record"),
         pytest.param('{"type": "meta", "protocol": "ss-st"}\n', id="meta-without-topology"),
+        pytest.param("[" * 100_000 + "\n", id="nested-too-deep"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
@@ -341,3 +445,57 @@ def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "ss-xx" in err and err.count("\n") == 1, err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(node, prefix=()):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def small_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trace")
+    _write(out, "p3.topo", "n 3\nroot 0\nbyz 2\nedge 0 1\nedge 1 2\n")
+    scn = _write(out, "case.scn", "topology p3.topo\nprotocol ss-st\nadversary fake-root\nseed 4\nmax_steps 40\n")
+    assert main(["run", "--scenario", str(scn), "--out", str(out / "o")]) == 0
+    return (out / "o" / "trace.jsonl").read_text(encoding="utf-8")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(garbage=st.booleans(), data=st.data())
+def test_replay_of_garbage_exits_one_or_two(tmp_path, small_trace, garbage, data):
+    """Random JSON records, or a real trace with values replaced or keys
+    dropped; a mutation may leave the trace valid (it may drop the unused
+    `n`, say), so a mutated trace may also replay with 0."""
+    records = data.draw(st.lists(_JSON, max_size=4)) if garbage else [json.loads(line) for line in small_trace.splitlines()]
+    for _ in range(0 if garbage else data.draw(st.integers(1, 3))):
+        *parent, key = data.draw(st.sampled_from(list(_json_paths(records))))
+        node = records
+        for step in parent:
+            node = node[step]
+        if data.draw(st.booleans()):
+            node[key] = data.draw(_JSON)
+        else:
+            del node[key]
+            if not records:
+                break
+    text = "".join(json.dumps(rec) + "\n" for rec in records)
+    if data.draw(st.integers(0, 3)) == 0:  # now and then cut the file short or end it with junk
+        text = text[: data.draw(st.integers(0, len(text)))] + data.draw(st.sampled_from(["", "{", "[1]\n", "x"]))
+    path = tmp_path / "fuzz.jsonl"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["replay", str(path)])
+    assert rc in ((1, 2) if garbage else (0, 1, 2)), (rc, out.getvalue(), err.getvalue())
+    if rc == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()

@@ -1,10 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import keyed_text
 from strongstab.topology import (
+    InputError,
     TopologyError,
     build_topology,
     correct_metrics,
@@ -179,3 +181,43 @@ edge 2 3
     (tmp_path / "bad.topo").write_text("n 5\nedge 0 1\n")
     with pytest.raises(TopologyError, match="header says n=5"):
         load_topology(str(tmp_path / "bad.topo"))
+    with pytest.raises(TopologyError, match="topology line 3: duplicate 'n' \\(first on line 1\\)"):
+        parse_topology_text("n 4\nedge 0 1\nn 3")
+    with pytest.raises(TopologyError, match="topology line 2: wrong argument count for 'edge': takes 2, got 3"):
+        parse_topology_text("n 2\nedge 0 1 7")
+    with pytest.raises(TopologyError, match="topology line 2: 'root' needs an integer, got 'a'"):
+        parse_topology_text("# header\nroot a\nn 2")
+    with pytest.raises(TopologyError, match="process ids must be dense"):
+        build_topology([(0, 10**12)])  # rejected without building the id range
+
+
+def _render(t):
+    lines = [f"n {t.n}"] + ([f"root {t.root}"] if t.root is not None else [])
+    lines += [f"byz {' '.join(map(str, sorted(t.byzantine)))}"] + [f"edge {u} {v}" for u, v in t.edges]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), extra=st.integers(0, 4), seed=st.integers(0, 10_000), data=st.data())
+def test_rendered_topology_parses_back(n, extra, seed, data):
+    root = data.draw(st.none() | st.integers(0, n - 1))
+    byz = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    t = build_topology(random_connected_graph_edges(n, extra, seed), root=root, byzantine=byz)
+    parsed = parse_topology_text(_render(t))
+    assert parsed == {"n": t.n, "root": root, "byzantine": sorted(byz), "edges": list(t.edges)}
+    again = build_topology(parsed["edges"], root=parsed["root"], byzantine=parsed["byzantine"])
+    assert (again.n, again.edges, again.root, again.byzantine) == (t.n, t.edges, t.root, t.byzantine)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    head=st.sampled_from(["", "n 3\nedge 0 1\nedge 1 2\n"]),
+    text=keyed_text({"n": (1, 1), "root": (1, 1), "byz": (0, None), "edge": (2, 2)}),
+)
+def test_topology_reader_parses_or_raises_input_error(tmp_path, head, text):
+    path = tmp_path / "fuzz.topo"
+    path.write_text(head + text, encoding="utf-8")
+    try:
+        load_topology(str(path), mode="ss-st")
+    except InputError:
+        pass
