@@ -109,12 +109,6 @@ class StabilityChecker:
         return Stability.STABLE
 
 
-def is_c_stable(
-    config: Configuration, topo: Topology, radius: int, protocol: Protocol, budget: int = 20000
-) -> Stability:
-    return StabilityChecker(topo, protocol, radius, budget).check(config)
-
-
 # ---------------------------------------------------------------------------
 # disruption windows
 
@@ -131,6 +125,8 @@ class TraceScan:
     never_stabilized: bool
     first_anchor: Optional[int]
     stability_unknown_seen: bool
+    # O-variable changes per c-correct process from `first_anchor` on (all 0 when never stabilized)
+    o_changes: dict[int, int]
 
 
 def _changed_watch(trace: ExecutionTrace, i: int, watch, protocol: Protocol) -> list[int]:
@@ -152,6 +148,7 @@ def find_disruptions(
     The recorded start is the last configuration verified legitimate and
     stable before the window's first O-variable change (stability is not
     re-tested on quiet configurations in between; the count is unaffected).
+    The same pass totals each process's changes as `count_o_changes` does.
     """
     spec = protocol.spec
     watch = c_correct_set(topo, radius)
@@ -162,48 +159,33 @@ def find_disruptions(
         return is_c_legitimate(cfg, topo, radius, spec) and checker.check(cfg) is Stability.STABLE
 
     n_cfg = len(trace.configs)
-    first_anchor = None
-    for i in range(n_cfg):
-        if anchor(i):
-            first_anchor = i
-            break
+    first_anchor = next((i for i in range(n_cfg) if anchor(i)), None)
+    totals = {v: 0 for v in watch}
     if first_anchor is None:
-        return TraceScan([], True, None, checker.saw_unknown)
+        return TraceScan([], True, None, checker.saw_unknown, totals)
 
     records: list[DisruptionRecord] = []
     last_anchor = first_anchor
-    i = first_anchor
-    while i < n_cfg - 1:
+    counts = None  # per-process changes in the open window, None while none is open
+    for i in range(first_anchor, n_cfg - 1):
         changed = _changed_watch(trace, i, watch, protocol)
-        if not changed:
-            i += 1
-            continue
-        # window opens; accumulate changes until the next legit+stable config
-        counts: dict[int, int] = {}
+        if changed and counts is None:
+            counts = {}
         for v in changed:
+            totals[v] += 1
             counts[v] = counts.get(v, 0) + 1
-        j = i + 1
-        closed = False
-        while j < n_cfg:
-            if anchor(j):
-                records.append(DisruptionRecord(last_anchor, j, counts))
-                last_anchor = j
-                closed = True
-                break
-            if j < n_cfg - 1:
-                for v in _changed_watch(trace, j, watch, protocol):
-                    counts[v] = counts.get(v, 0) + 1
-            j += 1
-        if not closed:
-            break  # trailing window never closes: not a disruption
-        i = j
-    return TraceScan(records, False, first_anchor, checker.saw_unknown)
+        if counts is not None and anchor(i + 1):
+            records.append(DisruptionRecord(last_anchor, i + 1, counts))
+            last_anchor, counts = i + 1, None
+    # a trailing window that never closes is not a disruption
+    return TraceScan(records, False, first_anchor, checker.saw_unknown, totals)
 
 
 def count_o_changes(
     trace: ExecutionTrace, topo: Topology, radius: int, protocol: Protocol, from_index: int
 ) -> dict[int, int]:
-    """Total O-variable changes per c-correct process from a config index on."""
+    """Total O-variable changes per c-correct process from a config index on;
+    the reference for `TraceScan.o_changes`."""
     watch = c_correct_set(topo, radius)
     counts = {v: 0 for v in watch}
     for i in range(from_index, len(trace.configs) - 1):
@@ -214,6 +196,9 @@ def count_o_changes(
 
 # ---------------------------------------------------------------------------
 # containment reports
+
+# the scenario expectation `run --expect-unbounded` checks: a least disruption count
+MIN_DISRUPTIONS = "min_disruptions"
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -256,57 +241,42 @@ def verify_containment(
     protocol: Protocol,
     radius: int,
     bounds: Optional[dict[str, tuple[int, str]]] = None,
-    f: Optional[int] = None,
-    budget: int = 20000,
 ) -> ContainmentReport:
     """Assemble the per-trace containment report and check named bounds.
 
-    `bounds` maps a name to (limit, kind) where kind is 'max' or 'min' and
-    the observed value is picked by name: disruption count for names ending
-    in 'disruptions', the max per-process O-change count for names ending in
-    'changes', the stabilization round for names ending in 'rounds'. The
-    total-vs-per-process inequality t <= n*k is always checked.
+    `bounds` maps a name to (limit, kind) where kind is 'max' or 'min'. A
+    name is one of `protocol.bounds`, whose record gives the observable, or
+    `MIN_DISRUPTIONS`, the disruption count. A round bound fails when the
+    run never stabilizes. The total-vs-per-process inequality t <= n*k is
+    always checked.
     """
-    if f is None:
-        f = len(topo.byzantine)
-    elif f != len(topo.byzantine):
-        raise ValueError("declared f disagrees with the topology")
-    checker = StabilityChecker(topo, protocol, radius, budget)
-    scan = find_disruptions(trace, topo, radius, protocol, budget, checker)
-
-    if scan.first_anchor is None:
-        stab_round = None
-        per_proc = {v: 0 for v in c_correct_set(topo, radius)}
-    else:
-        stab_round = sum(1 for r in trace.round_ends if r <= scan.first_anchor)
-        per_proc = count_o_changes(trace, topo, radius, protocol, scan.first_anchor)
+    scan = find_disruptions(trace, topo, radius, protocol)
+    stab_round = None if scan.never_stabilized else sum(1 for r in trace.round_ends if r <= scan.first_anchor)
 
     report = ContainmentReport(
         protocol=protocol.name,
         n=topo.n,
         radius=radius,
-        f=f,
+        f=len(topo.byzantine),
         never_stabilized=scan.never_stabilized,
         stabilization_index=scan.first_anchor,
         stabilization_round=stab_round,
         disruptions=scan.records,
-        per_process_changes=per_proc,
+        per_process_changes=scan.o_changes,
         stability_unknown_seen=scan.stability_unknown_seen,
     )
 
     t_obs, k_obs = report.t_observed, report.k_observed
+    values = {"disruptions": t_obs, "changes": k_obs, "rounds": stab_round}
+    observables = {b.name: b.observable for b in protocol.bounds}
+    observables[MIN_DISRUPTIONS] = "disruptions"
     for name, (limit, kind) in (bounds or {}).items():
-        if name.endswith("disruptions"):
-            observed = t_obs
-        elif name.endswith("changes"):
-            observed = k_obs
-        elif name.endswith("rounds"):
-            if scan.never_stabilized:
-                report.bounds_checked[name] = BoundCheck(limit, -1, False, kind)
-                continue
-            observed = stab_round
-        else:
-            raise ValueError(f"bound {name!r} has no observable")
+        if name not in observables:
+            raise ValueError(f"{protocol.name} has no bound {name!r}")
+        observed = values[observables[name]]
+        if observed is None:  # a round bound on a run that never stabilized
+            report.bounds_checked[name] = BoundCheck(limit, -1, False, kind)
+            continue
         passed = observed <= limit if kind == "max" else observed >= limit
         report.bounds_checked[name] = BoundCheck(limit, observed, passed, kind)
 
@@ -454,8 +424,7 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
             result.converges = False
             result.counterexample = cfg
             break
-    memo_size = len(memo)
-    result.states_explored = max(result.states_explored, memo_size)
+    result.states_explored = max(result.states_explored, len(memo))
     return result
 
 

@@ -22,6 +22,8 @@ from typing import Optional
 from . import analysis
 from .adversary import make_adversary
 from .engine import (
+    DAEMON_KINDS,
+    BoundInputs,
     Configuration,
     Daemon,
     EngineError,
@@ -50,9 +52,12 @@ from .topology import (
     parse_lines,
     random_connected_graph_edges,
     random_tree_edges,
+    read_text,
 )
 
 PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
+# every protocol's bounds by name; the names do not clash
+BOUNDS = {bound.name: bound for protocol in PROTOCOLS.values() for bound in protocol.bounds}
 
 SEED_ENV = "STRONGSTAB_SEED"
 
@@ -103,7 +108,10 @@ class Scenario:
         master = self.seed
         env = os.environ.get(SEED_ENV)
         if env is not None:
-            master = int(env)
+            try:
+                master = int(env)
+            except ValueError:
+                raise ScenarioError(f"{SEED_ENV}: needs an integer, got {env!r}") from None
         return {
             "daemon": self.seed_daemon if self.seed_daemon is not None else master * 1000 + 1,
             "init": self.seed_init if self.seed_init is not None else master * 1000 + 2,
@@ -142,7 +150,7 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    return parse_scenario_text(Path(path).read_text(encoding="utf-8"), Path(path).parent)
+    return parse_scenario_text(read_text(path), Path(path).parent)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +160,7 @@ def load_scenario(path: str) -> Scenario:
 def read_config_file(path: str, topo: Topology) -> Configuration:
     states: dict[int, ProcessState] = {}
     regs: dict[tuple[int, int], RegisterValue] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for line in parse_lines(text, "init file", {"state": (3, 3), "reg": (4, 4)}, ScenarioError, ("state", "reg")):
         if line.key == "state":
             pid, prnt, level = line.integers()
@@ -202,33 +210,19 @@ def resolve_named_init(name: str, base_dir: Path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# bound formulas
+# bound limits
 
 def bound_limits(names: list[str], topo: Topology, sc: Scenario) -> dict[str, tuple[int, str]]:
-    metrics = correct_metrics(topo)
-    delta = topo.max_degree
-    d = metrics.d if metrics.d is not None else topo.n
-    f = metrics.f
-    n = topo.n
+    """(limit, kind) per named bound on `topo`: a protocol bound's formula
+    as an upper limit, or the scenario's `expect_min_disruptions` as the
+    lower limit of `min_disruptions`."""
+    inputs = BoundInputs.of(topo)
     out: dict[str, tuple[int, str]] = {}
     for name in names:
-        if name == "st_disruptions":
-            out[name] = (f * delta**d, "max")
-        elif name == "st_changes":
-            out[name] = (delta**d, "max")
-        elif name == "st_rounds":
-            out[name] = (4 * (n - f) * delta**d, "max")
-        elif name == "to_disruptions":
-            if len(topo.byzantine) != 1:
-                raise ScenarioError("to_disruptions needs exactly one Byzantine process")
-            z = next(iter(topo.byzantine))
-            out[name] = (topo.degree(z), "max")
-        elif name == "to_changes":
-            out[name] = (1, "max")
-        elif name == "to_rounds":
-            out[name] = (2 * d + 2, "max")
-        elif name == "min_disruptions":
+        if name == analysis.MIN_DISRUPTIONS:
             out[name] = (sc.expect_min_disruptions, "min")
+        elif name in BOUNDS:
+            out[name] = (BOUNDS[name].limit(inputs), "max")
         else:
             raise ScenarioError(f"unknown bound name {name!r}")
     return out
@@ -239,7 +233,7 @@ def bound_limits(names: list[str], topo: Topology, sc: Scenario) -> dict[str, tu
 
 def _setup(sc: Scenario):
     protocol = PROTOCOLS[sc.protocol]
-    foreign = set(sc.bounds) - set(protocol.bound_names) - {"min_disruptions"}
+    foreign = set(sc.bounds) - {b.name for b in protocol.bounds} - {analysis.MIN_DISRUPTIONS}
     if foreign:
         raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(foreign))}")
     seeds = sc.resolved_seeds()
@@ -269,11 +263,11 @@ def _setup(sc: Scenario):
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     if args.expect_unbounded:
-        sc.bounds = [b for b in sc.bounds if not b.endswith("disruptions")]
-        sc.bounds.append("min_disruptions")
+        capped = {b.name for b in PROTOCOLS[sc.protocol].bounds if b.observable == "disruptions"}
+        sc.bounds = [name for name in sc.bounds if name not in capped] + [analysis.MIN_DISRUPTIONS]
     topo, protocol, daemon, adversary, init = _setup(sc)
-    trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=sc.max_steps))
     limits = bound_limits(sc.bounds, topo, sc)
+    trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=sc.max_steps))
     report = analysis.verify_containment(trace, topo, protocol, sc.radius, limits)
     text = analysis.render_report(report)
     out = Path(args.out)
@@ -284,20 +278,20 @@ def cmd_run(args) -> int:
     return 0 if report.all_passed else 1
 
 
+# sweep topology kinds: (n, extra_edges, seed) -> edge list
+TOPOLOGY_KINDS = {
+    "random-tree": lambda n, extra, seed: random_tree_edges(n, seed),
+    "random-graph": random_connected_graph_edges,
+    "chain": lambda n, extra, seed: [(i, i + 1) for i in range(n - 1)],
+    "star": lambda n, extra, seed: [(0, i) for i in range(1, n)],
+}
+
+
 def _sweep_topology(kind: str, n: int, f: int, protocol: Protocol, seed: int, extra: int) -> Topology:
     reason = None
     for attempt in range(50):
         s = seed + 7919 * attempt
-        if kind == "random-tree":
-            edges = random_tree_edges(n, s)
-        elif kind == "random-graph":
-            edges = random_connected_graph_edges(n, extra, s)
-        elif kind == "chain":
-            edges = [(i, i + 1) for i in range(n - 1)]
-        elif kind == "star":
-            edges = [(0, i) for i in range(1, n)]
-        else:
-            raise ScenarioError(f"unknown topology kind {kind!r}")
+        edges = TOPOLOGY_KINDS[kind](n, extra, s)
         root, byz = protocol.sweep_placement(n, f, random.Random(s))
         try:
             return build_topology(edges, root=root, byzantine=byz, neighbor_seed=s, mode=protocol.name)
@@ -311,9 +305,8 @@ def _sweep_row(job: dict) -> dict:
     worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
     topo = _sweep_topology(job["topology_kind"], job["n"], job["f"], protocol, job["seed"], job["extra_edges"])
-    metrics = correct_metrics(topo)
-    sc = Scenario(topology_path="-", protocol=job["protocol"], expect_min_disruptions=0)
-    limits = bound_limits(protocol.sweep_bounds(job["f"]), topo, sc)
+    inputs = BoundInputs.of(topo)
+    limits = {b.name: (b.limit(inputs), "max") for b in protocol.bounds if b.swept(job["f"])}
     seed = job["seed"]
     adv_name, adv_params = job["adversary"]
     try:
@@ -335,7 +328,7 @@ def _sweep_row(job: dict) -> dict:
         "adversary": adv_name,
         "seed": seed,
         "delta": topo.max_degree,
-        "d": metrics.d,
+        "d": correct_metrics(topo).d,
         "rounds": report.stabilization_round,
         "disruptions": report.t_observed,
         "max_changes": report.k_observed,
@@ -372,6 +365,10 @@ def parse_sweep_text(text: str) -> dict:
             line.fail(f"unknown protocol {args[0]!r}")
         elif key == "init" and args[0] not in ("arbitrary", "legitimate"):
             line.fail(f"'init' must be arbitrary or legitimate, got {args[0]!r}")
+        elif key == "topology_kind" and args[0] not in TOPOLOGY_KINDS:
+            line.fail(f"unknown topology kind {args[0]!r}")
+        elif key == "daemon" and args[0] not in DAEMON_KINDS:
+            line.fail(f"unknown daemon kind {args[0]!r}")
         else:
             spec[key] = args[0]
     spec["adversary"] = spec["adversary"] or [("silent", {})]
@@ -379,7 +376,7 @@ def parse_sweep_text(text: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    spec = parse_sweep_text(Path(args.spec).read_text(encoding="utf-8"))
+    spec = parse_sweep_text(read_text(args.spec))
     # one job per grid point and replication: the spec with that point filled in
     grid = itertools.product(spec["n"], spec["f"], spec["adversary"], range(spec["replications"]))
     jobs = [
@@ -399,11 +396,7 @@ def cmd_sweep(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fieldnames: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fieldnames:
-                fieldnames.append(key)
+    fieldnames = list(dict.fromkeys(key for row in rows for key in row))
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
@@ -518,7 +511,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, UnicodeDecodeError, FairnessError, analysis.OracleCapError, OSError) as exc:
+    except (InputError, FairnessError, analysis.OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .topology import Topology, build_topology
+from .topology import Topology, build_topology, correct_metrics, read_text
 
 
 class EngineError(RuntimeError):
@@ -74,6 +74,35 @@ class ByzWrite(NamedTuple):
     out_regs: tuple[RegisterValue, ...]
 
 
+class BoundInputs(NamedTuple):
+    """What a bound formula reads off a topology: n, f, the maximum degree Δ
+    and the correct subgraph's diameter d (n when it is disconnected)."""
+
+    topo: Topology
+    n: int
+    f: int
+    delta: int
+    d: int
+
+    @classmethod
+    def of(cls, topo: Topology) -> BoundInputs:
+        metrics = correct_metrics(topo)
+        return cls(topo, topo.n, metrics.f, topo.max_degree, metrics.d if metrics.d is not None else topo.n)
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A containment bound of a protocol's theorems: `limit` caps the
+    `observable`, which is 'disruptions' (their count), 'changes' (the most
+    O-variable changes of one process) or 'rounds' (the stabilization
+    round); `swept(f)` says whether sweeps with f Byzantine processes check it."""
+
+    name: str
+    observable: str
+    limit: Callable[[BoundInputs], int]
+    swept: Callable[[int], bool] = lambda f: True
+
+
 @dataclass(frozen=True)
 class GuardedAction:
     label: str
@@ -88,22 +117,21 @@ class Protocol:
 
     - `name`, `o_variables` (the fields whose changes are disruptions),
       `prnt_min` (lowest prnt in the state domain), `reads_parent_bit`
-      (whether it reads in-registers' parent bits), `bound_names` (the
-      bounds its theorems give) and `legitimate_kinds` (the subsets
+      (whether it reads in-registers' parent bits), `bounds` (the `Bound`
+      records of its theorems) and `legitimate_kinds` (the subsets
       `legitimate_configuration` draws from besides its default);
     - `actions` (and `enabled`, where guards share predicates); `spec`, the
       per-process specification; `in_legitimate_set`, which the oracle
       converges to and anchors in; `fast_stable`, a sufficient stability
       test that spares the search; and `legitimate_configuration`;
-    - `sweep_bounds`, `sweep_placement` and `anchor_states` where the
-      defaults do not fit.
+    - `sweep_placement` and `anchor_states` where the defaults do not fit.
     """
 
     name: str = ""
     o_variables: tuple[str, ...] = ()
     prnt_min: int = 0
     reads_parent_bit: bool = True
-    bound_names: tuple[str, ...] = ()
+    bounds: tuple[Bound, ...] = ()
     legitimate_kinds: tuple[str, ...] = ()
 
     def role_of(self, topo: Topology, pid: int) -> str:
@@ -136,10 +164,6 @@ class Protocol:
     def o_changed(self, before: ProcessState, after: ProcessState) -> bool:
         """Whether going from `before` to `after` changes an O-variable."""
         return self._o_key(before) != self._o_key(after)
-
-    def sweep_bounds(self, f: int) -> list[str]:
-        """The bounds a sweep checks with `f` Byzantine processes."""
-        return list(self.bound_names)
 
     def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:
         """Root and Byzantine processes of a sweep topology on `n` processes."""
@@ -182,6 +206,9 @@ class ExecutionTrace:
     stop_reason: str = ""
 
 
+DAEMON_KINDS = ("distributed", "central")
+
+
 @dataclass
 class Daemon:
     """Scheduler: central activates one process per step, distributed any
@@ -197,7 +224,7 @@ class Daemon:
     hostile: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("distributed", "central"):
+        if self.kind not in DAEMON_KINDS:
             raise EngineError(f"unknown daemon kind {self.kind!r}")
         if self.fairness_bound < 1:
             raise EngineError("fairness bound must be positive")
@@ -213,11 +240,6 @@ def local_view(topo: Topology, config: Configuration, v: int) -> LocalView:
     degree, in_regs, out_regs = topo.register_access[v]
     regs = config.registers
     return LocalView(config.states[v], degree, in_regs(regs), regs[out_regs])
-
-
-def evaluate_guards(view: LocalView, role: str, protocol: Protocol) -> list[str]:
-    """Labels of all enabled actions, in declaration order. Pure."""
-    return [a.label for a in protocol.enabled(role, view)]
 
 
 def fire(topo: Topology, protocol: Protocol, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
@@ -304,8 +326,8 @@ class _Scheduler:
         for v in activated:
             if v in self.last_seen:
                 self.last_seen[v] = t
-        leftover = {v for v in self.correct if t - self.last_seen[v] >= bound}
-        if leftover:
+        # every activated process was just seen (bound >= 1), so only forced ones can be left over
+        if forced - activated:
             raise FairnessError(
                 f"fairness bound {bound} unsatisfiable at step {t} (kind={self.daemon.kind})"
             )
@@ -571,8 +593,7 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
 
 def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     """Rebuild a trace and its topology from a trace file."""
-    with open(path, encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    records = [json.loads(line) for line in read_text(path).splitlines() if line.strip()]
     meta = records[0] if records else {}
     if meta.get("type") != "meta":
         raise ValueError("trace file missing meta record")

@@ -14,6 +14,7 @@ import random
 from typing import Optional
 
 from .engine import (
+    Bound,
     Configuration,
     GuardedAction,
     LocalEffect,
@@ -168,7 +169,11 @@ class SpanningTreeProtocol(Protocol):
     o_variables = ("prnt", "level")
     # GA1 and GA2 read only the levels of in-registers
     reads_parent_bit = False
-    bound_names = ("st_disruptions", "st_changes", "st_rounds")
+    bounds = (
+        Bound("st_disruptions", "disruptions", lambda m: m.f * m.delta**m.d),
+        Bound("st_changes", "changes", lambda m: m.delta**m.d),
+        Bound("st_rounds", "rounds", lambda m: 4 * (m.n - m.f) * m.delta**m.d),
+    )
 
     _root_actions = (GuardedAction("GA0", pred0, ga0),)
     _node_actions = (

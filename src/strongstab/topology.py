@@ -194,13 +194,6 @@ def validate_mode(t: Topology, mode: str) -> None:
         raise TopologyError(f"unknown mode {mode!r}")
 
 
-def kth_neighbor(t: Topology, v: int, k: int) -> int:
-    """Return N_v(k), 1-based."""
-    if not 1 <= k <= t.degree(v):
-        raise TopologyError(f"neighbor index {k} out of range for degree {t.degree(v)}")
-    return t.neighbor_order[v][k - 1]
-
-
 def correct_metrics(t: Topology) -> CorrectSubgraphMetrics:
     """BFS connectivity and diameter of the correct-process subgraph."""
     correct = sorted(t.correct)
@@ -297,6 +290,14 @@ def parse_lines(text: str, kind: str, arity: dict, error: type, repeatable: Iter
     return lines
 
 
+def read_text(path: str | Path) -> str:
+    """An input file's text; one that is not UTF-8 is an InputError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 # topology files: `n <count>` header, optional `root <id>` / `byz <id> ...`,
 # one `edge <u> <v>` per line
 
@@ -319,7 +320,7 @@ def parse_topology_text(text: str) -> dict:
 
 
 def load_topology(path: str, neighbor_seed: int = 0, mode: Optional[str] = None) -> Topology:
-    parsed = parse_topology_text(Path(path).read_text(encoding="utf-8"))
+    parsed = parse_topology_text(read_text(path))
     topo = build_topology(
         parsed["edges"],
         root=parsed["root"],

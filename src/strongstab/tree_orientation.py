@@ -16,6 +16,8 @@ from enum import Enum
 from typing import Optional
 
 from .engine import (
+    Bound,
+    BoundInputs,
     Configuration,
     ExecutionTrace,
     GuardedAction,
@@ -27,7 +29,7 @@ from .engine import (
     consistent_registers,
     out_registers,
 )
-from .topology import Topology, TopologyError
+from .topology import InputError, Topology, TopologyError
 
 
 def pred1(view: LocalView) -> bool:
@@ -288,11 +290,23 @@ def check_level_monotonic(trace: ExecutionTrace, topo: Topology) -> None:
                 raise AssertionError(f"level of {v} decreased at step {i + 1}")
 
 
+def _byzantine_degree(m: BoundInputs) -> int:
+    """Δ_z, the degree of the one Byzantine process z."""
+    if len(m.topo.byzantine) != 1:
+        raise InputError("to_disruptions needs exactly one Byzantine process")
+    return m.topo.degree(next(iter(m.topo.byzantine)))
+
+
 class TreeOrientationProtocol(Protocol):
     name = "ss-to"
     o_variables = ("prnt",)
     prnt_min = 1
-    bound_names = ("to_disruptions", "to_changes", "to_rounds")
+    # the containment bounds are proved for one Byzantine process, the round bound fault-free
+    bounds = (
+        Bound("to_disruptions", "disruptions", _byzantine_degree, swept=lambda f: f != 0),
+        Bound("to_changes", "changes", lambda m: 1, swept=lambda f: f != 0),
+        Bound("to_rounds", "rounds", lambda m: 2 * m.d + 2, swept=lambda f: f == 0),
+    )
     legitimate_kinds = LEGITIMATE_KINDS
 
     _actions = (
@@ -321,10 +335,6 @@ class TreeOrientationProtocol(Protocol):
 
     def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
         return legitimate_configuration(topo, seed, kind or "auto")
-
-    def sweep_bounds(self, f: int) -> list[str]:
-        # the round bound is proved fault-free, the containment bounds for f = 1
-        return ["to_rounds"] if f == 0 else ["to_disruptions", "to_changes"]
 
 
 SS_TO = TreeOrientationProtocol()

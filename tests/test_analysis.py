@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_edges, quick_run, random_st_topology, st_topology, to_topology
+from conftest import path_edges, quick_run, random_st_topology, random_to_topology, st_topology, to_topology
 
 from strongstab import analysis
 from strongstab.analysis import (
@@ -17,7 +17,6 @@ from strongstab.analysis import (
     count_o_changes,
     find_disruptions,
     is_c_legitimate,
-    is_c_stable,
     render_report,
     verify_containment,
 )
@@ -64,11 +63,11 @@ def test_unoriented_pair_is_illegitimate():
 def test_stability_fast_path_and_one_step_search():
     t = st_topology(4, byz=(3,), edges=path_edges(4), seed=2)
     cfg = st_legit(t, 3)
-    assert is_c_stable(cfg, t, 0, SS_ST) is Stability.STABLE
+    assert StabilityChecker(t, SS_ST, 0).check(cfg) is Stability.STABLE
 
     t0 = to_topology(4, seed=1)
     cfg = to_legit(t0, 2, kind="lc0")
-    assert is_c_stable(cfg, t0, 0, SS_TO) is Stability.STABLE
+    assert StabilityChecker(t0, SS_TO, 0).check(cfg) is Stability.STABLE
 
     # a pending tie-break move is an O-variable change one step away
     pos = t0.neighbor_pos
@@ -80,7 +79,7 @@ def test_stability_fast_path_and_one_step_search():
     ]
     states[2] = ProcessState(pos[2][3], 4)  # edge 1-2 unoriented
     cfg = Configuration(tuple(states), consistent_registers(t0, states))
-    assert is_c_stable(cfg, t0, 0, SS_TO) is Stability.UNSTABLE
+    assert StabilityChecker(t0, SS_TO, 0).check(cfg) is Stability.UNSTABLE
 
 
 def test_stability_budget_exhaustion_reports_unknown():
@@ -129,6 +128,35 @@ def test_windows_do_not_overlap_and_each_contains_a_change():
         assert rec.end_index > rec.start_index
         assert sum(rec.o_var_changes.values()) >= 1
         prev_end = rec.end_index
+
+
+def test_scan_totals_match_count_o_changes():
+    """`find_disruptions` totals each watched process's O-variable changes
+    in its one pass; `count_o_changes` from the first anchor is the
+    reference, and a trace that never stabilizes totals nothing."""
+    for protocol in (SS_TO, SS_ST):
+        seen = set()
+        for seed in range(8):
+            if protocol is SS_TO:
+                t, adversary, params = random_to_topology(7, 1, seed), "level-inflation", {}
+                init = None
+            else:
+                t, adversary, params = random_st_topology(8, 2, seed), "oscillate", {"period": 1, "cycles": 6}
+                init = st_legit(t, seed) if seed % 2 == 0 else None
+            # three steps from an arbitrary start rarely reach an anchor
+            trace, _ = quick_run(
+                t, protocol, adversary, params, init=init, init_seed=seed, daemon_seed=seed,
+                adversary_seed=seed, max_steps=3 if seed % 4 == 3 else 400,
+            )
+            for radius in (0, 1):
+                scan = find_disruptions(trace, t, radius, protocol)
+                if scan.never_stabilized:
+                    expected = dict.fromkeys(c_correct_set(t, radius), 0)
+                else:
+                    expected = count_o_changes(trace, t, radius, protocol, scan.first_anchor)
+                assert scan.o_changes == expected, (protocol.name, seed, radius)
+                seen.add("never stabilized" if scan.never_stabilized else "changes" if any(expected.values()) else "quiet")
+        assert seen == {"never stabilized", "changes", "quiet"}, protocol.name
 
 
 def test_radius_monotonicity():

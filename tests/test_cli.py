@@ -266,6 +266,8 @@ _BAD_INPUTS = {
     "dup_n.topo": "n 3\nroot 0\nn 2\nedge 0 1\nedge 1 2\n",
     "edge3.topo": "n 3\nroot 0\nedge 0 1 7\nedge 1 2\n",
     "dup_state.init": "state 0 0 0\nstate 1 0 0\nstate 1 0 1\nstate 2 0 0\n",
+    "latin1.topo": "n 3\n# caf\xe9\nroot 0\nedge 0 1\nedge 1 2\n",
+    "latin1.init": "# caf\xe9\n",
 }
 
 
@@ -290,17 +292,23 @@ _BAD_INPUTS = {
         pytest.param({"topology": "edge3.topo"}, "topology line 3", id="edge-with-three-ids"),
         pytest.param({"init": "named dup_state.init"}, "init file line 3", id="duplicate-state-line"),
         pytest.param({"init": "legitimate\ninit arbitrary"}, "scenario line 8", id="repeated-init"),
+        pytest.param({"topology": "latin1.topo"}, "{tmp}/latin1.topo", id="topology-file-not-utf8"),
+        pytest.param({"init": "named latin1.init"}, "{tmp}/latin1.init", id="init-file-not-utf8"),
+        pytest.param({"STRONGSTAB_SEED": "x"}, "STRONGSTAB_SEED", id="non-integer-seed-variable"),
     ],
 )
-def test_scenario_input_errors_exit_two(tmp_path, capsys, over, where):
+def test_scenario_input_errors_exit_two(tmp_path, capsys, monkeypatch, over, where):
     _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
     for name, text in _BAD_INPUTS.items():
-        _write(tmp_path, name, text)
-    scn = _basic_scenario(tmp_path, **over)
+        (tmp_path / name).write_bytes(text.encode("latin-1"))
+    for key, value in over.items():
+        if key.isupper():  # an environment variable, not a scenario key
+            monkeypatch.setenv(key, value)
+    scn = _basic_scenario(tmp_path, **{key: value for key, value in over.items() if not key.isupper()})
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert where is None or f"error: {where}: " in err, err
+    assert where is None or f"error: {where.format(tmp=tmp_path)}: " in err, err
 
 
 def test_legitimate_kinds_accepted_per_protocol(tmp_path):
@@ -404,6 +412,8 @@ _SWEEP = {
         pytest.param({"init": "legitimat"}, "sweep spec line 9", id="misspelt-init"),
         pytest.param({"protocol": "ss-xx"}, "sweep spec line 1", id="unknown-protocol"),
         pytest.param({"radius": "-1"}, "sweep spec line 9", id="negative-radius"),
+        pytest.param({"n": "", "topology_kind": "bogus"}, "sweep spec line 2", id="unknown-topology-kind-empty-grid"),
+        pytest.param({"n": "", "daemon": "nobody"}, "sweep spec line 9", id="unknown-daemon-empty-grid"),
     ],
 )
 def test_sweep_spec_errors_exit_two(tmp_path, capsys, over, where):

@@ -24,7 +24,6 @@ from strongstab.engine import (
     check_locality,
     check_trace,
     consistent_registers,
-    evaluate_guards,
     local_view,
     read_trace,
     round_boundaries,
@@ -205,8 +204,8 @@ def test_guard_evaluation_is_pure_and_ordered():
     t = st_topology(3)
     cfg = arbitrary_configuration(t, SS_ST, 12)
     view = local_view(t, cfg, 1)
-    labels = evaluate_guards(view, "node", SS_ST)
-    assert labels == evaluate_guards(view, "node", SS_ST)
+    labels = [a.label for a in SS_ST.enabled("node", view)]
+    assert labels == [a.label for a in SS_ST.enabled("node", view)]
     assert labels in ([], ["GA1"], ["GA2"])
 
 
@@ -417,7 +416,7 @@ def _ref_check_priority(trace, topo, protocol):
     for i, step in enumerate(trace.steps):
         for pid in step.activated - topo.byzantine:
             view = local_view(topo, trace.configs[i], pid)
-            enabled = evaluate_guards(view, protocol.role_of(topo, pid), protocol)
+            enabled = [a.label for a in protocol.enabled(protocol.role_of(topo, pid), view)]
             if len(enabled) > 1:
                 raise EngineError("priority")
             if step.actions.get(pid) != (enabled[0] if enabled else None):

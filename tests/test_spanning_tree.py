@@ -11,7 +11,6 @@ from strongstab.engine import (
     RegisterValue,
     consistent_registers,
     enabled_correct,
-    evaluate_guards,
     local_view,
 )
 from strongstab.spanning_tree import (
@@ -46,14 +45,14 @@ def test_round_robin_successor(k, degree, expect):
 def test_quiescent_root_has_no_enabled_guard():
     v = view(0, 0, 2)
     assert not pred0(v)
-    assert evaluate_guards(v, "root", SS_ST) == []
+    assert [a.label for a in SS_ST.enabled("root", v)] == []
 
 
 def test_root_with_nonzero_level_fires_reset():
-    assert evaluate_guards(view(0, 7, 2), "root", SS_ST) == ["GA0"]
+    assert [a.label for a in SS_ST.enabled("root", view(0, 7, 2))] == ["GA0"]
     # a dirty out-register alone also triggers the reset
     dirty = view(0, 0, 2, out_regs=[RegisterValue(False, 0), RegisterValue(True, 0)])
-    assert evaluate_guards(dirty, "root", SS_ST) == ["GA0"]
+    assert [a.label for a in SS_ST.enabled("root", dirty)] == ["GA0"]
 
 
 def test_parentless_process_is_enabled():
@@ -67,14 +66,14 @@ def test_quiescent_non_root():
     v = view(2, 5, 2, in_regs, out_regs)
     assert not pred1(v)
     assert not pred2(v)
-    assert evaluate_guards(v, "node", SS_ST) == []
+    assert [a.label for a in SS_ST.enabled("node", v)] == []
 
 
 def test_register_mismatch_enables_rewrite_only():
     in_regs = [RegisterValue(False, 4), RegisterValue(False, 1)]
     stale = [RegisterValue(False, 0), RegisterValue(False, 5)]
     v = view(2, 2, 2, in_regs, stale)
-    assert evaluate_guards(v, "node", SS_ST) == ["GA2"]
+    assert [a.label for a in SS_ST.enabled("node", v)] == ["GA2"]
 
 
 def test_adoption_reads_the_new_parents_register():

@@ -11,7 +11,6 @@ from strongstab.topology import (
     build_topology,
     correct_metrics,
     distance_to_byzantine,
-    kth_neighbor,
     load_topology,
     parse_topology_text,
     random_connected_graph_edges,
@@ -63,11 +62,7 @@ def test_mode_validation():
 def test_kth_neighbor_reads_stored_order():
     t = build_topology([(0, 1), (1, 2)], root=0, neighbor_seed=3)
     order = t.neighbor_order[1]
-    assert kth_neighbor(t, 1, 1) == order[0]
-    assert kth_neighbor(t, 1, 2) == order[1]
     assert sorted(order) == [0, 2]
-    with pytest.raises(TopologyError):
-        kth_neighbor(t, 0, 2)
 
 
 def test_neighbor_orders_seeded_and_reproducible():
@@ -149,8 +144,8 @@ def test_kth_neighbor_bijection_and_byz_distance(n, seed, byz_seed):
     byz = _r.Random(byz_seed).sample(range(n), min(byz_seed, n - 1))
     t = build_topology(edges, byzantine=byz, neighbor_seed=seed)
     for v in range(t.n):
-        hits = {kth_neighbor(t, v, k) for k in range(1, t.degree(v) + 1)}
-        assert hits == set(t.neighbor_order[v])
+        hits = set(t.neighbor_order[v])
+        assert hits == {a + b - v for a, b in edges if v in (a, b)}
         assert len(hits) == t.degree(v)
     dist = distance_to_byzantine(t)
     for v in range(t.n):
