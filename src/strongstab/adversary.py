@@ -19,10 +19,9 @@ from .topology import Topology, TopologyError
 
 class Adversary:
     name = "adversary"
+    accepts: tuple[str, ...] = ()  # the parameter keys the strategy reads
 
     def __init__(self, params: dict, seed: int, topo: Topology, protocol: Protocol):
-        self.params = dict(params)
-        self.seed = seed
         self.rng = random.Random(seed)
         self.topo = topo
         self.protocol = protocol
@@ -82,6 +81,7 @@ class LevelInflationAdversary(Adversary):
     """
 
     name = "level-inflation"
+    accepts = ("step",)
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
@@ -100,12 +100,12 @@ class OscillateAdversary(Adversary):
     `cycles` makes the script exhaust itself (and pledge silence)."""
 
     name = "oscillate"
+    accepts = ("period", "cycles")
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
         self.period = max(1, int(params.get("period", 1)))
-        self.cycles = params.get("cycles")
-        self.cycles = None if self.cycles is None else int(self.cycles)
+        self.cycles = int(params["cycles"]) if "cycles" in params else None
         self._count = 0
         self._high = {}
 
@@ -134,12 +134,12 @@ class ChainReplayAdversary(Adversary):
     `reversals` caps the script for finite demonstrations."""
 
     name = "chain-replay"
+    accepts = ("step", "reversals")
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
         self.step = int(params.get("step", 1))
-        self.reversals = params.get("reversals")
-        self.reversals = None if self.reversals is None else int(self.reversals)
+        self.reversals = int(params["reversals"]) if "reversals" in params else None
         self._endpoints = sorted(v for v in range(topo.n) if topo.degree(v) == 1)
         if (
             not topo.is_tree()
@@ -177,11 +177,11 @@ class MaxDamageAdversary(Adversary):
     """
 
     name = "max-damage"
+    accepts = ("level_bound", "radius")  # level_bound bounds the game's register values
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
-        # `depth` bounds the register-value domain the game enumerates
-        self.level_bound = int(params.get("depth", params.get("level_bound", 3)))
+        self.level_bound = int(params.get("level_bound", 3))
         self.radius = int(params.get("radius", 0))
         self._script: Optional[list] = None
         self._i = 0
@@ -232,4 +232,7 @@ def make_adversary(name: str, params: dict, seed: int, topo: Topology, protocol:
         cls = STRATEGIES[name]
     except KeyError:
         raise ValueError(f"unknown adversary {name!r}; known: {sorted(STRATEGIES)}") from None
+    unknown = sorted(set(params) - set(cls.accepts))
+    if unknown:
+        raise ValueError(f"adversary {name} has no parameter {unknown[0]!r}; it takes: {' '.join(cls.accepts) or 'none'}")
     return cls(params, seed, topo, protocol)

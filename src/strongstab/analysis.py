@@ -11,7 +11,8 @@ reaches a legitimate stable configuration reports no disruptions and a
 Stability ("no c-correct process will ever change an O-variable while the
 Byzantine processes stay silent") is decided by exhaustive search over
 correct-process activations with the Byzantine state frozen, with a budget;
-a blown budget is reported as unknown and treated as not stable.
+a blown budget is reported as unknown, which the disruption scan treats as
+not stable and the oracle refuses.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from .engine import (
     ByzWrite,
@@ -38,7 +39,8 @@ from .topology import Topology, distance_to_byzantine
 
 
 class OracleCapError(RuntimeError):
-    """The exhaustive search exceeded its configured size limits."""
+    """The exhaustive search exceeded its size limits or met a stability
+    verdict it could not settle."""
 
 
 def c_correct_set(topo: Topology, c: int) -> frozenset[int]:
@@ -47,10 +49,6 @@ def c_correct_set(topo: Topology, c: int) -> frozenset[int]:
         raise ValueError("radius must be non-negative")
     dist = distance_to_byzantine(topo)
     return frozenset(v for v in topo.correct if dist[v] > c)
-
-
-def is_c_legitimate(config: Configuration, topo: Topology, radius: int, spec) -> bool:
-    return all(spec(v, config, topo) for v in c_correct_set(topo, radius))
 
 
 class Stability(Enum):
@@ -62,12 +60,11 @@ class Stability(Enum):
 class StabilityChecker:
     """Budgeted reachability search for O-variable changes under Byzantine
     silence, memoized per configuration. The protocol's fast stability test
-    short-circuits the search."""
+    short-circuits the search. `watch` is the c-correct set."""
 
     def __init__(self, topo: Topology, protocol: Protocol, radius: int, budget: int = 20000):
         self.topo = topo
         self.protocol = protocol
-        self.radius = radius
         self.budget = budget
         self.watch = c_correct_set(topo, radius)
         self.correct = sorted(topo.correct)
@@ -86,6 +83,12 @@ class StabilityChecker:
             self.saw_unknown = True
         self._cache[config] = verdict
         return verdict
+
+    def anchor(self, config: Configuration) -> bool:
+        """Whether `config` is c-legitimate (the spec holds on every watched
+        process) and c-stable; only c-legitimate configurations are checked."""
+        spec, topo = self.protocol.spec, self.topo
+        return all(spec(v, config, topo) for v in self.watch) and self.check(config) is Stability.STABLE
 
     def _search(self, config: Configuration) -> Stability:
         topo, protocol = self.topo, self.protocol
@@ -140,8 +143,6 @@ def find_disruptions(
     topo: Topology,
     radius: int,
     protocol: Protocol,
-    budget: int = 20000,
-    checker: Optional[StabilityChecker] = None,
 ) -> TraceScan:
     """Earliest-match, non-overlapping disruption windows over a trace.
 
@@ -150,16 +151,9 @@ def find_disruptions(
     re-tested on quiet configurations in between; the count is unaffected).
     The same pass totals each process's changes as `count_o_changes` does.
     """
-    spec = protocol.spec
-    watch = c_correct_set(topo, radius)
-    checker = checker or StabilityChecker(topo, protocol, radius, budget)
-
-    def anchor(i: int) -> bool:
-        cfg = trace.configs[i]
-        return is_c_legitimate(cfg, topo, radius, spec) and checker.check(cfg) is Stability.STABLE
-
-    n_cfg = len(trace.configs)
-    first_anchor = next((i for i in range(n_cfg) if anchor(i)), None)
+    checker = StabilityChecker(topo, protocol, radius)
+    watch, configs, n_cfg = checker.watch, trace.configs, len(trace.configs)
+    first_anchor = next((i for i in range(n_cfg) if checker.anchor(configs[i])), None)
     totals = {v: 0 for v in watch}
     if first_anchor is None:
         return TraceScan([], True, None, checker.saw_unknown, totals)
@@ -174,7 +168,7 @@ def find_disruptions(
         for v in changed:
             totals[v] += 1
             counts[v] = counts.get(v, 0) + 1
-        if counts is not None and anchor(i + 1):
+        if counts is not None and checker.anchor(configs[i + 1]):
             records.append(DisruptionRecord(last_anchor, i + 1, counts))
             last_anchor, counts = i + 1, None
     # a trailing window that never closes is not a disruption
@@ -333,14 +327,7 @@ class OracleResult:
 
 
 def brute_force_verify(
-    topo: Topology,
-    protocol: Protocol,
-    prop: str,
-    level_bound: int,
-    radius: int = 0,
-    n_cap: int = 4,
-    state_cap: int = 500_000,
-    anchors: Optional[Iterable[Configuration]] = None,
+    topo: Topology, protocol: Protocol, prop: str, level_bound: int, state_cap: int = 500_000
 ) -> OracleResult:
     """Exact small-instance verdicts by full exploration.
 
@@ -350,16 +337,17 @@ def brute_force_verify(
 
     'worst-disruptions': treat the Byzantine writes as game moves over the
     bounded register domain and compute, over all legitimate stable starting
-    configurations (or the given `anchors`), the exact maximum number of
-    disruptions and of per-process O-variable changes any schedule can
-    realize, plus one play achieving the disruption maximum.
+    configurations, the exact maximum number of disruptions and of
+    per-process O-variable changes any schedule can realize, plus one play
+    achieving the disruption maximum.
+
+    OracleCapError: more initial configurations or anchor candidates than
+    `state_cap`, a larger game graph, or a stability search out of budget.
     """
-    if topo.n > n_cap:
-        raise OracleCapError(f"n={topo.n} exceeds oracle cap {n_cap}")
     if prop == "converges-to":
         return _oracle_converges(topo, protocol, level_bound, state_cap)
     if prop == "worst-disruptions":
-        return _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors)
+        return _oracle_worst(topo, protocol, level_bound, 0, state_cap, None)
     raise ValueError(f"unknown oracle property {prop!r}")
 
 
@@ -453,10 +441,9 @@ class _Game:
     """
 
     def __init__(self, topo, protocol, level_bound, radius, state_cap):
-        self.topo, self.protocol, self.level_bound, self.radius, self.state_cap = (
-            topo, protocol, level_bound, radius, state_cap)
-        self.watch = c_correct_set(topo, radius)
+        self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
         self.checker = StabilityChecker(topo, protocol, radius)
+        self.watch = self.checker.watch
         self.level_cap = level_bound + 2 * topo.n + 2
         self.seen: dict[Configuration, list] = {}
         self.nodes: list[tuple[Configuration, bool]] = []
@@ -465,10 +452,7 @@ class _Game:
     def entry(self, cfg: Configuration) -> list:
         entry = self.seen.get(cfg)
         if entry is None:
-            anchor = is_c_legitimate(cfg, self.topo, self.radius, self.protocol.spec) and (
-                self.checker.check(cfg) is Stability.STABLE
-            )
-            entry = self.seen[cfg] = [anchor, None, None]
+            entry = self.seen[cfg] = [self.checker.anchor(cfg), None, None]
         return entry
 
     def _node(self, entry: list, cfg: Configuration, dirty: bool) -> int:
@@ -605,21 +589,24 @@ class _Game:
 
 
 def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> OracleResult:
+    """The worst-disruptions game from `anchors`, or from every legitimate
+    stable configuration of the bounded domain when none are given."""
     game = _Game(topo, protocol, level_bound, radius, state_cap)
     if anchors is None:
-        anchor_list = [c for c in _enumerate_lc_anchors(topo, protocol, level_bound) if game.entry(c)[0]]
+        anchor_list = [c for c in _enumerate_lc_anchors(topo, protocol, level_bound, state_cap) if game.entry(c)[0]]
     else:
         anchor_list = list(anchors)
         for c in anchor_list:
             if not game.entry(c)[0]:
                 raise ValueError("supplied start is not legitimate and stable")
     result = OracleResult(prop="worst-disruptions", anchors=len(anchor_list))
+    start_ids = game.expand(anchor_list)
+    if game.checker.saw_unknown:
+        raise OracleCapError("a stability search exhausted its budget, so the anchors are not exact")
     if not anchor_list:
-        result.worst_disruptions = 0
-        result.worst_per_process = 0
+        result.worst_disruptions = result.worst_per_process = 0
         return result
 
-    start_ids = game.expand(anchor_list)
     comp = game.condense()
     result.states_explored = len(game.nodes)
 
@@ -686,12 +673,17 @@ def best_disruption_play(
     return result.worst_disruptions, result.best_play or []
 
 
-def _enumerate_lc_anchors(topo: Topology, protocol: Protocol, level_bound: int):
+def _enumerate_lc_anchors(topo: Topology, protocol: Protocol, level_bound: int, state_cap: int):
     """All members of the protocol's legitimate set with in-domain levels,
-    consistent correct registers, and Byzantine registers over the domain."""
+    consistent correct registers, and Byzantine registers over the domain.
+    OracleCapError, before any is tested, if the candidates outnumber
+    `state_cap`."""
     state_choices = [protocol.anchor_states(topo, v, level_bound) for v in range(topo.n)]
     byz_slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
     byz_reg_choices = protocol.register_domain(level_bound, RegisterValue(False, 0))
+    candidates = math.prod(map(len, state_choices)) * len(byz_reg_choices) ** len(byz_slots)
+    if candidates > state_cap:
+        raise OracleCapError(f"{candidates} anchor candidates exceed cap {state_cap}")
     for states in itertools.product(*state_choices):
         base = list(consistent_registers(topo, states))
         for combo in itertools.product(byz_reg_choices, repeat=len(byz_slots)):

@@ -157,7 +157,7 @@ def load_scenario(path: str) -> Scenario:
 # named initial configurations: `state pid prnt level` and
 # `reg writer reader prnt-bit level` lines
 
-def read_config_file(path: str, topo: Topology) -> Configuration:
+def read_config_file(path: str, topo: Topology, protocol: Protocol) -> Configuration:
     states: dict[int, ProcessState] = {}
     regs: dict[tuple[int, int], RegisterValue] = {}
     text = read_text(path)
@@ -166,6 +166,8 @@ def read_config_file(path: str, topo: Topology) -> Configuration:
             pid, prnt, level = line.integers()
             if pid in states:
                 line.fail(f"second state for process {pid}")
+            if 0 <= pid < topo.n and not protocol.prnt_min <= prnt <= topo.degree(pid):
+                line.fail(f"process {pid} needs prnt in {protocol.prnt_min}..{topo.degree(pid)}, got {prnt}")
             states[pid] = ProcessState(prnt, level)
         else:
             writer, reader, bit, level = line.integers()
@@ -254,7 +256,7 @@ def _setup(sc: Scenario):
     elif sc.init_mode == "named":
         if not sc.init_arg:
             raise ScenarioError("init named needs a file name")
-        init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo)
+        init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
     else:
         raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
     return topo, protocol, daemon, adversary, init
@@ -292,7 +294,10 @@ def _sweep_topology(kind: str, n: int, f: int, protocol: Protocol, seed: int, ex
     for attempt in range(50):
         s = seed + 7919 * attempt
         edges = TOPOLOGY_KINDS[kind](n, extra, s)
-        root, byz = protocol.sweep_placement(n, f, random.Random(s))
+        try:
+            root, byz = protocol.sweep_placement(n, f, random.Random(s))
+        except ValueError:  # more Byzantine processes than it may place
+            raise ScenarioError(f"{protocol.name} cannot place f={f} Byzantine processes among n={n}") from None
         try:
             return build_topology(edges, root=root, byzantine=byz, neighbor_seed=s, mode=protocol.name)
         except TopologyError as exc:
@@ -355,6 +360,8 @@ def parse_sweep_text(text: str) -> dict:
         key, args = line.key, line.args
         if key in ("n", "f"):
             spec[key] = line.integers()
+            if min(spec[key], default=0) < 0:
+                line.fail(f"'{key}' must be non-negative")
         elif key in _SWEEP_INTEGERS:
             spec[key] = line.integers()[0]
             if key == "radius" and spec[key] < 0:
@@ -428,14 +435,7 @@ def _summarize(rows) -> list[str]:
 
 def cmd_oracle(args) -> int:
     topo = load_topology(args.topology, neighbor_seed=args.neighbor_seed, mode=args.protocol)
-    protocol = PROTOCOLS[args.protocol]
-    result = analysis.brute_force_verify(
-        topo,
-        protocol,
-        args.property,
-        args.level_bound,
-        n_cap=args.oracle_cap,
-    )
+    result = analysis.brute_force_verify(topo, PROTOCOLS[args.protocol], args.property, args.level_bound)
     if result.prop == "converges-to":
         verdict = "yes (all initial states in the bounded domain)" if result.converges else "NO"
         print(f"converges: {verdict}")
@@ -468,6 +468,8 @@ def cmd_replay(args) -> int:
         print(f"replay FAILED: {exc}")
         return 1
     except _MALFORMED_TRACE as exc:
+        if str(exc).startswith(f"{args.trace}: "):
+            raise  # `read_text` named the file already
         raise ScenarioError(f"malformed trace file {args.trace}: {type(exc).__name__}: {exc}") from None
     if protocol is None:
         raise ScenarioError(f"trace names unknown protocol {protocol_name!r}")
@@ -500,7 +502,6 @@ def main(argv=None) -> int:
     p_oracle.add_argument("--protocol", choices=sorted(PROTOCOLS), required=True)
     p_oracle.add_argument("--property", choices=["converges-to", "worst-disruptions"], default="worst-disruptions")
     p_oracle.add_argument("--level-bound", type=int, default=3)
-    p_oracle.add_argument("--oracle-cap", type=int, default=4)
     p_oracle.add_argument("--neighbor-seed", type=int, default=0)
     p_oracle.set_defaults(func=cmd_oracle)
 

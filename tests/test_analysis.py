@@ -16,7 +16,6 @@ from strongstab.analysis import (
     c_correct_set,
     count_o_changes,
     find_disruptions,
-    is_c_legitimate,
     render_report,
     verify_containment,
 )
@@ -42,7 +41,7 @@ def test_all_byzantine_makes_legitimacy_vacuous():
         tuple(ProcessState(0, i) for i in range(3)),
         tuple(RegisterValue(False, 0) for _ in range(t.num_registers)),
     )
-    assert is_c_legitimate(cfg, t, 0, spec_st)
+    assert all(spec_st(v, cfg, t) for v in c_correct_set(t, 0))
 
 
 def test_unoriented_pair_is_illegitimate():
@@ -50,14 +49,14 @@ def test_unoriented_pair_is_illegitimate():
     states = [ProcessState(1, 4), ProcessState(1, 4)]
     # both claim the other as parent -> legitimate; flip one register story:
     cfg = Configuration(tuple(states), consistent_registers(t, states))
-    assert is_c_legitimate(cfg, t, 0, spec_to)
+    assert all(spec_to(v, cfg, t) for v in range(2))
     # now neither points at the other (impossible on a 2-path, so use 3)
     t3 = to_topology(3, seed=1)
     pos = t3.neighbor_pos
     bad = [ProcessState(pos[0][1], 4), ProcessState(pos[1][0], 4), ProcessState(pos[2][1], 4)]
     bad[1] = ProcessState(pos[1][0], 4)
     cfg = Configuration(tuple(bad), consistent_registers(t3, bad))
-    assert not spec_to(2, cfg, t3) or is_c_legitimate(cfg, t3, 0, spec_to)
+    assert not spec_to(2, cfg, t3) or all(spec_to(v, cfg, t3) for v in range(3))
 
 
 def test_stability_fast_path_and_one_step_search():
@@ -166,14 +165,11 @@ def test_radius_monotonicity():
         t, SS_ST, "oscillate", {"period": 1, "cycles": 4},
         init=st_legit(t, 4), daemon_seed=5, adversary_seed=6, max_steps=900,
     )
-    spec = SS_ST.spec
     check0 = StabilityChecker(t, SS_ST, 0)
     check2 = StabilityChecker(t, SS_ST, 2)
     for cfg in trace.configs[:: max(1, len(trace.configs) // 40)]:
-        anchored0 = is_c_legitimate(cfg, t, 0, spec) and check0.check(cfg) is Stability.STABLE
-        anchored2 = is_c_legitimate(cfg, t, 2, spec) and check2.check(cfg) is Stability.STABLE
-        if anchored0:
-            assert anchored2  # wider radius watches fewer processes
+        if check0.anchor(cfg):
+            assert check2.anchor(cfg)  # wider radius watches fewer processes
 
 
 def test_report_checks_total_against_n_times_per_process():
@@ -191,18 +187,12 @@ def test_report_checks_total_against_n_times_per_process():
 
 
 def test_never_stabilized_flag():
-    # byzantine parent keeps the whole 1-node 'correct side' forever deceived?
-    # simplest: run an orientation pair from garbage with zero budget so no
-    # anchor is ever certified
-    t = to_topology(2)
-    from strongstab.engine import arbitrary_configuration
-
-    trace, _ = quick_run(t, SS_TO, init_seed=9, max_steps=5)
-    scan = find_disruptions(trace, t, 0, SS_TO, budget=0)
-    # with no certified stability the scan reports never_stabilized rather
-    # than inventing windows
-    if scan.never_stabilized:
-        assert scan.records == []
+    # three steps from this arbitrary start never satisfy the spec everywhere
+    t = to_topology(6)
+    trace, _ = quick_run(t, SS_TO, init_seed=1, max_steps=3)
+    assert not any(all(spec_to(v, cfg, t) for v in range(t.n)) for cfg in trace.configs)
+    scan = find_disruptions(trace, t, 0, SS_TO)
+    assert scan.never_stabilized and scan.first_anchor is None and scan.records == []
 
 
 def test_oracle_two_node_orientation_converges_everywhere():
@@ -238,6 +228,34 @@ def test_oracle_caps():
     t = st_topology(3)
     with pytest.raises(OracleCapError):
         brute_force_verify(t, SS_ST, "converges-to", level_bound=6, state_cap=100)
+
+
+@pytest.mark.parametrize(
+    "protocol,kwargs,edges,level_bound,worst",
+    [
+        # Δ_z = 2 is tight in the middle of a 5-path
+        pytest.param(SS_TO, dict(byzantine=[2], mode="ss-to"), path_edges(5), 2, (2, 1), id="ss-to-path5-byz-middle-lb2"),
+        pytest.param(
+            SS_ST, dict(root=0, byzantine=[2], mode="ss-st"), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], 3, (3, 3),
+            id="ss-st-cycle5-lb3",
+        ),
+    ],
+)
+def test_oracle_five_processes(protocol, kwargs, edges, level_bound, worst):
+    result = brute_force_verify(build_topology(edges, **kwargs), protocol, "worst-disruptions", level_bound)
+    assert (result.worst_disruptions, result.worst_per_process) == worst and not result.unbounded
+
+
+def test_oracle_refuses_unknown_stability(monkeypatch):
+    # a budget-0 search cannot settle the LC1 anchors of a 4-path with an inner Byzantine process
+    class BudgetZero(StabilityChecker):
+        def __init__(self, topo, protocol, radius, budget=0):
+            super().__init__(topo, protocol, radius, 0)
+
+    monkeypatch.setattr(analysis, "StabilityChecker", BudgetZero)
+    t = to_topology(byz=(1,), edges=path_edges(4))
+    with pytest.raises(OracleCapError, match="budget"):
+        brute_force_verify(t, SS_TO, "worst-disruptions", level_bound=1)
 
 
 # --- fast paths against the exhaustive ones, on small instances --------------
@@ -280,10 +298,10 @@ def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, to
     # ss-to with a Byzantine process keeps level bound 1: every register value
     # of the Byzantine writer multiplies the widened domain below
     level_bound = 1 if protocol is SS_TO and topo.byzantine else 2
-    anchors = list(analysis._enumerate_lc_anchors(topo, protocol, level_bound))
+    anchors = list(analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000))
     for cfg in anchors:
         assert protocol.in_legitimate_set(cfg, topo)
-        assert is_c_legitimate(cfg, topo, 0, protocol.spec)
+        assert all(protocol.spec(v, cfg, topo) for v in c_correct_set(topo, 0))
     # widen every correct process from its anchor states to its whole state
     # domain: the legitimate configurations found must be the anchors
     choices = [
@@ -321,7 +339,6 @@ class _RefGame:
     def __init__(self, topo, protocol, level_bound, radius, state_cap):
         self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
         self.watch = c_correct_set(topo, radius)
-        self.radius = radius
         self.checker = StabilityChecker(topo, protocol, radius)
         self.level_cap = level_bound + 2 * topo.n + 2
         self._anchor_cache = {}
@@ -332,10 +349,7 @@ class _RefGame:
     def is_anchor(self, cfg):
         hit = self._anchor_cache.get(cfg)
         if hit is None:
-            hit = is_c_legitimate(cfg, self.topo, self.radius, self.protocol.spec) and (
-                self.checker.check(cfg) is Stability.STABLE
-            )
-            self._anchor_cache[cfg] = hit
+            hit = self._anchor_cache[cfg] = self.checker.anchor(cfg)
         return hit
 
     def node_id(self, node):
@@ -473,7 +487,7 @@ def _ref_extract_play(game, comp, value, start):
 
 def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000):
     game = _RefGame(topo, protocol, level_bound, 0, state_cap)
-    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if game.is_anchor(c)]
+    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, state_cap) if game.is_anchor(c)]
     result = analysis.OracleResult(prop="worst-disruptions", anchors=len(anchors))
     start_ids = game.expand([(c, False) for c in anchors])
     comp, comp_count = game.sccs()
@@ -503,8 +517,8 @@ def _assert_same_graph(topo, protocol, level_bound, check_moves):
     # the one the earlier game stored on the first edge with that (target, weight)
     game = analysis._Game(topo, protocol, level_bound, 0, 500_000)
     ref = _RefGame(topo, protocol, level_bound, 0, 500_000)
-    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if game.entry(c)[0]]
-    assert anchors == [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound) if ref.is_anchor(c)]
+    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000) if game.entry(c)[0]]
+    assert anchors == [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000) if ref.is_anchor(c)]
     assert game.expand(anchors) == ref.expand([(c, False) for c in anchors])
     assert game.nodes == ref.nodes
     assert game.edges == [[(t, w, min(ch, default=None)) for t, w, ch, _ in out] for out in ref.edges]
@@ -545,9 +559,15 @@ def test_compact_game_matches_move_storing_game(protocol, kwargs, edges, level_b
 
 
 def test_compact_game_state_cap():
+    # the query's 1024 anchor candidates are refused before any is tested;
+    # past that check, the game graph itself stops at the cap
     topo = build_topology([(0, 1), (1, 2), (2, 3), (0, 3)], root=0, byzantine=[2], mode="ss-st")
-    with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
+    with pytest.raises(OracleCapError, match="1024 anchor candidates exceed cap 20"):
         brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=20)
+    game = analysis._Game(topo, SS_ST, 3, 0, 20)
+    anchors = [c for c in analysis._enumerate_lc_anchors(topo, SS_ST, 3, 500_000) if game.entry(c)[0]]
+    with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
+        game.expand(anchors)
 
 
 _edge_lists = st.lists(

@@ -104,23 +104,23 @@ def test_config_file_roundtrip(tmp_path):
     cfg = legitimate_configuration(t, 4)
     path = tmp_path / "c.init"
     write_config_file(str(path), t, cfg, header="roundtrip fixture")
-    assert read_config_file(str(path), t) == cfg
+    assert read_config_file(str(path), t, SS_ST) == cfg
     (tmp_path / "short.init").write_text("state 0 0 0\n")
     with pytest.raises(ScenarioError, match="every process"):
-        read_config_file(str(tmp_path / "short.init"), t)
+        read_config_file(str(tmp_path / "short.init"), t, SS_ST)
     text = path.read_text()
     (tmp_path / "dup.init").write_text(text + "reg 1 0 1 3\n")
     with pytest.raises(ScenarioError, match=r"init file line \d+: second reg for link 1 -> 0"):
-        read_config_file(str(tmp_path / "dup.init"), t)
+        read_config_file(str(tmp_path / "dup.init"), t, SS_ST)
     (tmp_path / "bit.init").write_text(text + "reg 0 2 1 3\n")
     with pytest.raises(ScenarioError, match=r"no other pair: \[\(0, 2\)\]"):
-        read_config_file(str(tmp_path / "bit.init"), t)
+        read_config_file(str(tmp_path / "bit.init"), t, SS_ST)
     (tmp_path / "bit.init").write_text("# two\nreg 0 1 2 3\n")
     with pytest.raises(ScenarioError, match="init file line 2: reg parent bit must be 0 or 1, got 2"):
-        read_config_file(str(tmp_path / "bit.init"), t)
+        read_config_file(str(tmp_path / "bit.init"), t, SS_ST)
     (tmp_path / "missing.init").write_text("".join(line for line in text.splitlines(True) if not line.startswith("reg 0 ")))
     with pytest.raises(ScenarioError, match=r"no other pair: \[\(0, 1\)\]"):
-        read_config_file(str(tmp_path / "missing.init"), t)
+        read_config_file(str(tmp_path / "missing.init"), t, SS_ST)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,7 +130,7 @@ def test_written_config_reads_back(tmp_path, n, seed):
     cfg = arbitrary_configuration(t, SS_ST, seed)
     path = tmp_path / "c.init"
     write_config_file(str(path), t, cfg, header=f"seed {seed}\nsecond line")
-    assert read_config_file(str(path), t) == cfg
+    assert read_config_file(str(path), t, SS_ST) == cfg
 
 
 _WORDS = ("ss-st", "ss-to", "true", "false", "central", "legitimate", "arbitrary", "silent", "period=2", "chain")
@@ -161,7 +161,7 @@ def test_init_file_reader_parses_or_raises_input_error(tmp_path, text):
     path = tmp_path / "fuzz.init"
     path.write_text(text, encoding="utf-8")
     try:
-        read_config_file(str(path), t)
+        read_config_file(str(path), t, SS_ST)
     except InputError:
         pass
 
@@ -268,6 +268,7 @@ _BAD_INPUTS = {
     "dup_state.init": "state 0 0 0\nstate 1 0 0\nstate 1 0 1\nstate 2 0 0\n",
     "latin1.topo": "n 3\n# caf\xe9\nroot 0\nedge 0 1\nedge 1 2\n",
     "latin1.init": "# caf\xe9\n",
+    "prnt0.init": "state 0 1 0\nstate 1 0 0\n",
 }
 
 
@@ -291,6 +292,8 @@ _BAD_INPUTS = {
         pytest.param({"topology": "dup_n.topo"}, "topology line 3", id="repeated-topology-n"),
         pytest.param({"topology": "edge3.topo"}, "topology line 3", id="edge-with-three-ids"),
         pytest.param({"init": "named dup_state.init"}, "init file line 3", id="duplicate-state-line"),
+        pytest.param({**_TO_SCENARIO, "init": "named prnt0.init"}, "init file line 2", id="init-prnt-outside-domain"),
+        pytest.param({"adversary": "level-inflation stpe=2"}, None, id="unknown-adversary-parameter"),
         pytest.param({"init": "legitimate\ninit arbitrary"}, "scenario line 8", id="repeated-init"),
         pytest.param({"topology": "latin1.topo"}, "{tmp}/latin1.topo", id="topology-file-not-utf8"),
         pytest.param({"init": "named latin1.init"}, "{tmp}/latin1.init", id="init-file-not-utf8"),
@@ -355,16 +358,10 @@ def test_oracle_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "worst disruptions: 1" in out
-    rc = main(
-        [
-            "oracle",
-            "--topology",
-            str(REPO / "topologies" / "path6_st.topo"),
-            "--protocol",
-            "ss-st",
-        ]
-    )
-    assert rc == 2  # over the instance-size cap
+    # 7 interior processes of 8 states each already exceed the anchor-candidate cap
+    rc = main(["oracle", "--topology", str(REPO / "topologies" / "chain9_to.topo"), "--protocol", "ss-to"])
+    assert rc == 2
+    assert "exceed cap" in capsys.readouterr().err
 
 
 def test_replay_subcommand(tmp_path, capsys):
@@ -412,6 +409,10 @@ _SWEEP = {
         pytest.param({"init": "legitimat"}, "sweep spec line 9", id="misspelt-init"),
         pytest.param({"protocol": "ss-xx"}, "sweep spec line 1", id="unknown-protocol"),
         pytest.param({"radius": "-1"}, "sweep spec line 9", id="negative-radius"),
+        pytest.param({"f": "-1"}, "sweep spec line 4", id="negative-f"),
+        pytest.param({"n": "4 -2"}, "sweep spec line 3", id="negative-n"),
+        pytest.param({"f": "5"}, None, id="f-above-n"),
+        pytest.param({"protocol": "ss-st", "f": "4"}, None, id="f-above-non-root-processes"),
         pytest.param({"n": "", "topology_kind": "bogus"}, "sweep spec line 2", id="unknown-topology-kind-empty-grid"),
         pytest.param({"n": "", "daemon": "nobody"}, "sweep spec line 9", id="unknown-daemon-empty-grid"),
     ],
@@ -438,13 +439,19 @@ def test_sweep_spec_base_runs(tmp_path):
         pytest.param('{"type": "init", "states": [], "registers": []}\n', id="no-meta-record"),
         pytest.param('{"type": "meta", "protocol": "ss-st"}\n', id="meta-without-topology"),
         pytest.param("[" * 100_000 + "\n", id="nested-too-deep"),
+        pytest.param('{"type": "meta", "protocol": "caf\xe9"}\n', id="not-utf8"),
+        pytest.param(
+            '{"type": "meta", "protocol": "ss-st", "edges": [[0, 0]], "root": 0, "byz": [], "neighbor_order": [[]]}\n',
+            id="topology-error-in-meta",
+        ),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
-    trace = _write(tmp_path, "trace.jsonl", text)
+    trace = tmp_path / "trace.jsonl"
+    trace.write_bytes(text.encode("latin-1"))
     assert main(["replay", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.count(str(trace)) == 1, err
 
 
 def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):

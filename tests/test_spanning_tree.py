@@ -121,7 +121,7 @@ def test_fake_root_shape_is_legitimate():
         ProcessState(pos[5][4], 2),
     ]
     cfg = Configuration(tuple(states), consistent_registers(t, states))
-    assert analysis.is_c_legitimate(cfg, t, 0, spec_st)
+    assert all(spec_st(v, cfg, t) for v in analysis.c_correct_set(t, 0))
     assert in_lc(cfg, t)  # levels happen to chain correctly here
 
 
