@@ -13,7 +13,7 @@ import random
 from typing import Optional
 
 from . import analysis
-from .engine import ByzWrite, Configuration, ProcessState, Protocol, RegisterValue, enabled_correct
+from .engine import ByzWrite, Configuration, ProcessState, Protocol, RegisterValue, quiescent
 from .topology import Topology, TopologyError
 
 
@@ -156,7 +156,7 @@ class ChainReplayAdversary(Adversary):
     def act(self, config, topo, pid):
         if self._exhausted() or pid != self._writer:
             return None
-        if enabled_correct(topo, config, self.protocol):
+        if not quiescent(topo, config, self.protocol):
             return None  # wait out the current wave
         level = max(config.states[v].level for v in topo.correct) + self.step
         self._writer = self._endpoints[1] if pid == self._endpoints[0] else self._endpoints[0]
@@ -183,6 +183,8 @@ class MaxDamageAdversary(Adversary):
         super().__init__(params, seed, topo, protocol)
         self.level_bound = int(params.get("level_bound", 3))
         self.radius = int(params.get("radius", 0))
+        if min(self.level_bound, self.radius) < 0:
+            raise ValueError(f"max-damage needs level_bound and radius >= 0, got {self.level_bound} and {self.radius}")
         self._script: Optional[list] = None
         self._i = 0
         self._pending: dict[int, ByzWrite] = {}

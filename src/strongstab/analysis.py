@@ -35,7 +35,7 @@ from .engine import (
     consistent_registers,
     fire,
 )
-from .topology import Topology, distance_to_byzantine
+from .topology import InputError, Topology, distance_to_byzantine
 
 
 class OracleCapError(RuntimeError):
@@ -343,6 +343,7 @@ def brute_force_verify(
 
     OracleCapError: more initial configurations or anchor candidates than
     `state_cap`, a larger game graph, or a stability search out of budget.
+    InputError: no anchor within `level_bound`, so there is no worst case.
     """
     if prop == "converges-to":
         return _oracle_converges(topo, protocol, level_bound, state_cap)
@@ -604,8 +605,7 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
     if game.checker.saw_unknown:
         raise OracleCapError("a stability search exhausted its budget, so the anchors are not exact")
     if not anchor_list:
-        result.worst_disruptions = result.worst_per_process = 0
-        return result
+        raise InputError(f"no legitimate stable configuration has levels within level bound {level_bound}")
 
     comp = game.condense()
     result.states_explored = len(game.nodes)

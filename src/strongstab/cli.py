@@ -35,6 +35,7 @@ from .engine import (
     check_locality,
     check_replay,
     read_trace,
+    round_boundaries,
     run,
     write_trace,
 )
@@ -434,6 +435,8 @@ def _summarize(rows) -> list[str]:
 
 
 def cmd_oracle(args) -> int:
+    if args.level_bound < 0:
+        raise InputError(f"--level-bound must be non-negative, got {args.level_bound}")
     topo = load_topology(args.topology, neighbor_seed=args.neighbor_seed, mode=args.protocol)
     result = analysis.brute_force_verify(topo, PROTOCOLS[args.protocol], args.property, args.level_bound)
     if result.prop == "converges-to":
@@ -464,6 +467,9 @@ def cmd_replay(args) -> int:
         if protocol is not None:
             check_locality(trace, topo)
             check_replay(trace, topo, protocol)
+            rounds = round_boundaries(trace, topo.correct)
+            if trace.round_ends != rounds:
+                raise EngineError(f"recorded round_ends differ from the {len(rounds)} rounds the steps complete")
     except EngineError as exc:
         print(f"replay FAILED: {exc}")
         return 1

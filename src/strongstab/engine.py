@@ -11,9 +11,9 @@ their own state and output registers.
 Guards and actions receive a LocalView and nothing else: no process ids, no
 topology beyond the local degree. That is what keeps protocols anonymous.
 
-One step kernel serves every caller: `fire` evaluates a correct process's
-guards once and returns its action and effect, and `apply_effects` is the
-only code that writes effects into a configuration.
+One step kernel serves every caller: `fire` returns a correct process's
+first enabled action and its effect, and `apply_effects` is the only code
+that writes effects into a configuration.
 """
 
 from __future__ import annotations
@@ -120,10 +120,12 @@ class Protocol:
       (whether it reads in-registers' parent bits), `bounds` (the `Bound`
       records of its theorems) and `legitimate_kinds` (the subsets
       `legitimate_configuration` draws from besides its default);
-    - `actions` (and `enabled`, where guards share predicates); `spec`, the
-      per-process specification; `in_legitimate_set`, which the oracle
-      converges to and anchors in; `fast_stable`, a sufficient stability
-      test that spares the search; and `legitimate_configuration`;
+    - `actions`, each role's guarded actions in priority order, each
+      guarded by its own paper predicate: `fire` takes the first whose
+      guard holds, so no guard repeats the negations of those before it;
+      `spec`, the per-process specification; `in_legitimate_set`, which the
+      oracle converges to and anchors in; `fast_stable`, a sufficient
+      stability test that spares the search; and `legitimate_configuration`;
     - `sweep_placement` and `anchor_states` where the defaults do not fit.
     """
 
@@ -139,11 +141,6 @@ class Protocol:
 
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         raise NotImplementedError
-
-    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
-        """The actions whose guards hold in `view`, in declaration order.
-        Overrides may share predicates between guards but must return this."""
-        return [a for a in self.actions(role) if a.guard(view)]
 
     def spec(self, v: int, config: Configuration, topo: Topology) -> bool:
         raise NotImplementedError
@@ -243,22 +240,19 @@ def local_view(topo: Topology, config: Configuration, v: int) -> LocalView:
 
 
 def fire(topo: Topology, protocol: Protocol, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
-    """The step kernel: the label and effect of the action correct process
-    `v` fires in `config`, or None when no guard holds. The protocol's
-    `enabled` evaluates each guard once."""
+    """The step kernel: the label and effect of the first of correct process
+    `v`'s actions, in priority order, whose guard holds in `config`, or None
+    when none holds. Guards after the first match are not evaluated."""
     view = local_view(topo, config, v)
-    enabled = protocol.enabled(protocol.role_of(topo, v), view)
-    if not enabled:
-        return None
-    if len(enabled) > 1:
-        # the protocols under study write mutually exclusive guards; two
-        # enabled guards at once means the transliteration is wrong
-        raise EngineError(f"guards not mutually exclusive at {v}: {[a.label for a in enabled]}")
-    return enabled[0].label, enabled[0].effect(view)
+    for action in protocol.actions(protocol.role_of(topo, v)):
+        if action.guard(view):
+            return action.label, action.effect(view)
+    return None
 
 
-def enabled_correct(topo: Topology, config: Configuration, protocol: Protocol) -> list[int]:
-    return [v for v in sorted(topo.correct) if fire(topo, protocol, config, v) is not None]
+def quiescent(topo: Topology, config: Configuration, protocol: Protocol) -> bool:
+    """Whether no correct process has an enabled action in `config`."""
+    return all(fire(topo, protocol, config, v) is None for v in sorted(topo.correct))
 
 
 def apply_effects(
@@ -380,7 +374,7 @@ def run(
         if stop.predicate is not None and stop.predicate(config):
             stop_reason = "predicate"
             break
-        if adversary.pledges_silence() and not enabled_correct(topo, config, protocol):
+        if adversary.pledges_silence() and quiescent(topo, config, protocol):
             stop_reason = "quiescent"
             break
         if t >= stop.max_steps:
@@ -463,6 +457,30 @@ def out_registers(prnt: int, level: int, degree: int) -> tuple[RegisterValue, ..
     return tuple(RegisterValue(prnt=(k == prnt), level=level) for k in range(1, degree + 1))
 
 
+def registers_stale(state: ProcessState, out_regs: Sequence[RegisterValue]) -> bool:
+    """Whether some register of `out_regs` differs from what `out_registers`
+    writes there for `state`."""
+    prnt, level = state
+    for k, reg in enumerate(out_regs, 1):
+        if reg != (k == prnt, level):
+            return True
+    return False
+
+
+def out_of_sync(view: LocalView) -> bool:
+    """The register-sync guard: out-registers disagree with the local state
+    (needs a valid parent)."""
+    if not 1 <= view.state.prnt <= view.degree:
+        raise ValueError("out_of_sync needs prnt in 1..degree")
+    return registers_stale(view.state, view.out_regs)
+
+
+def resync(view: LocalView) -> LocalEffect:
+    """The register-sync effect: keep the state, rewrite the out-registers."""
+    state = view.state
+    return LocalEffect(state, out_registers(state.prnt, state.level, view.degree))
+
+
 def consistent_registers(topo: Topology, states: Sequence[ProcessState]) -> tuple[RegisterValue, ...]:
     """Registers every process would write for its own state."""
     registers: list[RegisterValue] = [RegisterValue(False, 0)] * topo.num_registers
@@ -479,8 +497,8 @@ def consistent_registers(topo: Topology, states: Sequence[ProcessState]) -> tupl
 #   out-registers;
 # - replay, one pass: the trace starts at its initial configuration, and
 #   each step, re-executed from its recorded before-configuration, finds
-#   mutually exclusive guards, the recorded action enabled at every activated
-#   correct process (priority), and the recorded after-configuration as the
+#   the recorded action first enabled at every activated correct process
+#   (priority), and the recorded after-configuration as the
 #   merge of effects computed against the before-configuration (simultaneity);
 # - fairness: no correct process idles for `bound` consecutive steps.
 

@@ -21,10 +21,11 @@ from .engine import (
     LocalView,
     ProcessState,
     Protocol,
-    RegisterValue,
     consistent_registers,
     out_registers,
+    registers_stale,
 )
+from .engine import out_of_sync as pred2, resync as ga2  # the paper's names for the register-sync rule
 from .topology import Topology, TopologyError
 
 
@@ -35,9 +36,7 @@ def next_after(k: int, degree: int) -> int:
 
 def pred0(view: LocalView) -> bool:
     """Root is out of shape: nonzero state or any out-register not (false, 0)."""
-    if view.state.prnt != 0 or view.state.level != 0:
-        return True
-    return any(r != RegisterValue(False, 0) for r in view.out_regs)
+    return view.state != (0, 0) or registers_stale(view.state, view.out_regs)
 
 
 def pred1(view: LocalView) -> bool:
@@ -48,19 +47,6 @@ def pred1(view: LocalView) -> bool:
     return view.state.level != view.in_regs[prnt - 1].level + 1
 
 
-def pred2(view: LocalView) -> bool:
-    """Out-registers disagree with the local state (requires a valid parent)."""
-    prnt = view.state.prnt
-    if not 1 <= prnt <= view.degree:
-        raise ValueError("pred2 needs prnt in 1..degree")
-    level = view.state.level
-    for k, reg in enumerate(view.out_regs, 1):
-        want = RegisterValue(prnt=(k == prnt), level=level)
-        if reg != want:
-            return True
-    return False
-
-
 def ga0(view: LocalView) -> LocalEffect:
     return LocalEffect(state=ProcessState(0, 0), out_regs=out_registers(0, 0, view.degree))
 
@@ -68,11 +54,6 @@ def ga0(view: LocalView) -> LocalEffect:
 def ga1(view: LocalView) -> LocalEffect:
     prnt = next_after(view.state.prnt, view.degree)
     level = view.in_regs[prnt - 1].level + 1
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
-
-
-def ga2(view: LocalView) -> LocalEffect:
-    prnt, level = view.state.prnt, view.state.level
     return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
@@ -105,7 +86,7 @@ def in_lc(config: Configuration, topo: Topology) -> bool:
     for v in sorted(topo.correct):
         st = config.states[v]
         if v == topo.root:
-            if st.prnt != 0 or st.level != 0:
+            if st != (0, 0):
                 return False
         else:
             if not 1 <= st.prnt <= topo.degree(v):
@@ -117,9 +98,8 @@ def in_lc(config: Configuration, topo: Topology) -> bool:
                 shown = config.states[parent].level
             if st.level != shown + 1:
                 return False
-        for k, slot in enumerate(topo.out_slot[v], 1):
-            if config.registers[slot] != RegisterValue(prnt=(k == st.prnt), level=st.level):
-                return False
+        if registers_stale(st, config.registers[topo.register_access[v][2]]):
+            return False
     return True
 
 
@@ -176,19 +156,11 @@ class SpanningTreeProtocol(Protocol):
     )
 
     _root_actions = (GuardedAction("GA0", pred0, ga0),)
-    _node_actions = (
-        GuardedAction("GA1", pred1, ga1),
-        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
-    )
+    # in the paper's priority order: GA2 fires only where pred1 does not hold
+    _node_actions = (GuardedAction("GA1", pred1, ga1), GuardedAction("GA2", pred2, ga2))
 
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         return self._root_actions if role == "root" else self._node_actions
-
-    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
-        if role == "root":
-            return super().enabled(role, view)
-        a1, a2 = self._node_actions  # the node guards, with pred1 evaluated once
-        return [a1] if pred1(view) else [a2] if pred2(view) else []
 
     spec = staticmethod(spec_st)
     in_legitimate_set = staticmethod(in_lc)

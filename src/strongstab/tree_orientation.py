@@ -28,7 +28,9 @@ from .engine import (
     RegisterValue,
     consistent_registers,
     out_registers,
+    registers_stale,
 )
+from .engine import out_of_sync as pred3, resync as ga3  # the paper's names for the register-sync rule
 from .topology import InputError, Topology, TopologyError
 
 
@@ -47,17 +49,6 @@ def pred2(view: LocalView) -> bool:
     )
 
 
-def pred3(view: LocalView) -> bool:
-    """Out-registers disagree with the local state."""
-    prnt, level = view.state.prnt, view.state.level
-    if not 1 <= prnt <= view.degree:
-        raise ValueError("pred3 needs prnt in 1..degree")
-    for k, reg in enumerate(view.out_regs, 1):
-        if reg != RegisterValue(prnt=(k == prnt), level=level):
-            return True
-    return False
-
-
 def ga1(view: LocalView) -> LocalEffect:
     # adopt the maximal advertised level; ties go to the lowest neighbor index
     best = max(r.level for r in view.in_regs)
@@ -73,11 +64,6 @@ def ga2(view: LocalView) -> LocalEffect:
         if k != old_prnt and r.level == level and not r.prnt
     )
     level += 1
-    return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
-
-
-def ga3(view: LocalView) -> LocalEffect:
-    prnt, level = view.state.prnt, view.state.level
     return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
@@ -161,12 +147,10 @@ def classify_subtree(config: Configuration, topo: Topology, subtree: frozenset[i
 
 def _registers_consistent(config: Configuration, topo: Topology, who) -> bool:
     for v in who:
+        degree, _, out = topo.register_access[v]
         st = config.states[v]
-        if not 1 <= st.prnt <= topo.degree(v):
+        if not 1 <= st.prnt <= degree or registers_stale(st, config.registers[out]):
             return False
-        for k, slot in enumerate(topo.out_slot[v], 1):
-            if config.registers[slot] != RegisterValue(prnt=(k == st.prnt), level=st.level):
-                return False
     return True
 
 
@@ -309,19 +293,15 @@ class TreeOrientationProtocol(Protocol):
     )
     legitimate_kinds = LEGITIMATE_KINDS
 
+    # in the paper's priority order: an action fires only where no earlier guard holds
     _actions = (
         GuardedAction("GA1", pred1, ga1),
-        GuardedAction("GA2", lambda v: not pred1(v) and pred2(v), ga2),
-        GuardedAction("GA3", lambda v: not pred1(v) and not pred2(v) and pred3(v), ga3),
+        GuardedAction("GA2", pred2, ga2),
+        GuardedAction("GA3", pred3, ga3),
     )
 
     def actions(self, role: str) -> tuple[GuardedAction, ...]:
         return self._actions
-
-    def enabled(self, role: str, view: LocalView) -> list[GuardedAction]:
-        # the guards above, with pred1 and pred2 evaluated once
-        a1, a2, a3 = self._actions
-        return [a1] if pred1(view) else [a2] if pred2(view) else [a3] if pred3(view) else []
 
     spec = staticmethod(spec_to)
 

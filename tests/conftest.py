@@ -2,7 +2,17 @@ import random
 
 from hypothesis import strategies as st
 
-from strongstab.engine import Daemon, StopCondition, arbitrary_configuration, run
+from strongstab.engine import (
+    Configuration,
+    Daemon,
+    ProcessState,
+    RegisterValue,
+    StopCondition,
+    arbitrary_configuration,
+    fire,
+    local_view,
+    run,
+)
 from strongstab.adversary import make_adversary
 from strongstab.topology import (
     build_topology,
@@ -70,6 +80,20 @@ def quick_run(topo, protocol, adversary_name="silent", adversary_params=None, *,
         init = arbitrary_configuration(topo, protocol, init_seed)
     trace = run(topo, protocol, adv, daemon, init, StopCondition(max_steps=max_steps, predicate=predicate))
     return trace, daemon
+
+
+def fired_label(protocol, role, view):
+    """The label of the action `engine.fire` picks for a process in `role`
+    that sees exactly `view`, or None: fire at the center of a star."""
+    root = None if protocol.name == "ss-to" else 0 if role == "root" else 1
+    topo = build_topology([(0, k) for k in range(1, view.degree + 1)], root=root, mode=protocol.name)
+    registers = [RegisterValue(False, 0)] * topo.num_registers
+    for slot, value in zip(topo.in_slot[0] + topo.out_slot[0], view.in_regs + view.out_regs):
+        registers[slot] = value
+    config = Configuration((view.state,) + (ProcessState(1, 0),) * view.degree, tuple(registers))
+    assert local_view(topo, config, 0) == view and protocol.role_of(topo, 0) == role
+    fired = fire(topo, protocol, config, 0)
+    return fired and fired[0]
 
 
 def keyed_text(arity, words=()):

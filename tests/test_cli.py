@@ -261,6 +261,9 @@ def test_usage_and_parse_errors_exit_two(tmp_path):
 _TO_SCENARIO = {"protocol": "ss-to", "topology": "p3_to.topo", "bounds": "to_disruptions to_changes"}
 
 
+# the setting under which max-damage plays its game: a hostile central daemon from a legitimate start
+_MAX_DAMAGE = {"daemon": "central", "hostile": "true", "fairness_bound": "100", "init": "legitimate"}
+
 # input files a scenario below can name; each holds one error on the named line
 _BAD_INPUTS = {
     "dup_n.topo": "n 3\nroot 0\nn 2\nedge 0 1\nedge 1 2\n",
@@ -298,6 +301,8 @@ _BAD_INPUTS = {
         pytest.param({"topology": "latin1.topo"}, "{tmp}/latin1.topo", id="topology-file-not-utf8"),
         pytest.param({"init": "named latin1.init"}, "{tmp}/latin1.init", id="init-file-not-utf8"),
         pytest.param({"STRONGSTAB_SEED": "x"}, "STRONGSTAB_SEED", id="non-integer-seed-variable"),
+        pytest.param({**_MAX_DAMAGE, "adversary": "max-damage radius=-1"}, None, id="max-damage-negative-radius"),
+        pytest.param({**_MAX_DAMAGE, "adversary": "max-damage level_bound=-1"}, None, id="max-damage-negative-level-bound"),
     ],
 )
 def test_scenario_input_errors_exit_two(tmp_path, capsys, monkeypatch, over, where):
@@ -362,6 +367,24 @@ def test_oracle_subcommand(capsys):
     rc = main(["oracle", "--topology", str(REPO / "topologies" / "chain9_to.topo"), "--protocol", "ss-to"])
     assert rc == 2
     assert "exceed cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "topology, level_bound, message",
+    [
+        pytest.param("path3_st", -1, "--level-bound must be non-negative", id="negative-level-bound"),
+        pytest.param("path3_st", 0, "within level bound 0", id="path3-no-anchor-at-0"),
+        pytest.param("star6_st", 0, "within level bound 0", id="star6-no-anchor-at-0"),
+        pytest.param("path6_st", 0, "within level bound 0", id="path6-no-anchor-at-0"),
+        pytest.param("path6_st", 1, "within level bound 1", id="path6-no-anchor-at-1"),
+    ],
+)
+def test_oracle_refuses_a_query_without_anchors(capsys, topology, level_bound, message):
+    topo = str(REPO / "topologies" / f"{topology}.topo")
+    assert main(["oracle", "--topology", topo, "--protocol", "ss-st", "--level-bound", str(level_bound)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and message in captured.err, captured.err
 
 
 def test_replay_subcommand(tmp_path, capsys):
@@ -452,6 +475,16 @@ def test_replay_input_errors_exit_two(tmp_path, capsys, text):
     assert main(["replay", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.count(str(trace)) == 1, err
+
+
+def test_replay_recomputes_the_recorded_round_ends(tmp_path, capsys):
+    lines = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    end = json.loads(lines[-1])
+    assert end["type"] == "end" and len(end["round_ends"]) == 3
+    path = tmp_path / "trace.jsonl"
+    path.write_text("\n".join(lines[:-1] + [json.dumps({**end, "round_ends": list(range(1, 13))})]) + "\n")
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out == "replay FAILED: recorded round_ends differ from the 3 rounds the steps complete\n"
 
 
 def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_edges, quick_run, st_topology, to_topology
+from conftest import fired_label, path_edges, quick_run, st_topology, to_topology
 
 from strongstab.engine import (
     ByzWrite,
@@ -14,7 +14,6 @@ from strongstab.engine import (
     ExecutionTrace,
     LocalView,
     ProcessState,
-    Protocol,
     RegisterValue,
     Step,
     StopCondition,
@@ -30,6 +29,7 @@ from strongstab.engine import (
     run,
     write_trace,
 )
+from strongstab import spanning_tree, tree_orientation
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
 from strongstab.tree_orientation import SS_TO
 
@@ -204,9 +204,9 @@ def test_guard_evaluation_is_pure_and_ordered():
     t = st_topology(3)
     cfg = arbitrary_configuration(t, SS_ST, 12)
     view = local_view(t, cfg, 1)
-    labels = [a.label for a in SS_ST.enabled("node", view)]
-    assert labels == [a.label for a in SS_ST.enabled("node", view)]
-    assert labels in ([], ["GA1"], ["GA2"])
+    label = fired_label(SS_ST, "node", view)
+    assert label == fired_label(SS_ST, "node", view)
+    assert label in (None, "GA1", "GA2")
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -317,22 +317,6 @@ def test_audit_rejects_byzantine_write_recorded_for_correct_process():
         check_trace(_tampered(trace, steps={i: forged}), t, SS_ST, bound)
 
 
-def test_step_rejects_overlapping_guards():
-    from strongstab.engine import GuardedAction, LocalEffect, Protocol
-
-    class Overlapping(Protocol):
-        name = "overlapping"
-
-        def actions(self, role):
-            keep = lambda view: LocalEffect(view.state, view.out_regs)
-            return (GuardedAction("A", lambda view: True, keep), GuardedAction("B", lambda view: True, keep))
-
-    t = st_topology(3)
-    step = Step(frozenset({1}), {1: "A"}, {})
-    with pytest.raises(EngineError, match="not mutually exclusive"):
-        apply_step(_quiescent_config(t), step, Overlapping(), t)
-
-
 def test_audit_rejects_fairness_gap():
     t, trace, bound = _byz_trace()
     with pytest.raises(EngineError, match="fairness violated"):
@@ -341,12 +325,31 @@ def test_audit_rejects_fairness_gap():
 
 # --- differential: the one-pass audit against the five separate checks ------
 
+# the paper's guards per protocol and role, each with the negations of the ones before it
+_TO, _ST = tree_orientation, spanning_tree
+PAPER_GUARDS = {
+    ("ss-to", "node"): (
+        ("GA1", _TO.pred1),
+        ("GA2", lambda v: not _TO.pred1(v) and _TO.pred2(v)),
+        ("GA3", lambda v: not _TO.pred1(v) and not _TO.pred2(v) and _TO.pred3(v)),
+    ),
+    ("ss-st", "node"): (("GA1", _ST.pred1), ("GA2", lambda v: not _ST.pred1(v) and _ST.pred2(v))),
+    ("ss-st", "root"): (("GA0", _ST.pred0),),
+}
+
+
+def _paper_enabled(protocol, role, view):
+    return [label for label, guard in PAPER_GUARDS[protocol.name, role] if guard(view)]
+
+
 def _ref_fire(topo, protocol, config, pid):
     view = local_view(topo, config, pid)
-    enabled = [a for a in protocol.actions(protocol.role_of(topo, pid)) if a.guard(view)]
+    role = protocol.role_of(topo, pid)
+    enabled = _paper_enabled(protocol, role, view)
     if len(enabled) > 1:
-        raise EngineError(f"guards not mutually exclusive: {[a.label for a in enabled]}")
-    return (enabled[0], view) if enabled else (None, view)
+        raise EngineError(f"guards not mutually exclusive: {enabled}")
+    actions = {a.label: a for a in protocol.actions(role)}
+    return (actions[enabled[0]] if enabled else None), view
 
 
 def _ref_merge(topo, config, effects):
@@ -416,7 +419,7 @@ def _ref_check_priority(trace, topo, protocol):
     for i, step in enumerate(trace.steps):
         for pid in step.activated - topo.byzantine:
             view = local_view(topo, trace.configs[i], pid)
-            enabled = [a.label for a in protocol.enabled(protocol.role_of(topo, pid), view)]
+            enabled = _paper_enabled(protocol, protocol.role_of(topo, pid), view)
             if len(enabled) > 1:
                 raise EngineError("priority")
             if step.actions.get(pid) != (enabled[0] if enabled else None):
@@ -544,13 +547,13 @@ def test_fairness_scan_matches_window_unions(n, bound, sets):
     assert message(check_fairness) == message(_ref_check_fairness)
 
 
-# --- protocol `enabled` overrides against the per-guard list -----------------
+# --- `fire` against the paper's guards ---------------------------------------
 
-def _enabled_outcome(enabled, role, view):
+def _outcome(fn, *args):
     try:
-        return [a.label for a in enabled(role, view)]
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+        return fn(*args)
+    except ValueError:
+        return ValueError
 
 
 _registers = st.builds(RegisterValue, st.booleans(), st.integers(0, 3))
@@ -566,17 +569,23 @@ def _views(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(protocol_role=st.sampled_from([(SS_TO, "node"), (SS_ST, "node"), (SS_ST, "root")]), view=_views())
-def test_enabled_override_equals_per_guard_list(protocol_role, view):
-    protocol, role = protocol_role
-    base = _enabled_outcome(lambda r, v: Protocol.enabled(protocol, r, v), role, view)
-    assert _enabled_outcome(protocol.enabled, role, view) == base
+@given(case=st.sampled_from(sorted(PAPER_GUARDS)), view=_views())
+def test_fire_takes_the_one_paper_guard_that_holds(case, view):
+    protocol = {"ss-to": SS_TO, "ss-st": SS_ST}[case[0]]
+    enabled = _outcome(_paper_enabled, protocol, case[1], view)
+    label = _outcome(fired_label, protocol, case[1], view)
+    if enabled is ValueError:
+        assert label is ValueError
+    else:
+        assert len(enabled) <= 1
+        assert label == (enabled[0] if enabled else None)
 
 
-def test_enabled_override_raises_where_the_guards_raise():
+def test_fire_raises_where_the_paper_guards_raise():
     # no higher neighbor, the equal neighbor claims this process, prnt 0:
     # only pred3 is left to decide, and it needs a valid parent
     view = LocalView(ProcessState(0, 2), 1, (RegisterValue(True, 2),), (RegisterValue(False, 2),))
-    for enabled in (SS_TO.enabled, lambda r, v: Protocol.enabled(SS_TO, r, v)):
-        with pytest.raises(ValueError, match="pred3"):
-            enabled("node", view)
+    with pytest.raises(ValueError, match="needs prnt"):
+        _paper_enabled(SS_TO, "node", view)
+    with pytest.raises(ValueError, match="needs prnt"):
+        fired_label(SS_TO, "node", view)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quick_run, random_st_topology, st_topology
+from conftest import fired_label, quick_run, random_st_topology, st_topology
 
 from strongstab.engine import (
     Configuration,
@@ -10,7 +10,7 @@ from strongstab.engine import (
     ProcessState,
     RegisterValue,
     consistent_registers,
-    enabled_correct,
+    quiescent,
     local_view,
 )
 from strongstab.spanning_tree import (
@@ -45,14 +45,14 @@ def test_round_robin_successor(k, degree, expect):
 def test_quiescent_root_has_no_enabled_guard():
     v = view(0, 0, 2)
     assert not pred0(v)
-    assert [a.label for a in SS_ST.enabled("root", v)] == []
+    assert fired_label(SS_ST, "root", v) is None
 
 
 def test_root_with_nonzero_level_fires_reset():
-    assert [a.label for a in SS_ST.enabled("root", view(0, 7, 2))] == ["GA0"]
+    assert fired_label(SS_ST, "root", view(0, 7, 2)) == "GA0"
     # a dirty out-register alone also triggers the reset
     dirty = view(0, 0, 2, out_regs=[RegisterValue(False, 0), RegisterValue(True, 0)])
-    assert [a.label for a in SS_ST.enabled("root", dirty)] == ["GA0"]
+    assert fired_label(SS_ST, "root", dirty) == "GA0"
 
 
 def test_parentless_process_is_enabled():
@@ -66,14 +66,14 @@ def test_quiescent_non_root():
     v = view(2, 5, 2, in_regs, out_regs)
     assert not pred1(v)
     assert not pred2(v)
-    assert [a.label for a in SS_ST.enabled("node", v)] == []
+    assert fired_label(SS_ST, "node", v) is None
 
 
 def test_register_mismatch_enables_rewrite_only():
     in_regs = [RegisterValue(False, 4), RegisterValue(False, 1)]
     stale = [RegisterValue(False, 0), RegisterValue(False, 5)]
     v = view(2, 2, 2, in_regs, stale)
-    assert [a.label for a in SS_ST.enabled("node", v)] == ["GA2"]
+    assert fired_label(SS_ST, "node", v) == "GA2"
 
 
 def test_adoption_reads_the_new_parents_register():
@@ -151,7 +151,7 @@ def test_closure_no_correct_process_enabled_in_lc(n, f, seed):
     t = random_st_topology(n, min(f, n - 2), seed)
     cfg = legitimate_configuration(t, seed + 1)
     assert in_lc(cfg, t)
-    assert enabled_correct(t, cfg, SS_ST) == []
+    assert quiescent(t, cfg, SS_ST)
 
 
 def test_round_robin_recovery_on_traces():

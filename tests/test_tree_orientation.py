@@ -1,7 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quick_run, random_to_topology, to_topology
+from conftest import fired_label, quick_run, random_to_topology, to_topology
 
 from strongstab.engine import (
     Configuration,
@@ -9,7 +9,7 @@ from strongstab.engine import (
     ProcessState,
     RegisterValue,
     consistent_registers,
-    enabled_correct,
+    quiescent,
 )
 from strongstab.tree_orientation import (
     SS_TO,
@@ -40,20 +40,20 @@ def view(prnt, level, in_regs, out_regs=None):
 def test_higher_neighbor_level_enables_adoption():
     v = view(1, 3, [RegisterValue(True, 2), RegisterValue(False, 9)])
     assert pred1(v)
-    assert [a.label for a in SS_TO.enabled("node", v)] == ["GA1"]
+    assert fired_label(SS_TO, "node", v) == "GA1"
 
 
 def test_equal_level_unoriented_edge_enables_tiebreak():
     v = view(1, 4, [RegisterValue(True, 4), RegisterValue(False, 4)])
     assert not pred1(v)
     assert pred2(v)
-    assert [a.label for a in SS_TO.enabled("node", v)] == ["GA2"]
+    assert fired_label(SS_TO, "node", v) == "GA2"
 
 
 def test_consistent_registers_leave_nothing_enabled():
     v = view(2, 4, [RegisterValue(False, 3), RegisterValue(True, 4)])
     assert not pred3(v)
-    assert [a.label for a in SS_TO.enabled("node", v)] == []
+    assert fired_label(SS_TO, "node", v) is None
 
 
 def test_adoption_takes_the_maximum_with_lowest_index_ties():
@@ -67,7 +67,7 @@ def test_adoption_takes_the_maximum_with_lowest_index_ties():
 def test_mutual_root_link_is_stable():
     # both endpoints point at each other with equal levels: nothing fires
     v = view(1, 4, [RegisterValue(True, 4)])
-    assert [a.label for a in SS_TO.enabled("node", v)] == []
+    assert fired_label(SS_TO, "node", v) is None
 
 
 def test_tiebreak_increments_and_adopts_hand_traced_chain():
@@ -80,7 +80,7 @@ def test_tiebreak_increments_and_adopts_hand_traced_chain():
     in_regs[k_u - 1] = RegisterValue(False, 4)
     in_regs[k_w - 1] = RegisterValue(True, 4)
     v = view(k_w, 4, in_regs)
-    assert [a.label for a in SS_TO.enabled("node", v)] == ["GA2"]
+    assert fired_label(SS_TO, "node", v) == "GA2"
     effect = ga2(v)
     assert effect.state == ProcessState(k_u, 5)
     assert effect.out_regs[k_u - 1] == RegisterValue(True, 5)
@@ -162,7 +162,7 @@ def test_lc0_generator_members_are_quiescent(n, seed):
     t = random_to_topology(n, 0, seed)
     cfg = legitimate_configuration(t, seed, kind="lc0")
     assert in_lc0(cfg, t)
-    assert enabled_correct(t, cfg, SS_TO) == []
+    assert quiescent(t, cfg, SS_TO)
 
 
 @settings(max_examples=30, deadline=None)
