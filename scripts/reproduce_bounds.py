@@ -26,8 +26,9 @@ def main() -> int:
     failures += cli("sweep", "--spec", "sweeps/to_fault_free.sweep", "--out", str(RESULTS / "to_ff"))
     failures += cli("sweep", "--spec", "sweeps/st_byzantine_mix.sweep", "--out", str(RESULTS / "st_mix"))
 
-    # the two-Byzantine chain has no bounded worst case, so only the paths are queried;
-    # on the 5-path the worst case meets Delta_z = 2
+    # the two-Byzantine chain has no bounded worst case, so only the paths and the star
+    # are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star it is
+    # 0 <= Delta_z = 3
     failures += cli(
         "oracle", "--topology", "topologies/path3_st.topo", "--protocol", "ss-st",
         "--property", "worst-disruptions", "--level-bound", "3",
@@ -35,6 +36,10 @@ def main() -> int:
     failures += cli(
         "oracle", "--topology", "topologies/path5_to.topo", "--protocol", "ss-to",
         "--property", "worst-disruptions", "--level-bound", "2",
+    )
+    failures += cli(
+        "oracle", "--topology", "topologies/star4_to.topo", "--protocol", "ss-to",
+        "--property", "worst-disruptions", "--level-bound", "3",
     )
 
     failures += cli(

@@ -27,13 +27,13 @@ from typing import Optional
 from .engine import (
     ByzWrite,
     Configuration,
-    EngineError,
     ExecutionTrace,
     Protocol,
     RegisterValue,
     apply_effects,
     consistent_registers,
     fire,
+    local_view,
 )
 from .topology import InputError, Topology, distance_to_byzantine
 
@@ -352,17 +352,36 @@ def brute_force_verify(
     raise ValueError(f"unknown oracle property {prop!r}")
 
 
-def _singleton_moves(topo: Topology, protocol: Protocol, cfg: Configuration):
-    for v in sorted(topo.correct):
-        fired = fire(topo, protocol, cfg, v)
-        if fired is not None:
-            yield v, apply_effects(cfg, topo, [(v, fired[1])])
+class _LocalMoves:
+    """One query's memo of `fire`: `memo[v]` maps v's local view (state,
+    in- and out-registers) to `fire`'s result, which is exact because `fire`
+    reads only the view and v fixes the role. Called on a configuration, it
+    yields (v, next configuration) per correct v whose action fires, in id
+    order; OracleCapError when a move takes v's level past the level cap."""
+
+    def __init__(self, topo: Topology, protocol: Protocol, level_bound: int):
+        self.topo, self.protocol = topo, protocol
+        self.level_cap = level_bound + 2 * topo.n + 2
+        self.memo: dict[int, dict] = {v: {} for v in sorted(topo.correct)}
+
+    def __call__(self, cfg: Configuration):
+        topo = self.topo
+        for v, seen in self.memo.items():
+            view = local_view(topo, cfg, v)
+            fired = seen.get(view, seen)
+            if fired is seen:
+                fired = fire(topo, self.protocol, cfg, v)
+                if fired is not None and fired[1].state.level > self.level_cap:
+                    raise OracleCapError("level escaped the bounded domain")
+                seen[view] = fired
+            if fired is not None:
+                yield v, apply_effects(cfg, topo, [(v, fired[1])])
 
 
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    level_cap = level_bound + 2 * topo.n + 2
+    moves = _LocalMoves(topo, protocol, level_bound)
 
     per_state = math.prod(len(protocol.state_domain(topo.degree(v), level_bound)) for v in range(topo.n))
     total = per_state * (2 * (level_bound + 1)) ** topo.num_registers
@@ -388,11 +407,7 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
                     result.diverged_by_cycle = True
                     cycle_nodes.add(cfg)
                     continue
-                succs = []
-                for _, nxt in _singleton_moves(topo, protocol, cfg):
-                    if any(s.level > level_cap for s in nxt.states):
-                        raise OracleCapError("level escaped the bounded domain")
-                    succs.append(nxt)
+                succs = [nxt for _, nxt in moves(cfg)]
                 if not succs:
                     memo[cfg] = protocol.in_legitimate_set(cfg, topo)
                     continue
@@ -439,13 +454,24 @@ class _Game:
     costs one hash. Edges keep no moves: `move` replays the source's
     successors to recover one. Byzantine writes keep the Byzantine state
     (nobody reads it), which keeps the graph small.
+
+    A Byzantine move writes one out-register: deg·(|domain| − 1) edges, not
+    the |domain|^deg − 1 combined writes. The values stay the same:
+    - single writes are combined writes;
+    - a combined write is a chain of single writes whose intermediate
+      configurations, each one combined write from the source, are nodes;
+    - a chain never weighs less. Byzantine moves change no O-variable, so
+      the chain keeps the dirty flag d up to its first anchor. An
+      intermediate anchor scores d one disruption early and leaves the
+      chain clean where the combined write keeps d; from there on both make
+      the same moves, and d can add at most that one disruption.
     """
 
     def __init__(self, topo, protocol, level_bound, radius, state_cap):
         self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
         self.checker = StabilityChecker(topo, protocol, radius)
         self.watch = self.checker.watch
-        self.level_cap = level_bound + 2 * topo.n + 2
+        self.moves = _LocalMoves(topo, protocol, level_bound)
         self.seen: dict[Configuration, list] = {}
         self.nodes: list[tuple[Configuration, bool]] = []
         self.edges: list[Optional[list]] = []
@@ -495,25 +521,21 @@ class _Game:
             yield pid, write, self._node(entry, nxt, d2) if tid is None else tid, weight, changed
 
     def _successors(self, cfg: Configuration):
-        """Correct moves, then every Byzantine register write in the bounded
-        domain spliced into the register tuple."""
-        protocol = self.protocol
-        for v, nxt in _singleton_moves(self.topo, protocol, cfg):
-            if any(s.level > self.level_cap for s in nxt.states):
-                raise OracleCapError("level escaped the bounded domain")
-            changed = protocol.o_changed(cfg.states[v], nxt.states[v]) and v in self.watch
+        """Correct moves, then every Byzantine write of one out-register to
+        another value of its bounded domain, spliced into the register tuple."""
+        protocol, watch = self.protocol, self.watch
+        for v, nxt in self.moves(cfg):
+            changed = v in watch and protocol.o_changed(cfg.states[v], nxt.states[v])
             yield v, None, nxt, v if changed else None
         states, regs = cfg
         for b in sorted(self.topo.byzantine):
-            degree, _, out = self.topo.register_access[b]
-            own = regs[out]
-            if len(own) != degree:
-                raise EngineError(f"process {b} has the wrong register count")
-            head, tail = regs[: out.start], regs[out.stop :]
-            domains = [protocol.register_domain(self.level_bound, r) for r in own]
-            for combo in itertools.product(*domains):
-                if combo != own:
-                    yield b, combo, Configuration(states, head + combo + tail), None
+            out = self.topo.register_access[b][2]
+            own, head, tail = regs[out], regs[: out.start], regs[out.stop :]
+            for i, current in enumerate(own):
+                for value in protocol.register_domain(self.level_bound, current):
+                    if value != current:
+                        write = own[:i] + (value,) + own[i + 1 :]
+                        yield b, write, Configuration(states, head + write + tail), None
 
     def move(self, nid: int, tid: int, weight: int) -> tuple:
         """The move of the first edge from `nid` to `tid` with `weight`."""

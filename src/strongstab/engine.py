@@ -610,55 +610,33 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
 
 
 def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
-    """Rebuild a trace and its topology from a trace file."""
+    """Rebuild a trace and its topology from a trace file: a meta record, an
+    init record, one record per step and one end record, in that order."""
     records = [json.loads(line) for line in read_text(path).splitlines() if line.strip()]
     meta = records[0] if records else {}
     if meta.get("type") != "meta":
         raise ValueError("trace file missing meta record")
     topo = build_topology(
-        [tuple(e) for e in meta["edges"]],
-        root=meta["root"],
-        byzantine=meta["byz"],
-        neighbor_order=meta["neighbor_order"],
+        [tuple(e) for e in meta["edges"]], root=meta["root"], byzantine=meta["byz"], neighbor_order=meta["neighbor_order"]
     )
-    init_rec = records[1]
-    init = Configuration(
-        states=tuple(ProcessState(*s) for s in init_rec["states"]),
-        registers=tuple(RegisterValue(bool(r[0]), r[1]) for r in init_rec["registers"]),
-    )
-    configs = [init]
-    steps = []
-    stop_reason = ""
-    round_ends: list[int] = []
-    for rec in records[2:]:
-        if rec["type"] == "end":
-            stop_reason = rec["stop_reason"]
-            round_ends = rec["round_ends"]
-            continue
-        prev = configs[-1]
-        states = tuple(ProcessState(*s) for s in rec["states"])
-        registers = list(prev.registers)
-        for slot, val in rec["reg_diff"].items():
-            registers[int(slot)] = RegisterValue(bool(val[0]), val[1])
-        configs.append(Configuration(states=states, registers=tuple(registers)))
-        byz_writes = {}
-        for pid, w in rec["byz"].items():
-            if w is None:
-                byz_writes[int(pid)] = None
-            else:
-                byz_writes[int(pid)] = ByzWrite(
-                    state=ProcessState(*w["state"]),
-                    out_regs=tuple(RegisterValue(bool(r[0]), r[1]) for r in w["out"]),
-                )
-        steps.append(
-            Step(
-                activated=frozenset(rec["activated"]),
-                actions={int(p): a for p, a in rec["actions"].items()},
-                byz_writes=byz_writes,
-            )
-        )
-    trace = ExecutionTrace(
-        initial=init, configs=configs, steps=steps, round_ends=round_ends, stop_reason=stop_reason
-    )
-    return trace, topo, meta["protocol"]
+    *step_recs, end = records[2:] or [{}]
+    if end.get("type") != "end" or any(rec["type"] == "end" for rec in step_recs):
+        raise ValueError("trace file needs exactly one end record, as its last line")
 
+    def reg(r) -> RegisterValue:
+        return RegisterValue(bool(r[0]), r[1])
+
+    init = Configuration(tuple(ProcessState(*s) for s in records[1]["states"]), tuple(map(reg, records[1]["registers"])))
+    configs, steps = [init], []
+    for rec in step_recs:
+        registers = list(configs[-1].registers)
+        for slot, val in rec["reg_diff"].items():
+            registers[int(slot)] = reg(val)
+        configs.append(Configuration(tuple(ProcessState(*s) for s in rec["states"]), tuple(registers)))
+        byz_writes = {
+            int(pid): None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
+            for pid, w in rec["byz"].items()
+        }
+        actions = {int(p): a for p, a in rec["actions"].items()}
+        steps.append(Step(frozenset(rec["activated"]), actions, byz_writes))
+    return ExecutionTrace(init, configs, steps, end["round_ends"], end["stop_reason"]), topo, meta["protocol"]

@@ -19,7 +19,15 @@ from strongstab.analysis import (
     render_report,
     verify_containment,
 )
-from strongstab.engine import ByzWrite, Configuration, ProcessState, RegisterValue, apply_effects, consistent_registers
+from strongstab.engine import (
+    ByzWrite,
+    Configuration,
+    ProcessState,
+    RegisterValue,
+    apply_effects,
+    consistent_registers,
+    fire,
+)
 from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
 from strongstab.tree_orientation import SS_TO, spec_to
@@ -322,17 +330,27 @@ def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, to
     assert set(members) == set(anchors)
 
 
-# --- the compact game graph against the move-storing one ---------------------
+# --- the compact game against the product game --------------------------------
 #
 # The reference below is the earlier game: every edge keeps its move and a
-# frozenset of changed processes, every Byzantine write goes through
-# `apply_effects`, nodes are keyed by (configuration, dirty) tuples, and the
+# frozenset of changed processes, a Byzantine move writes any combination of
+# its out-registers through `apply_effects`, correct moves come from `fire`
+# without a memo, nodes are keyed by (configuration, dirty) tuples, and the
 # longest paths scan every edge per weight function.
 
 def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
     per_edge = [protocol.register_domain(level_bound, cfg.registers[slot]) for slot in topo.out_slot[b]]
     for combo in itertools.product(*per_edge):
         yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
+
+
+def _fresh_moves(topo, protocol, cfg):
+    moves = []
+    for v in sorted(topo.correct):
+        fired = fire(topo, protocol, cfg, v)
+        if fired is not None:
+            moves.append((v, apply_effects(cfg, topo, [(v, fired[1])])))
+    return moves
 
 
 class _RefGame:
@@ -386,7 +404,7 @@ class _RefGame:
         return start_ids
 
     def _successors(self, cfg):
-        for v, nxt in analysis._singleton_moves(self.topo, self.protocol, cfg):
+        for v, nxt in _fresh_moves(self.topo, self.protocol, cfg):
             if any(s.level > self.level_cap for s in nxt.states):
                 raise OracleCapError("level escaped the bounded domain")
             changed = frozenset([v] if self.protocol.o_changed(cfg.states[v], nxt.states[v]) else [])
@@ -512,50 +530,68 @@ def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000):
     return result
 
 
-def _assert_same_graph(topo, protocol, level_bound, check_moves):
-    # the same nodes and edges in the same order, and every recovered move is
-    # the one the earlier game stored on the first edge with that (target, weight)
-    game = analysis._Game(topo, protocol, level_bound, 0, 500_000)
-    ref = _RefGame(topo, protocol, level_bound, 0, 500_000)
-    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000) if game.entry(c)[0]]
-    assert anchors == [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000) if ref.is_anchor(c)]
-    assert game.expand(anchors) == ref.expand([(c, False) for c in anchors])
-    assert game.nodes == ref.nodes
-    assert game.edges == [[(t, w, min(ch, default=None)) for t, w, ch, _ in out] for out in ref.edges]
-    for nid, out in enumerate(ref.edges if check_moves else ()):
-        first = {}
-        for t, w, _, move in out:
-            first.setdefault((t, w), move)
-        assert [game.move(nid, t, w) for t, w in first] == list(first.values())
-
-
 def _every_neighbor_order(edges, **kwargs):
     base = build_topology(edges, **kwargs)
     for order in itertools.product(*(itertools.permutations(o) for o in base.neighbor_order)):
         yield build_topology(edges, neighbor_order=order, **kwargs)
 
 
+def _assert_single_register_writes(topo, protocol, anchor, play):
+    # replay the play: every Byzantine step changes exactly one of its out-registers
+    cfg = anchor
+    for pid, write in play:
+        if write is None:
+            write = fire(topo, protocol, cfg, pid)[1]
+        else:
+            own = cfg.registers[topo.register_access[pid][2]]
+            assert sum(a != b for a, b in zip(own, write.out_regs)) == 1, (own, write)
+        cfg = apply_effects(cfg, topo, [(pid, write)])
+
+
 _GAME_CASES = [
     pytest.param(SS_ST, dict(root=0, byzantine=[2], mode="ss-st"), [(0, 1), (1, 2), (2, 3), (0, 3)], 2, id="ss-st-cycle4-lb2"),
     pytest.param(SS_ST, dict(root=0, byzantine=[2], mode="ss-st"), [(0, 1), (1, 2), (2, 3), (0, 3)], 3, id="ss-st-cycle4-lb3"),
     pytest.param(SS_TO, dict(byzantine=[1], mode="ss-to"), path_edges(4), 2, id="ss-to-path4-byz-inner-lb2"),
+    pytest.param(SS_TO, dict(byzantine=[0], mode="ss-to"), [(0, 1), (0, 2), (0, 3)], 1, id="ss-to-star4-byz-centre-lb1"),
 ]
-_GAME_FIELDS = (
-    "worst_disruptions", "worst_per_process", "unbounded", "anchors", "states_explored", "best_anchor", "best_play",
-)
+_GAME_FIELDS = ("anchors", "worst_disruptions", "worst_per_process", "unbounded")
 
 
 @pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
 def test_compact_game_matches_move_storing_game(protocol, kwargs, edges, level_bound):
     orders = 0
     for topo in _every_neighbor_order(edges, **kwargs):
-        _assert_same_graph(topo, protocol, level_bound, check_moves=orders == 0)
         orders += 1
         got = brute_force_verify(topo, protocol, "worst-disruptions", level_bound)
         want = _ref_oracle_worst(topo, protocol, level_bound)
         for name in _GAME_FIELDS:
             assert getattr(got, name) == getattr(want, name), (name, topo.neighbor_order)
+        _assert_single_register_writes(topo, protocol, got.best_anchor, got.best_play)
     assert orders == math.prod(math.factorial(len(edges_of)) for edges_of in topo.neighbor_order)
+
+
+def test_move_memo_matches_fresh_fire(monkeypatch):
+    # every configuration of the path3 domains through the memo a query filled;
+    # a second query, on another neighbor order, starts from an empty memo of its own
+    made = []
+
+    class Recorded(analysis._LocalMoves):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, sum(map(len, self.memo.values()))))
+
+    monkeypatch.setattr(analysis, "_LocalMoves", Recorded)
+    for protocol, root in ((SS_TO, None), (SS_ST, 0)):
+        made.clear()
+        for order in ([[1], [0, 2], [1]], [[1], [2, 0], [1]]):
+            topo = build_topology(path_edges(3), root=root, neighbor_order=order, mode=protocol.name)
+            assert brute_force_verify(topo, protocol, "converges-to", 1).converges
+            queried = made[-1][0]
+            for cfg in analysis._enumerate_domain(topo, protocol, 1):
+                assert list(queried(cfg)) == _fresh_moves(topo, protocol, cfg), cfg
+        (first, empty_first), (second, empty_second) = made
+        assert empty_first == empty_second == 0
+        assert all(first.memo[v] is not second.memo[v] for v in first.memo)
 
 
 def test_compact_game_state_cap():

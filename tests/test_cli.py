@@ -453,6 +453,9 @@ def test_sweep_spec_base_runs(tmp_path):
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 0
 
 
+_FAKEROOT = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -467,6 +470,9 @@ def test_sweep_spec_base_runs(tmp_path):
             '{"type": "meta", "protocol": "ss-st", "edges": [[0, 0]], "root": 0, "byz": [], "neighbor_order": [[]]}\n',
             id="topology-error-in-meta",
         ),
+        pytest.param("\n".join(_FAKEROOT[:-1]) + "\n", id="no-end-record"),
+        pytest.param("\n".join(_FAKEROOT[:-2] + [_FAKEROOT[-1], _FAKEROOT[-2]]) + "\n", id="end-not-last"),
+        pytest.param("\n".join(_FAKEROOT + [_FAKEROOT[-1]]) + "\n", id="end-repeated"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
@@ -478,7 +484,7 @@ def test_replay_input_errors_exit_two(tmp_path, capsys, text):
 
 
 def test_replay_recomputes_the_recorded_round_ends(tmp_path, capsys):
-    lines = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+    lines = _FAKEROOT
     end = json.loads(lines[-1])
     assert end["type"] == "end" and len(end["round_ends"]) == 3
     path = tmp_path / "trace.jsonl"
