@@ -13,10 +13,11 @@ ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
 
 
-def cli(*args: str) -> int:
+def cli(*args: str) -> bool:
+    """Run one command; True when it failed, whatever its nonzero exit code."""
     cmd = [sys.executable, "-m", "strongstab.cli", *args]
     print("+", " ".join(args))
-    return subprocess.run(cmd, cwd=ROOT).returncode
+    return subprocess.run(cmd, cwd=ROOT).returncode != 0
 
 
 def main() -> int:
@@ -26,9 +27,10 @@ def main() -> int:
     failures += cli("sweep", "--spec", "sweeps/to_fault_free.sweep", "--out", str(RESULTS / "to_ff"))
     failures += cli("sweep", "--spec", "sweeps/st_byzantine_mix.sweep", "--out", str(RESULTS / "st_mix"))
 
-    # the two-Byzantine chain has no bounded worst case, so only the paths and the star
-    # are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star it is
-    # 0 <= Delta_z = 3
+    # the two-Byzantine chain has no bounded worst case, so only the paths, the star and
+    # the tree are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star
+    # it is 0 <= Delta_z = 3, and on the 8-tree, whose Byzantine process is interior with
+    # three differently shaped branches, it is 2 <= Delta_z = 3
     failures += cli(
         "oracle", "--topology", "topologies/path3_st.topo", "--protocol", "ss-st",
         "--property", "worst-disruptions", "--level-bound", "3",
@@ -40,6 +42,10 @@ def main() -> int:
     failures += cli(
         "oracle", "--topology", "topologies/star4_to.topo", "--protocol", "ss-to",
         "--property", "worst-disruptions", "--level-bound", "3",
+    )
+    failures += cli(
+        "oracle", "--topology", "topologies/tree8_to.topo", "--protocol", "ss-to",
+        "--property", "worst-disruptions", "--level-bound", "1",
     )
 
     failures += cli(

@@ -228,6 +228,15 @@ class ContainmentReport:
     def all_passed(self) -> bool:
         return all(b.passed for b in self.bounds_checked.values())
 
+    @property
+    def verdict(self) -> str:
+        """'inconclusive' once a stability search ran out of budget, since
+        the anchors, and so every count, may then be off; else 'pass' or
+        'FAIL'."""
+        if self.stability_unknown_seen:
+            return "inconclusive"
+        return "pass" if self.all_passed else "FAIL"
+
 
 def verify_containment(
     trace: ExecutionTrace,
@@ -304,7 +313,7 @@ def render_report(report: ContainmentReport) -> str:
         op = "<=" if b.kind == "max" else ">="
         verdict = "pass" if b.passed else "FAIL"
         lines.append(f"bound {name} observed {b.observed} {op} limit {b.limit} {verdict}")
-    lines.append(f"result {'pass' if report.all_passed else 'FAIL'}")
+    lines.append(f"result {report.verdict}")
     return "\n".join(lines) + "\n"
 
 

@@ -4,7 +4,8 @@ and trace replay.
 Scenario files are line-oriented `key value...` text (see README). A
 scenario pins every seed, so the same file always produces byte-identical
 trace and report files. Exit codes: 0 all checked bounds hold, 1 a bound
-failed, 2 usage or input errors.
+failed, 2 usage or input errors, 3 inconclusive (a stability search ran
+out of budget, and no bound failed in a sweep).
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
 BOUNDS = {bound.name: bound for protocol in PROTOCOLS.values() for bound in protocol.bounds}
 
 SEED_ENV = "STRONGSTAB_SEED"
+
+# the exit code of a report's or a sweep's verdict
+EXIT_CODES = {"pass": 0, "FAIL": 1, "inconclusive": 3}
+# integer keys of scenarios and sweep specs that count something, so cannot be negative
+_COUNTS = ("max_steps", "radius", "expect_min_disruptions", "replications", "extra_edges")
 
 _SCENARIO_INTEGERS = (
     "fairness_bound seed seed_daemon seed_init seed_adversary seed_neighbor max_steps radius expect_min_disruptions"
@@ -127,8 +133,8 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
         key, args = line.key, line.args
         if key in _SCENARIO_INTEGERS:
             fields[key] = line.integers()[0]
-            if key == "radius" and fields[key] < 0:
-                line.fail("radius must be non-negative")
+            if key in _COUNTS and fields[key] < 0:
+                line.fail(f"{key} must be non-negative")
         elif key == "protocol" and args[0] not in PROTOCOLS:
             line.fail(f"unknown protocol {args[0]!r}")
         elif key == "hostile":
@@ -278,7 +284,7 @@ def cmd_run(args) -> int:
     write_trace(str(out / "trace.jsonl"), trace, topo, protocol)
     (out / "report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    return 0 if report.all_passed else 1
+    return EXIT_CODES[report.verdict]
 
 
 # sweep topology kinds: (n, extra_edges, seed) -> edge list
@@ -326,7 +332,7 @@ def _sweep_row(job: dict) -> dict:
         init = engine_mod.arbitrary_configuration(topo, protocol, seed * 1000 + 2)
     trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=job["max_steps"]))
     report = analysis.verify_containment(trace, topo, protocol, job["radius"], limits)
-    ok = report.all_passed and not report.never_stabilized
+    ok = "inconclusive" if report.stability_unknown_seen else report.all_passed and not report.never_stabilized
     return {
         "protocol": job["protocol"],
         "n": job["n"],
@@ -365,8 +371,8 @@ def parse_sweep_text(text: str) -> dict:
                 line.fail(f"'{key}' must be non-negative")
         elif key in _SWEEP_INTEGERS:
             spec[key] = line.integers()[0]
-            if key == "radius" and spec[key] < 0:
-                line.fail("radius must be non-negative")
+            if key in _COUNTS and spec[key] < 0:
+                line.fail(f"{key} must be non-negative")
         elif key == "adversary":
             spec["adversary"].append(_adversary_spec(line))
         elif key == "protocol" and args[0] not in PROTOCOLS:
@@ -384,6 +390,8 @@ def parse_sweep_text(text: str) -> dict:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     spec = parse_sweep_text(read_text(args.spec))
     # one job per grid point and replication: the spec with that point filled in
     grid = itertools.product(spec["n"], spec["f"], spec["adversary"], range(spec["replications"]))
@@ -400,7 +408,6 @@ def cmd_sweep(args) -> int:
             rows = list(pool.map(_sweep_row, jobs))
     else:
         rows = [_sweep_row(job) for job in jobs]
-    all_pass = all(row["pass"] for row in rows)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -413,7 +420,16 @@ def cmd_sweep(args) -> int:
     for line in _summarize(rows):
         print(line)
     print(f"wrote {csv_path} ({len(rows)} rows)")
-    return 0 if all_pass else 1
+    return EXIT_CODES[_worst(rows)]
+
+
+def _worst(rows) -> str:
+    """The verdict of a group of sweep rows: FAIL if a row failed, else
+    inconclusive if a row is, else pass."""
+    passes = [row["pass"] for row in rows]
+    if False in passes:
+        return "FAIL"
+    return "inconclusive" if "inconclusive" in passes else "pass"
 
 
 def _summarize(rows) -> list[str]:
@@ -429,7 +445,7 @@ def _summarize(rows) -> list[str]:
         lines.append(
             f"{key[0]} {key[1]} {key[2]} {key[3]} {len(g)} {rounds} "
             f"{max(r['disruptions'] for r in g)} {max(r['max_changes'] for r in g)} "
-            f"{'pass' if all(r['pass'] for r in g) else 'FAIL'}"
+            f"{_worst(g)}"
         )
     return lines
 

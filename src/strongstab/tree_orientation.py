@@ -12,7 +12,6 @@ Protocol string name: ``ss-to``. O-variable: prnt only; level is internal.
 from __future__ import annotations
 
 import random
-from enum import Enum
 from typing import Optional
 
 from .engine import (
@@ -67,82 +66,21 @@ def ga2(view: LocalView) -> LocalEffect:
     return LocalEffect(state=ProcessState(prnt, level), out_regs=out_registers(prnt, level, view.degree))
 
 
+def _parent(config: Configuration, topo: Topology, v: int) -> Optional[int]:
+    """The neighbor v points at, or None when prnt is out of range."""
+    order = topo.neighbor_order[v]
+    prnt = config.states[v].prnt
+    return order[prnt - 1] if 1 <= prnt <= len(order) else None
+
+
 def spec_to(v: int, config: Configuration, topo: Topology) -> bool:
     """Every incident edge is oriented by one of its endpoints, Byzantine
     neighbors excepted."""
-    prnt = config.states[v].prnt
-    mine = topo.neighbor_order[v][prnt - 1] if 1 <= prnt <= topo.degree(v) else None
+    mine = _parent(config, topo, v)
     for u in topo.neighbor_order[v]:
-        if u in topo.byzantine or mine == u:
-            continue
-        up = config.states[u].prnt
-        if not (1 <= up <= topo.degree(u) and topo.neighbor_order[u][up - 1] == v):
+        if u != mine and u not in topo.byzantine and _parent(config, topo, u) != v:
             return False
     return True
-
-
-class SubtreeClass(Enum):
-    C1 = "C1"
-    C2 = "C2"
-    NEITHER = "neither"
-
-
-def components_without(topo: Topology, z: int) -> list[frozenset[int]]:
-    """Connected components of the system minus one process."""
-    remaining = set(range(topo.n)) - {z}
-    comps = []
-    while remaining:
-        start = min(remaining)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in topo.neighbor_order[v]:
-                if u in remaining and u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        comps.append(frozenset(seen))
-        remaining -= seen
-    return comps
-
-
-def _points_at(config: Configuration, topo: Topology, v: int, u: int) -> bool:
-    prnt = config.states[v].prnt
-    return 1 <= prnt <= topo.degree(v) and topo.neighbor_order[v][prnt - 1] == u
-
-
-def classify_subtree(config: Configuration, topo: Topology, subtree: frozenset[int], z: int) -> SubtreeClass:
-    """C1: oriented toward the Byzantine process with levels non-increasing
-    away from it; C2: internally rooted with all levels equal; else neither.
-    Nearness is hop distance in the full tree."""
-    if topo.byzantine != {z}:
-        raise TopologyError("classification needs exactly one Byzantine process")
-    spec_ok = all(spec_to(v, config, topo) for v in subtree)
-
-    # hop distances from z inside subtree + z
-    dist = {z: 0}
-    frontier = [z]
-    while frontier:
-        v = frontier.pop()
-        for u in topo.neighbor_order[v]:
-            if (u in subtree) and u not in dist:
-                dist[u] = dist[v] + 1
-                frontier.append(u)
-    y = next(u for u in topo.neighbor_order[z] if u in subtree)
-
-    monotone = True
-    for v in subtree:
-        for u in topo.neighbor_order[v]:
-            if u in subtree and dist[u] == dist[v] + 1:
-                if config.states[v].level < config.states[u].level:
-                    monotone = False
-    if spec_ok and _points_at(config, topo, y, z) and monotone:
-        return SubtreeClass.C1
-
-    levels = {config.states[v].level for v in subtree}
-    if spec_ok and len(levels) == 1:
-        return SubtreeClass.C2
-    return SubtreeClass.NEITHER
 
 
 def _registers_consistent(config: Configuration, topo: Topology, who) -> bool:
@@ -172,19 +110,43 @@ def _single_byz(topo: Topology) -> int:
     return next(iter(topo.byzantine))
 
 
-def _every_subtree_in(config: Configuration, topo: Topology, classes: tuple[SubtreeClass, ...]) -> bool:
+def _branches(topo: Topology) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The subtrees of the tree minus its one Byzantine process z, ordered by
+    their smallest process id. Each is (y, edges): y is z's neighbor in it,
+    and each edge (u, v) has u one hop nearer z, in breadth-first order from y."""
     z = _single_byz(topo)
-    return _registers_consistent(config, topo, sorted(topo.correct)) and all(
-        classify_subtree(config, topo, comp, z) in classes for comp in components_without(topo, z)
-    )
+    walks = []
+    for y in topo.neighbor_order[z]:
+        walk = [(z, y)]
+        for u, v in walk:  # extended while it is read: a breadth-first walk away from z
+            walk.extend((v, w) for w in topo.neighbor_order[v] if w != u)
+        walks.append(walk)
+    walks.sort(key=lambda walk: min(v for _, v in walk))
+    return [(walk[0][1], walk[1:]) for walk in walks]
+
+
+def _in_lc(config: Configuration, topo: Topology, c2_ok: bool) -> bool:
+    """Registers in sync and the spec at every correct process, and every
+    branch C1 (its root y points at z, levels non-increasing away from z)
+    or, where `c2_ok`, C2 (one level throughout, rooted inside)."""
+    z = _single_byz(topo)
+    correct = sorted(topo.correct)
+    if not _registers_consistent(config, topo, correct) or not all(spec_to(v, config, topo) for v in correct):
+        return False
+    states = config.states
+    for y, edges in _branches(topo):
+        c1 = _parent(config, topo, y) == z and all(states[u].level >= states[v].level for u, v in edges)
+        if not (c1 or (c2_ok and all(states[u].level == states[v].level for u, v in edges))):
+            return False
+    return True
 
 
 def in_lc1(config: Configuration, topo: Topology) -> bool:
-    return _every_subtree_in(config, topo, (SubtreeClass.C1, SubtreeClass.C2))
+    return _in_lc(config, topo, c2_ok=True)
 
 
 def in_lc2(config: Configuration, topo: Topology) -> bool:
-    return _every_subtree_in(config, topo, (SubtreeClass.C1,))
+    return _in_lc(config, topo, c2_ok=False)
 
 
 LEGITIMATE_KINDS = ("auto", "lc0", "lc1", "lc2")
@@ -194,7 +156,7 @@ def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> C
     """Seeded member of LC0 (fault-free), LC2, or a mixed LC1 configuration.
 
     kind: 'auto' picks lc0 when fault-free and lc2 otherwise; 'lc1' makes
-    each multi-process component internally rooted (C2) or z-oriented (C1)
+    each multi-process branch internally rooted (C2) or z-oriented (C1)
     at random.
     """
     if kind not in LEGITIMATE_KINDS:
@@ -205,63 +167,46 @@ def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> C
     if kind == "lc0":
         if topo.byzantine:
             raise TopologyError("lc0 generation is fault-free only")
-        u, v = topo.edges[rng.randrange(len(topo.edges))]
-        states = _orient_toward(topo, {u, v}, set(range(topo.n)), rng.randint(0, 2 * topo.n), flat=True)
-        states[u] = ProcessState(topo.neighbor_pos[u][v], states[u].level)
-        states[v] = ProcessState(topo.neighbor_pos[v][u], states[v].level)
+        link = topo.edges[rng.randrange(len(topo.edges))]
+        states = _orient_toward(topo, link, range(topo.n), rng.randint(0, 2 * topo.n))
         ordered = [states[w] for w in range(topo.n)]
         return Configuration(tuple(ordered), consistent_registers(topo, ordered))
 
     z = _single_byz(topo)
     states: dict[int, ProcessState] = {z: ProcessState(rng.randint(1, topo.degree(z)), rng.randint(0, 2 * topo.n))}
     z_regs: dict[int, RegisterValue] = {}
-    for comp in components_without(topo, z):
-        y = next(u for u in topo.neighbor_order[z] if u in comp)
-        as_c1 = kind == "lc2" or len(comp) == 1 or rng.random() < 0.5
-        if as_c1:
-            top = rng.randint(1, 2 * topo.n)
-            comp_states = _orient_toward(topo, {y}, set(comp), top, flat=False, rng=rng)
-            comp_states[y] = ProcessState(topo.neighbor_pos[y][z], comp_states[y].level)
+    for y, edges in _branches(topo):
+        if kind == "lc2" or not edges or rng.random() < 0.5:
+            # C1: y points at z, and each edge drops the level by 0 or 1 away from z
+            states[y] = ProcessState(topo.neighbor_pos[y][z], rng.randint(1, 2 * topo.n))
+            for u, v in edges:
+                states[v] = ProcessState(topo.neighbor_pos[v][u], max(0, states[u].level - rng.randint(0, 1)))
         else:
-            edge = rng.choice([e for e in topo.edges if e[0] in comp and e[1] in comp])
-            a, b = edge
-            top = rng.randint(1, 2 * topo.n)
-            comp_states = _orient_toward(topo, {a, b}, set(comp), top, flat=True)
-            comp_states[a] = ProcessState(topo.neighbor_pos[a][b], top)
-            comp_states[b] = ProcessState(topo.neighbor_pos[b][a], top)
-        states.update(comp_states)
+            members = {y, *(v for _, v in edges)}
+            link = rng.choice([e for e in topo.edges if e[0] in members and e[1] in members])
+            states.update(_orient_toward(topo, link, members, rng.randint(1, 2 * topo.n)))
         # keep the anchor stable: z must not out-advertise or court its neighbor
-        z_regs[y] = RegisterValue(prnt=bool(rng.getrandbits(1)), level=max(0, comp_states[y].level - 1))
+        z_regs[y] = RegisterValue(prnt=bool(rng.getrandbits(1)), level=max(0, states[y].level - 1))
 
     ordered = [states[v] for v in range(topo.n)]
     registers = list(consistent_registers(topo, ordered))
-    for k, slot in enumerate(topo.out_slot[z], 1):
-        neighbor = topo.neighbor_order[z][k - 1]
+    for neighbor, slot in zip(topo.neighbor_order[z], topo.out_slot[z]):
         registers[slot] = z_regs[neighbor]
     return Configuration(tuple(ordered), tuple(registers))
 
 
-def _orient_toward(topo, sinks: set[int], members: set[int], top_level: int, flat: bool, rng=None):
-    """prnt pointing along BFS toward the sink set; levels equal (flat) or
-    non-increasing away from the sinks."""
-    states: dict[int, ProcessState] = {}
-    dist = {s: 0 for s in sinks}
-    level = {s: top_level for s in sinks}
-    frontier = sorted(sinks)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in topo.neighbor_order[v]:
-                if u in members and u not in dist:
-                    dist[u] = dist[v] + 1
-                    drop = 0 if flat or rng is None else rng.randint(0, 1)
-                    level[u] = max(0, level[v] - drop)
-                    states[u] = ProcessState(topo.neighbor_pos[u][v], level[u])
-                    nxt.append(u)
-        frontier = nxt
-    for s in sinks:
-        if s in members and s not in states:
-            states[s] = ProcessState(1, top_level)  # parent fixed up by caller
+def _orient_toward(topo: Topology, link: tuple[int, int], members, level: int) -> dict[int, ProcessState]:
+    """Every member at one level: the two ends of the root link point at
+    each other, and every other member points along a breadth-first walk
+    toward them."""
+    a, b = link
+    states = {a: ProcessState(topo.neighbor_pos[a][b], level), b: ProcessState(topo.neighbor_pos[b][a], level)}
+    walk = [a, b]
+    for v in walk:  # extended while it is read
+        for u in topo.neighbor_order[v]:
+            if u in members and u not in states:
+                states[u] = ProcessState(topo.neighbor_pos[u][v], level)
+                walk.append(u)
     return states
 
 

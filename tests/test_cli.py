@@ -8,12 +8,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import keyed_text
+from strongstab import analysis
 from strongstab.cli import (
     SCENARIO_KEYS,
     SWEEP_KEYS,
     Scenario,
     ScenarioError,
     _setup,
+    _summarize,
     bound_limits,
     load_scenario,
     main,
@@ -282,6 +284,8 @@ _BAD_INPUTS = {
         pytest.param({"max_steps": "many"}, None, id="non-integer-max-steps"),
         pytest.param({"fairness_bound": "x"}, None, id="non-integer-fairness-bound"),
         pytest.param({"radius": "-1"}, None, id="negative-radius"),
+        pytest.param({"max_steps": "-1"}, "scenario line 5", id="negative-max-steps"),
+        pytest.param({"expect_min_disruptions": "-1"}, "scenario line 7", id="negative-expect-min-disruptions"),
         pytest.param({"daemon": "centrl"}, None, id="unknown-daemon"),
         pytest.param({"fairness_bound": "0"}, None, id="zero-fairness-bound"),
         pytest.param({"adversary": "nobody"}, None, id="unknown-adversary"),
@@ -434,6 +438,9 @@ _SWEEP = {
         pytest.param({"radius": "-1"}, "sweep spec line 9", id="negative-radius"),
         pytest.param({"f": "-1"}, "sweep spec line 4", id="negative-f"),
         pytest.param({"n": "4 -2"}, "sweep spec line 3", id="negative-n"),
+        pytest.param({"replications": "-2"}, "sweep spec line 6", id="negative-replications"),
+        pytest.param({"max_steps": "-1"}, "sweep spec line 8", id="negative-max-steps"),
+        pytest.param({"extra_edges": "-1"}, "sweep spec line 9", id="negative-extra-edges"),
         pytest.param({"f": "5"}, None, id="f-above-n"),
         pytest.param({"protocol": "ss-st", "f": "4"}, None, id="f-above-non-root-processes"),
         pytest.param({"n": "", "topology_kind": "bogus"}, "sweep spec line 2", id="unknown-topology-kind-empty-grid"),
@@ -451,6 +458,52 @@ def test_sweep_spec_errors_exit_two(tmp_path, capsys, over, where):
 def test_sweep_spec_base_runs(tmp_path):
     spec = _write(tmp_path, "ok.sweep", "\n".join(f"{k} {v}" for k, v in _SWEEP.items()))
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_exit_two(tmp_path, capsys, jobs):
+    spec = _write(tmp_path, "ok.sweep", "\n".join(f"{k} {v}" for k, v in _SWEEP.items()))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw"), "--jobs", jobs]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n", err
+    assert not (tmp_path / "sw").exists()
+
+
+class _BudgetZero(analysis.StabilityChecker):
+    """A stability search that gives up before its first expansion."""
+
+    def __init__(self, topo, protocol, radius, budget=0):
+        super().__init__(topo, protocol, radius, 0)
+
+
+def test_budget_exhausted_run_is_inconclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "StabilityChecker", _BudgetZero)
+    rc = main(["run", "--scenario", str(REPO / "scenarios" / "to_ff_tree7.scn"), "--out", str(tmp_path / "o")])
+    out = capsys.readouterr().out
+    assert "stability_unknown_seen true\n" in out and out.endswith("result inconclusive\n"), out
+    assert rc == 3
+    assert (tmp_path / "o" / "report.txt").read_text(encoding="utf-8") == out
+
+
+def test_budget_exhausted_sweep_is_inconclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "StabilityChecker", _BudgetZero)
+    over = {**_SWEEP, "n": "7", "replications": "2"}
+    spec = _write(tmp_path, "ff.sweep", "\n".join(f"{k} {v}" for k, v in over.items()))
+    assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 3
+    rows = (tmp_path / "sw" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["pass", "inconclusive", "inconclusive"]
+    summary = capsys.readouterr().out.splitlines()[1]
+    assert summary.startswith("ss-to 7 0 silent 2 ") and summary.endswith(" inconclusive"), summary
+
+
+def test_sweep_summary_ranks_fail_over_inconclusive_over_pass():
+    row = dict(protocol="ss-to", n=4, f=0, adversary="silent", rounds=1, disruptions=0, max_changes=0)
+    for passes, verdict in [
+        ((True, True), "pass"),
+        ((True, "inconclusive"), "inconclusive"),
+        (("inconclusive", False, True), "FAIL"),
+    ]:
+        assert _summarize([{**row, "pass": p} for p in passes])[1].endswith(f" {verdict}"), passes
 
 
 _FAKEROOT = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="utf-8").splitlines()

@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,7 @@ from strongstab.engine import (
 )
 from strongstab.tree_orientation import (
     SS_TO,
-    SubtreeClass,
     check_level_monotonic,
-    classify_subtree,
-    components_without,
     ga1,
     ga2,
     in_lc0,
@@ -28,6 +26,7 @@ from strongstab.tree_orientation import (
     pred3,
     spec_to,
 )
+from strongstab.topology import TopologyError
 
 
 def view(prnt, level, in_regs, out_regs=None):
@@ -111,8 +110,15 @@ def test_spec_examples():
     assert spec_to(1, cfg, tb)  # the only neighbor is Byzantine
 
 
+def _quiet_z(t, states, z):
+    regs = list(consistent_registers(t, states))
+    for slot in t.out_slot[z]:
+        regs[slot] = RegisterValue(False, 0)  # z advertises nothing appealing
+    return Configuration(tuple(states), tuple(regs))
+
+
 def _lc1_fixture(as_c1_left=True):
-    # path 0-1-2-3-4 with Byzantine center 2: components {0,1} and {3,4}
+    # path 0-1-2-3-4 with Byzantine center 2: branches {0,1} and {3,4}
     t = to_topology(5, byz=(2,), seed=3)
     pos = t.neighbor_pos
     if as_c1_left:
@@ -120,23 +126,14 @@ def _lc1_fixture(as_c1_left=True):
     else:  # internal root link 0-1, equal levels
         left = [ProcessState(pos[0][1], 3), ProcessState(pos[1][0], 3)]
     right = [ProcessState(pos[3][2], 6), ProcessState(pos[4][3], 5)]
-    states = left + [ProcessState(1, 0)] + right
-    regs = list(consistent_registers(t, states))
-    for k, slot in enumerate(t.out_slot[2], 1):
-        regs[slot] = RegisterValue(False, 0)  # z advertises nothing appealing
-    return t, Configuration(tuple(states), tuple(regs))
+    return t, _quiet_z(t, left + [ProcessState(1, 0)] + right, 2)
 
 
-def test_classify_components():
-    t, cfg = _lc1_fixture(as_c1_left=False)
-    comps = {min(c): c for c in components_without(t, 2)}
-    assert classify_subtree(cfg, t, comps[0], 2) is SubtreeClass.C2
-    assert classify_subtree(cfg, t, comps[3], 2) is SubtreeClass.C1
+def test_lc1_takes_internally_rooted_branches_lc2_does_not():
+    t, cfg = _lc1_fixture(as_c1_left=False)  # left branch C2, right branch C1
     assert in_lc1(cfg, t) and not in_lc2(cfg, t)
 
-    t, cfg = _lc1_fixture(as_c1_left=True)
-    comps = {min(c): c for c in components_without(t, 2)}
-    assert classify_subtree(cfg, t, comps[0], 2) is SubtreeClass.C1
+    t, cfg = _lc1_fixture(as_c1_left=True)  # both branches C1
     assert in_lc2(cfg, t) and in_lc1(cfg, t)
 
 
@@ -151,9 +148,58 @@ def test_neither_when_levels_split_without_pointer_to_byzantine():
         ProcessState(pos[4][3], 5),
     ]
     cfg = Configuration(tuple(states), consistent_registers(t, states))
-    comps = {min(c): c for c in components_without(t, 2)}
-    assert classify_subtree(cfg, t, comps[0], 2) is SubtreeClass.NEITHER
-    assert not in_lc1(cfg, t)
+    assert not in_lc1(cfg, t) and not in_lc2(cfg, t)
+
+
+def test_neither_when_levels_rise_away_from_byzantine():
+    # the right branch's root 3 points at z, but the level rises from 5 at 3 to 6 at 4
+    t = to_topology(5, byz=(2,), seed=3)
+    pos = t.neighbor_pos
+    states = [ProcessState(pos[0][1], 3), ProcessState(pos[1][2], 4), ProcessState(1, 0)]
+    cfg = _quiet_z(t, states + [ProcessState(pos[3][2], 5), ProcessState(pos[4][3], 6)], 2)
+    assert not in_lc1(cfg, t) and not in_lc2(cfg, t)
+    cfg = _quiet_z(t, states + [ProcessState(pos[3][2], 5), ProcessState(pos[4][3], 5)], 2)
+    assert in_lc2(cfg, t)
+
+
+def test_neither_when_an_edge_inside_a_branch_is_unoriented():
+    # path 0-...-6 with Byzantine 3: branch {0,1,2} has one level and its root 2
+    # points at z, but 1 points at 0, so the edge 1-2 is oriented by neither end
+    t = to_topology(7, byz=(3,), seed=4)
+    pos = t.neighbor_pos
+    states = [
+        ProcessState(pos[0][1], 4),
+        ProcessState(pos[1][0], 4),
+        ProcessState(pos[2][3], 4),
+        ProcessState(1, 0),
+        ProcessState(pos[4][3], 4),
+        ProcessState(pos[5][4], 4),
+        ProcessState(pos[6][5], 4),
+    ]
+    cfg = _quiet_z(t, states, 3)
+    assert not spec_to(1, cfg, t) and not spec_to(2, cfg, t)
+    assert not in_lc1(cfg, t) and not in_lc2(cfg, t)
+
+
+def test_one_process_branch_points_at_byzantine_whatever_its_level():
+    # path 0-1-2 with Byzantine 1: each branch is one leaf, whose only prnt value
+    # names z, so it is C1 at any level; a prnt outside 1..degree is in neither set
+    t = to_topology(3, byz=(1,), seed=0)
+    for left, right in ((0, 7), (5, 2)):
+        cfg = _quiet_z(t, [ProcessState(1, left), ProcessState(1, 0), ProcessState(1, right)], 1)
+        assert in_lc2(cfg, t) and in_lc1(cfg, t)
+    cfg = _quiet_z(t, [ProcessState(2, 5), ProcessState(1, 0), ProcessState(1, 2)], 1)
+    assert not in_lc1(cfg, t) and not in_lc2(cfg, t)
+
+
+@pytest.mark.parametrize("byz", [(), (0, 4)], ids=["f0", "f2"])
+def test_lc1_and_lc2_need_exactly_one_byzantine_process(byz):
+    t = to_topology(5, byz=byz, seed=3)
+    states = [ProcessState(1, 0)] * 5
+    cfg = Configuration(tuple(states), consistent_registers(t, states))
+    for in_lc in (in_lc1, in_lc2):
+        with pytest.raises(TopologyError, match="exactly one Byzantine"):
+            in_lc(cfg, t)
 
 
 @settings(max_examples=30, deadline=None)
