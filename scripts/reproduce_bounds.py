@@ -28,16 +28,17 @@ def main() -> int:
     failures += cli("sweep", "--spec", "sweeps/st_byzantine_mix.sweep", "--out", str(RESULTS / "st_mix"))
 
     # the two-Byzantine chain has no bounded worst case, so only the paths, the star and
-    # the tree are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star
-    # it is 0 <= Delta_z = 3, and on the 8-tree, whose Byzantine process is interior with
-    # three differently shaped branches, it is 2 <= Delta_z = 3
+    # the trees are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star
+    # it is 0 <= Delta_z = 3, on the 8-tree, whose Byzantine process is interior with
+    # three differently shaped branches, it is 2 <= Delta_z = 3, and the fault-free 7-tree
+    # has no disruption at all
     failures += cli(
         "oracle", "--topology", "topologies/path3_st.topo", "--protocol", "ss-st",
         "--property", "worst-disruptions", "--level-bound", "3",
     )
     failures += cli(
         "oracle", "--topology", "topologies/path5_to.topo", "--protocol", "ss-to",
-        "--property", "worst-disruptions", "--level-bound", "2",
+        "--property", "worst-disruptions", "--level-bound", "3",
     )
     failures += cli(
         "oracle", "--topology", "topologies/star4_to.topo", "--protocol", "ss-to",
@@ -46,6 +47,10 @@ def main() -> int:
     failures += cli(
         "oracle", "--topology", "topologies/tree8_to.topo", "--protocol", "ss-to",
         "--property", "worst-disruptions", "--level-bound", "1",
+    )
+    failures += cli(
+        "oracle", "--topology", "topologies/tree7_ff.topo", "--protocol", "ss-to",
+        "--property", "worst-disruptions", "--level-bound", "3",
     )
 
     failures += cli(

@@ -31,7 +31,6 @@ from .engine import (
     Protocol,
     RegisterValue,
     apply_effects,
-    consistent_registers,
     fire,
     local_view,
 )
@@ -350,7 +349,7 @@ def brute_force_verify(
     per-process O-variable changes any schedule can realize, plus one play
     achieving the disruption maximum.
 
-    OracleCapError: more initial configurations or anchor candidates than
+    OracleCapError: more initial or legitimate configurations than
     `state_cap`, a larger game graph, or a stability search out of budget.
     InputError: no anchor within `level_bound`, so there is no worst case.
     """
@@ -396,6 +395,7 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
     total = per_state * (2 * (level_bound + 1)) ** topo.num_registers
     if total > state_cap:
         raise OracleCapError(f"{total} initial configurations exceed cap {state_cap}")
+    legitimate = set(protocol.legitimate_set(topo, moves.level_cap))
 
     memo: dict[Configuration, bool] = {}
     cycle_nodes: set[Configuration] = set()
@@ -418,7 +418,7 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
                     continue
                 succs = [nxt for _, nxt in moves(cfg)]
                 if not succs:
-                    memo[cfg] = protocol.in_legitimate_set(cfg, topo)
+                    memo[cfg] = cfg in legitimate
                     continue
                 on_stack.add(cfg)
                 stack.append((cfg, succs))
@@ -625,7 +625,10 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
     stable configuration of the bounded domain when none are given."""
     game = _Game(topo, protocol, level_bound, radius, state_cap)
     if anchors is None:
-        anchor_list = [c for c in _enumerate_lc_anchors(topo, protocol, level_bound, state_cap) if game.entry(c)[0]]
+        members = list(itertools.islice(protocol.legitimate_set(topo, level_bound), state_cap + 1))
+        if len(members) > state_cap:
+            raise OracleCapError(f"legitimate configurations exceed cap {state_cap}")
+        anchor_list = [c for c in sorted(members) if game.entry(c)[0]]
     else:
         anchor_list = list(anchors)
         for c in anchor_list:
@@ -703,23 +706,3 @@ def best_disruption_play(
         raise OracleCapError("disruption count is unbounded from this start")
     return result.worst_disruptions, result.best_play or []
 
-
-def _enumerate_lc_anchors(topo: Topology, protocol: Protocol, level_bound: int, state_cap: int):
-    """All members of the protocol's legitimate set with in-domain levels,
-    consistent correct registers, and Byzantine registers over the domain.
-    OracleCapError, before any is tested, if the candidates outnumber
-    `state_cap`."""
-    state_choices = [protocol.anchor_states(topo, v, level_bound) for v in range(topo.n)]
-    byz_slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
-    byz_reg_choices = protocol.register_domain(level_bound, RegisterValue(False, 0))
-    candidates = math.prod(map(len, state_choices)) * len(byz_reg_choices) ** len(byz_slots)
-    if candidates > state_cap:
-        raise OracleCapError(f"{candidates} anchor candidates exceed cap {state_cap}")
-    for states in itertools.product(*state_choices):
-        base = list(consistent_registers(topo, states))
-        for combo in itertools.product(byz_reg_choices, repeat=len(byz_slots)):
-            for slot, val in zip(byz_slots, combo):
-                base[slot] = val
-            cfg = Configuration(states, tuple(base))
-            if protocol.in_legitimate_set(cfg, topo):
-                yield cfg

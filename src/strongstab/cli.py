@@ -169,6 +169,8 @@ def read_config_file(path: str, topo: Topology, protocol: Protocol) -> Configura
     regs: dict[tuple[int, int], RegisterValue] = {}
     text = read_text(path)
     for line in parse_lines(text, "init file", {"state": (3, 3), "reg": (4, 4)}, ScenarioError, ("state", "reg")):
+        if line.integers()[-1] < 0:  # the level ends both kinds of line
+            line.fail(f"{line.key} level must be non-negative, got {line.args[-1]}")
         if line.key == "state":
             pid, prnt, level = line.integers()
             if pid in states:

@@ -18,12 +18,13 @@ that writes effects into a configuration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .topology import Topology, build_topology, correct_metrics, read_text
 
@@ -123,10 +124,10 @@ class Protocol:
     - `actions`, each role's guarded actions in priority order, each
       guarded by its own paper predicate: `fire` takes the first whose
       guard holds, so no guard repeats the negations of those before it;
-      `spec`, the per-process specification; `in_legitimate_set`, which the
-      oracle converges to and anchors in; `fast_stable`, a sufficient
-      stability test that spares the search; and `legitimate_configuration`;
-    - `sweep_placement` and `anchor_states` where the defaults do not fit.
+      `spec`, the per-process specification; `legitimate_set`, the bounded
+      legitimate set the oracle converges to and anchors in; `fast_stable`,
+      a sufficient stability test; and `legitimate_configuration`;
+    - `sweep_placement` where the default does not fit.
     """
 
     name: str = ""
@@ -145,7 +146,9 @@ class Protocol:
     def spec(self, v: int, config: Configuration, topo: Topology) -> bool:
         raise NotImplementedError
 
-    def in_legitimate_set(self, config: Configuration, topo: Topology) -> bool:
+    def legitimate_set(self, topo: Topology, level_bound: int) -> Iterator[Configuration]:
+        """Each legitimate configuration with levels up to `level_bound`, once: correct registers
+        in sync, Byzantine states pinned to (prnt_min, 0), Byzantine registers from `byzantine_writes`."""
         raise NotImplementedError
 
     def fast_stable(self, config: Configuration, topo: Topology) -> bool:
@@ -172,13 +175,6 @@ class Protocol:
     def state_domain(self, degree: int, level_bound: int) -> list[ProcessState]:
         """Every state of a process of this degree with levels up to `level_bound`."""
         return [ProcessState(p, l) for p in range(self.prnt_min, degree + 1) for l in range(level_bound + 1)]
-
-    def anchor_states(self, topo: Topology, v: int, level_bound: int) -> list[ProcessState]:
-        """`v`'s states in legitimate configurations with levels up to
-        `level_bound`; one pinned state for a Byzantine `v`, which nobody reads."""
-        if v in topo.byzantine:
-            return [ProcessState(self.prnt_min, 0)]
-        return [s for s in self.state_domain(topo.degree(v), level_bound) if s.prnt >= 1]
 
     def register_domain(self, level_bound: int, current: RegisterValue) -> list[RegisterValue]:
         """Byzantine writes to a register holding `current`: every level up to
@@ -481,12 +477,24 @@ def resync(view: LocalView) -> LocalEffect:
     return LocalEffect(state, out_registers(state.prnt, state.level, view.degree))
 
 
-def consistent_registers(topo: Topology, states: Sequence[ProcessState]) -> tuple[RegisterValue, ...]:
-    """Registers every process would write for its own state."""
+def consistent_registers(
+    topo: Topology, states: Sequence[ProcessState], writes: Optional[dict[int, RegisterValue]] = None
+) -> tuple[RegisterValue, ...]:
+    """Registers every process would write for its own state, except in the
+    slots `writes` sets."""
     registers: list[RegisterValue] = [RegisterValue(False, 0)] * topo.num_registers
     for v, slots in enumerate(topo.out_slot):
         registers[slots[0] : slots[-1] + 1] = out_registers(states[v].prnt, states[v].level, len(slots))
+    for slot, value in (writes or {}).items():
+        registers[slot] = value
     return tuple(registers)
+
+
+def byzantine_writes(topo: Topology, protocol: Protocol, level_bound: int) -> list[dict[int, RegisterValue]]:
+    """Every assignment of `register_domain` values to the Byzantine out-registers, by slot."""
+    slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
+    values = protocol.register_domain(level_bound, RegisterValue(False, 0))
+    return [dict(zip(slots, combo)) for combo in itertools.product(values, repeat=len(slots))]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ Protocol string name: ``ss-st``. O-variables: prnt and level.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import (
     Bound,
@@ -21,6 +22,7 @@ from .engine import (
     LocalView,
     ProcessState,
     Protocol,
+    byzantine_writes,
     consistent_registers,
     out_registers,
     registers_stale,
@@ -163,7 +165,22 @@ class SpanningTreeProtocol(Protocol):
         return self._root_actions if role == "root" else self._node_actions
 
     spec = staticmethod(spec_st)
-    in_legitimate_set = staticmethod(in_lc)
+
+    def legitimate_set(self, topo: Topology, level_bound: int) -> Iterator[Configuration]:
+        # the parents and the Byzantine registers force every level; `in_lc` turns away parent cycles
+        if topo.root is None:
+            raise TopologyError("legitimate set is defined for rooted topologies")
+        nodes = sorted(topo.correct - {topo.root})
+        for write in byzantine_writes(topo, self, level_bound):
+            for prnts in itertools.product(*(range(1, topo.degree(v) + 1) for v in nodes)):
+                states = [ProcessState(0, 0)] * topo.n  # the root's state, and the pinned Byzantine one
+                for _ in nodes:  # pass k settles each process k hops below the root or a Byzantine parent
+                    for v, p in zip(nodes, prnts):
+                        shown = write.get(topo.in_slot[v][p - 1]) or states[topo.neighbor_order[v][p - 1]]
+                        states[v] = ProcessState(p, shown.level + 1)
+                cfg = Configuration(tuple(states), consistent_registers(topo, states, write))
+                if max(state.level for state in states) <= level_bound and in_lc(cfg, topo):
+                    yield cfg
 
     def fast_stable(self, config: Configuration, topo: Topology) -> bool:
         return topo.root is not None and in_lc(config, topo)
@@ -175,11 +192,6 @@ class SpanningTreeProtocol(Protocol):
 
     def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:
         return 0, (rng.sample(range(1, n), f) if f else [])
-
-    def anchor_states(self, topo: Topology, v: int, level_bound: int) -> list[ProcessState]:
-        if v == topo.root:
-            return [ProcessState(0, 0)]
-        return super().anchor_states(topo, v, level_bound)
 
 
 SS_ST = SpanningTreeProtocol()

@@ -11,8 +11,9 @@ Protocol string name: ``ss-to``. O-variable: prnt only; level is internal.
 
 from __future__ import annotations
 
+import itertools
 import random
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import (
     Bound,
@@ -25,6 +26,7 @@ from .engine import (
     ProcessState,
     Protocol,
     RegisterValue,
+    byzantine_writes,
     consistent_registers,
     out_registers,
     registers_stale,
@@ -189,10 +191,8 @@ def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> C
         z_regs[y] = RegisterValue(prnt=bool(rng.getrandbits(1)), level=max(0, states[y].level - 1))
 
     ordered = [states[v] for v in range(topo.n)]
-    registers = list(consistent_registers(topo, ordered))
-    for neighbor, slot in zip(topo.neighbor_order[z], topo.out_slot[z]):
-        registers[slot] = z_regs[neighbor]
-    return Configuration(tuple(ordered), tuple(registers))
+    writes = {slot: z_regs[u] for u, slot in zip(topo.neighbor_order[z], topo.out_slot[z])}
+    return Configuration(tuple(ordered), consistent_registers(topo, ordered, writes))
 
 
 def _orient_toward(topo: Topology, link: tuple[int, int], members, level: int) -> dict[int, ProcessState]:
@@ -208,6 +208,16 @@ def _orient_toward(topo: Topology, link: tuple[int, int], members, level: int) -
                 states[u] = ProcessState(topo.neighbor_pos[u][v], level)
                 walk.append(u)
     return states
+
+
+def _branch_states(topo: Topology, z: int, y: int, edges, levels: range) -> list[dict[int, ProcessState]]:
+    """Branch (y, edges)'s states in LC1 over `levels`: C1 (y points at z; each edge (u, v)
+    gives v a level up to u's), then C2 but not C1 (one level, rooted at a branch edge)."""
+    c1 = [{y: ProcessState(topo.neighbor_pos[y][z], level)} for level in levels]
+    for u, v in edges:
+        c1 = [{**c, v: ProcessState(topo.neighbor_pos[v][u], level)} for c in c1 for level in range(c[u].level + 1)]
+    members = {y, *(v for _, v in edges)}
+    return c1 + [_orient_toward(topo, link, members, level) for link in edges for level in levels]
 
 
 def check_level_monotonic(trace: ExecutionTrace, topo: Topology) -> None:
@@ -250,8 +260,23 @@ class TreeOrientationProtocol(Protocol):
 
     spec = staticmethod(spec_to)
 
-    def in_legitimate_set(self, config: Configuration, topo: Topology) -> bool:
-        return in_lc1(config, topo) if topo.byzantine else in_lc0(config, topo)
+    def legitimate_set(self, topo: Topology, level_bound: int) -> Iterator[Configuration]:
+        # LC0: the whole tree oriented toward one edge at one level; LC1: one choice per branch of z
+        levels = range(level_bound + 1)
+        if topo.byzantine:
+            z = _single_byz(topo)
+            pieces = [_branch_states(topo, z, y, edges, levels) for y, edges in _branches(topo)]
+        else:
+            pieces = [[_orient_toward(topo, link, range(topo.n), level) for link in topo.edges for level in levels]]
+        pinned, writes = ProcessState(self.prnt_min, 0), byzantine_writes(topo, self, level_bound)
+        for parts in itertools.product(*pieces):
+            states = {v: state for part in parts for v, state in part.items()}
+            ordered = tuple(states.get(v, pinned) for v in range(topo.n))
+            registers = list(consistent_registers(topo, ordered))
+            for write in writes:  # each sets all of z's slots, so one list serves every write
+                for slot, value in write.items():
+                    registers[slot] = value
+                yield Configuration(ordered, tuple(registers))
 
     def fast_stable(self, config: Configuration, topo: Topology) -> bool:
         if not topo.byzantine:

@@ -155,7 +155,7 @@ def test_criterion_3_construction_disruption_bounds():
                 "st_changes": (topo.max_degree**m.d, "max"),
             },
         )
-        assert rep.all_passed, (case, rep.bounds_checked)
+        assert rep.verdict == "pass", (case, rep.bounds_checked)
     print("\nCRITERION 3 PASS: exact worst cases match the game oracle; "
           "500 randomized adversary runs within disruption bounds")
 
@@ -212,7 +212,7 @@ def test_criterion_5_orientation_single_byzantine():
             trace, topo, SS_TO, 0,
             {"to_disruptions": (topo.degree(z), "max"), "to_changes": (1, "max")},
         )
-        assert rep.all_passed, (case, rep.bounds_checked)
+        assert rep.verdict == "pass", (case, rep.bounds_checked)
 
     # (iii) from the fully z-oriented legitimate set nothing ever moves a parent
     for case in range(100):
@@ -242,7 +242,7 @@ def test_criterion_5_orientation_single_byzantine():
             rep = _report(trace, topo, SS_TO, 0,
                           {"to_disruptions": (topo.degree(z), "max"), "to_changes": (1, "max")})
             assert rep.t_observed == oracle.worst_disruptions
-            assert rep.all_passed
+            assert rep.verdict == "pass"
 
     print(f"\nCRITERION 5 PASS: single-Byzantine containment held; measured "
           f"rounds-to-legitimate c1 = {measured:.2f} (frozen at {c1_frozen})")

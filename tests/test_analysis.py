@@ -28,9 +28,9 @@ from strongstab.engine import (
     consistent_registers,
     fire,
 )
-from strongstab.spanning_tree import SS_ST, spec_st
+from strongstab.spanning_tree import SS_ST, in_lc, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
-from strongstab.tree_orientation import SS_TO, spec_to
+from strongstab.tree_orientation import SS_TO, in_lc0, in_lc1, spec_to
 from strongstab.tree_orientation import legitimate_configuration as to_legit
 from strongstab.topology import build_topology
 
@@ -230,9 +230,10 @@ def test_oracle_worst_disruptions_three_node_orientation():
 
 
 def test_oracle_caps():
-    big = build_topology(path_edges(10), root=0, mode="ss-st")
-    with pytest.raises(OracleCapError, match="cap"):
-        brute_force_verify(big, SS_ST, "worst-disruptions", level_bound=2)
+    # a 5-path with a middle Byzantine process has 12 544 LC1 configurations at level bound 3
+    t5 = build_topology(path_edges(5), byzantine=[2], mode="ss-to")
+    with pytest.raises(OracleCapError, match="legitimate configurations exceed cap 100"):
+        brute_force_verify(t5, SS_TO, "worst-disruptions", level_bound=3, state_cap=100)
     t = st_topology(3)
     with pytest.raises(OracleCapError):
         brute_force_verify(t, SS_ST, "converges-to", level_bound=6, state_cap=100)
@@ -301,21 +302,38 @@ def test_fast_stable_implies_exhaustive_search_stable(protocol, topo):
         assert checker._search(cfg) is Stability.STABLE
 
 
-@pytest.mark.parametrize("protocol,topo", _small_instances())
-def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, topo):
-    # ss-to with a Byzantine process keeps level bound 1: every register value
-    # of the Byzantine writer multiplies the widened domain below
-    level_bound = 1 if protocol is SS_TO and topo.byzantine else 2
-    anchors = list(analysis._enumerate_lc_anchors(topo, protocol, level_bound, 500_000))
-    for cfg in anchors:
-        assert protocol.in_legitimate_set(cfg, topo)
+def _legitimate_set_cases():
+    """The small instances (ss-to with a Byzantine process at level bound 1:
+    every register value of the Byzantine writer multiplies the widened
+    domain), a fault-free ss-to tree that branches, and ss-st on a 4-cycle,
+    where parents can point around the cycle."""
+    for case in _small_instances():
+        protocol, topo = case.values
+        yield pytest.param(protocol, topo, 1 if protocol is SS_TO and topo.byzantine else 2, id=case.id)
+    spider = to_topology(edges=[(0, 1), (0, 2), (0, 3), (1, 4), (2, 5)], seed=6)
+    yield pytest.param(SS_TO, spider, 2, id="ss-to-spider6")
+    cycle4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    yield pytest.param(SS_ST, st_topology(edges=cycle4, seed=4), 3, id="ss-st-cycle4")
+    yield pytest.param(SS_ST, st_topology(byz=(2,), edges=cycle4, seed=4), 3, id="ss-st-cycle4-byz")
+
+
+def _membership(protocol, topo):
+    if protocol is SS_ST:
+        return in_lc
+    return in_lc1 if topo.byzantine else in_lc0
+
+
+@pytest.mark.parametrize("protocol,topo,level_bound", _legitimate_set_cases())
+def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, topo, level_bound):
+    generated = list(protocol.legitimate_set(topo, level_bound))
+    for cfg in generated:
         assert all(protocol.spec(v, cfg, topo) for v in c_correct_set(topo, 0))
-    # widen every correct process from its anchor states to its whole state
-    # domain: the legitimate configurations found must be the anchors
-    choices = [
-        protocol.state_domain(topo.degree(v), level_bound) if v in topo.correct else protocol.anchor_states(topo, v, level_bound)
-        for v in range(topo.n)
-    ]
+    # every correct process over its whole state domain, Byzantine states
+    # pinned and their registers over the register domain: the members the
+    # predicate keeps, in (ascending) product order, are the generated set sorted
+    in_set = _membership(protocol, topo)
+    pinned = [ProcessState(protocol.prnt_min, 0)]
+    choices = [protocol.state_domain(topo.degree(v), level_bound) if v in topo.correct else pinned for v in range(topo.n)]
     byz_slots = [slot for b in sorted(topo.byzantine) for slot in topo.out_slot[b]]
     byz_values = protocol.register_domain(level_bound, RegisterValue(False, 0))
     members = []
@@ -325,9 +343,31 @@ def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, to
             for slot, value in zip(byz_slots, combo):
                 registers[slot] = value
             cfg = Configuration(states, tuple(registers))
-            if protocol.in_legitimate_set(cfg, topo):
+            if in_set(cfg, topo):
                 members.append(cfg)
-    assert set(members) == set(anchors)
+    assert sorted(generated) == members
+
+
+def test_level_cap_set_decides_convergence_like_the_predicate():
+    # every configuration the path3 convergence queries reach, terminal ones
+    # included, is in the level-cap set exactly when the predicate holds
+    for protocol, root in ((SS_TO, None), (SS_ST, 0)):
+        topo = build_topology(path_edges(3), root=root, mode=protocol.name)
+        in_set = _membership(protocol, topo)
+        moves = analysis._LocalMoves(topo, protocol, 1)
+        legitimate = set(protocol.legitimate_set(topo, moves.level_cap))
+        reached = set(analysis._enumerate_domain(topo, protocol, 1))
+        stack, terminal = list(reached), 0
+        while stack:
+            cfg = stack.pop()
+            assert (cfg in legitimate) == in_set(cfg, topo), cfg
+            successors = [nxt for _, nxt in moves(cfg)]
+            terminal += not successors
+            for nxt in successors:
+                if nxt not in reached:
+                    reached.add(nxt)
+                    stack.append(nxt)
+        assert terminal and max(s.level for cfg in reached for s in cfg.states) > 1
 
 
 # --- the compact game against the product game --------------------------------
@@ -505,7 +545,7 @@ def _ref_extract_play(game, comp, value, start):
 
 def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000):
     game = _RefGame(topo, protocol, level_bound, 0, state_cap)
-    anchors = [c for c in analysis._enumerate_lc_anchors(topo, protocol, level_bound, state_cap) if game.is_anchor(c)]
+    anchors = [c for c in sorted(protocol.legitimate_set(topo, level_bound)) if game.is_anchor(c)]
     result = analysis.OracleResult(prop="worst-disruptions", anchors=len(anchors))
     start_ids = game.expand([(c, False) for c in anchors])
     comp, comp_count = game.sccs()
@@ -595,13 +635,15 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
 
 
 def test_compact_game_state_cap():
-    # the query's 1024 anchor candidates are refused before any is tested;
-    # past that check, the game graph itself stops at the cap
+    # the query's 49 legitimate configurations are refused past a cap of 20;
+    # below the cap, the game graph itself stops at it
     topo = build_topology([(0, 1), (1, 2), (2, 3), (0, 3)], root=0, byzantine=[2], mode="ss-st")
-    with pytest.raises(OracleCapError, match="1024 anchor candidates exceed cap 20"):
+    with pytest.raises(OracleCapError, match="legitimate configurations exceed cap 20"):
         brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=20)
+    with pytest.raises(OracleCapError, match="exceeds 49 nodes"):
+        brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=49)
     game = analysis._Game(topo, SS_ST, 3, 0, 20)
-    anchors = [c for c in analysis._enumerate_lc_anchors(topo, SS_ST, 3, 500_000) if game.entry(c)[0]]
+    anchors = [c for c in sorted(SS_ST.legitimate_set(topo, 3)) if game.entry(c)[0]]
     with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
         game.expand(anchors)
 

@@ -274,6 +274,8 @@ _BAD_INPUTS = {
     "latin1.topo": "n 3\n# caf\xe9\nroot 0\nedge 0 1\nedge 1 2\n",
     "latin1.init": "# caf\xe9\n",
     "prnt0.init": "state 0 1 0\nstate 1 0 0\n",
+    "neg_state.init": "state 0 0 0\nstate 1 1 -4\nstate 2 1 2\nreg 0 1 0 0\nreg 1 0 1 1\nreg 1 2 0 1\nreg 2 1 0 2\n",
+    "neg_reg.init": "state 0 0 0\nstate 1 1 1\nstate 2 1 2\nreg 0 1 0 0\nreg 1 0 1 -4\nreg 1 2 0 1\nreg 2 1 0 2\n",
 }
 
 
@@ -300,6 +302,8 @@ _BAD_INPUTS = {
         pytest.param({"topology": "edge3.topo"}, "topology line 3", id="edge-with-three-ids"),
         pytest.param({"init": "named dup_state.init"}, "init file line 3", id="duplicate-state-line"),
         pytest.param({**_TO_SCENARIO, "init": "named prnt0.init"}, "init file line 2", id="init-prnt-outside-domain"),
+        pytest.param({"init": "named neg_state.init"}, "init file line 2", id="init-negative-state-level"),
+        pytest.param({"init": "named neg_reg.init"}, "init file line 5", id="init-negative-reg-level"),
         pytest.param({"adversary": "level-inflation stpe=2"}, None, id="unknown-adversary-parameter"),
         pytest.param({"init": "legitimate\ninit arbitrary"}, "scenario line 8", id="repeated-init"),
         pytest.param({"topology": "latin1.topo"}, "{tmp}/latin1.topo", id="topology-file-not-utf8"),
@@ -367,10 +371,10 @@ def test_oracle_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "worst disruptions: 1" in out
-    # 7 interior processes of 8 states each already exceed the anchor-candidate cap
-    rc = main(["oracle", "--topology", str(REPO / "topologies" / "chain9_to.topo"), "--protocol", "ss-to"])
+    # the 8-tree has more than 500 000 LC1 configurations at level bound 3
+    rc = main(["oracle", "--topology", str(REPO / "topologies" / "tree8_to.topo"), "--protocol", "ss-to"])
     assert rc == 2
-    assert "exceed cap" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: legitimate configurations exceed cap 500000\n"
 
 
 @pytest.mark.parametrize(
