@@ -13,18 +13,28 @@ import random
 from typing import Optional
 
 from . import analysis
-from .engine import ByzWrite, Configuration, ProcessState, Protocol, RegisterValue, quiescent
+from .engine import ByzWrite, Configuration, Kernel, ProcessState, Protocol, RegisterValue
 from .topology import Topology, TopologyError
 
 
 class Adversary:
     name = "adversary"
-    accepts: tuple[str, ...] = ()  # the parameter keys the strategy reads
+    # the integer parameters the strategy reads, each an attribute: key -> (default, least value)
+    accepts: dict[str, tuple[Optional[int], int]] = {}
 
     def __init__(self, params: dict, seed: int, topo: Topology, protocol: Protocol):
         self.rng = random.Random(seed)
         self.topo = topo
         self.protocol = protocol
+        for key, (default, least) in self.accepts.items():
+            value = params.get(key, default)
+            try:
+                valid = value is None or int(value) >= least
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ValueError(f"adversary {self.name} parameter {key}: needs an integer >= {least}, got {value!r}")
+            setattr(self, key, None if value is None else int(value))
 
     def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[ByzWrite]:
         raise NotImplementedError
@@ -81,11 +91,7 @@ class LevelInflationAdversary(Adversary):
     """
 
     name = "level-inflation"
-    accepts = ("step",)
-
-    def __init__(self, params, seed, topo, protocol):
-        super().__init__(params, seed, topo, protocol)
-        self.step = int(params.get("step", 1))
+    accepts = {"step": (1, 1)}
 
     def act(self, config, topo, pid):
         level = config.states[pid].level + self.step
@@ -100,12 +106,10 @@ class OscillateAdversary(Adversary):
     `cycles` makes the script exhaust itself (and pledge silence)."""
 
     name = "oscillate"
-    accepts = ("period", "cycles")
+    accepts = {"period": (1, 1), "cycles": (None, 0)}
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
-        self.period = max(1, int(params.get("period", 1)))
-        self.cycles = int(params["cycles"]) if "cycles" in params else None
         self._count = 0
         self._high = {}
 
@@ -134,12 +138,10 @@ class ChainReplayAdversary(Adversary):
     `reversals` caps the script for finite demonstrations."""
 
     name = "chain-replay"
-    accepts = ("step", "reversals")
+    accepts = {"step": (1, 1), "reversals": (None, 0)}
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
-        self.step = int(params.get("step", 1))
-        self.reversals = int(params["reversals"]) if "reversals" in params else None
         self._endpoints = sorted(v for v in range(topo.n) if topo.degree(v) == 1)
         if (
             not topo.is_tree()
@@ -149,6 +151,7 @@ class ChainReplayAdversary(Adversary):
             raise TopologyError("chain-replay needs a chain with Byzantine endpoints")
         self._writer = self._endpoints[0]
         self._count = 0
+        self._kernel = Kernel(topo, protocol)
 
     def _exhausted(self) -> bool:
         return self.reversals is not None and self._count >= self.reversals
@@ -156,7 +159,7 @@ class ChainReplayAdversary(Adversary):
     def act(self, config, topo, pid):
         if self._exhausted() or pid != self._writer:
             return None
-        if not quiescent(topo, config, self.protocol):
+        if not self._kernel.quiescent(config):
             return None  # wait out the current wave
         level = max(config.states[v].level for v in topo.correct) + self.step
         self._writer = self._endpoints[1] if pid == self._endpoints[0] else self._endpoints[0]
@@ -177,14 +180,10 @@ class MaxDamageAdversary(Adversary):
     """
 
     name = "max-damage"
-    accepts = ("level_bound", "radius")  # level_bound bounds the game's register values
+    accepts = {"level_bound": (3, 0), "radius": (0, 0)}  # level_bound bounds the game's register values
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)
-        self.level_bound = int(params.get("level_bound", 3))
-        self.radius = int(params.get("radius", 0))
-        if min(self.level_bound, self.radius) < 0:
-            raise ValueError(f"max-damage needs level_bound and radius >= 0, got {self.level_bound} and {self.radius}")
         self._script: Optional[list] = None
         self._i = 0
         self._pending: dict[int, ByzWrite] = {}

@@ -28,11 +28,10 @@ from .engine import (
     ByzWrite,
     Configuration,
     ExecutionTrace,
+    Kernel,
     Protocol,
     RegisterValue,
     apply_effects,
-    fire,
-    local_view,
 )
 from .topology import InputError, Topology, distance_to_byzantine
 
@@ -66,7 +65,7 @@ class StabilityChecker:
         self.protocol = protocol
         self.budget = budget
         self.watch = c_correct_set(topo, radius)
-        self.correct = sorted(topo.correct)
+        self.kernel = Kernel(topo, protocol)
         self._cache: dict[Configuration, Stability] = {}
         self.saw_unknown = False
 
@@ -90,13 +89,13 @@ class StabilityChecker:
         return all(spec(v, config, topo) for v in self.watch) and self.check(config) is Stability.STABLE
 
     def _search(self, config: Configuration) -> Stability:
-        topo, protocol = self.topo, self.protocol
+        topo, protocol, kernel = self.topo, self.protocol, self.kernel
         seen = {config}
         frontier = [config]
         while frontier:
             cfg = frontier.pop()
-            for v in self.correct:
-                fired = fire(topo, protocol, cfg, v)
+            for v in kernel.correct:
+                fired = kernel.fire(cfg, v)
                 if fired is None:
                     continue
                 effect = fired[1]
@@ -361,29 +360,23 @@ def brute_force_verify(
 
 
 class _LocalMoves:
-    """One query's memo of `fire`: `memo[v]` maps v's local view (state,
-    in- and out-registers) to `fire`'s result, which is exact because `fire`
-    reads only the view and v fixes the role. Called on a configuration, it
-    yields (v, next configuration) per correct v whose action fires, in id
-    order; OracleCapError when a move takes v's level past the level cap."""
+    """One query's local moves, through its own kernel. Called on a
+    configuration, it yields (v, next configuration) per correct v whose
+    action fires, in id order; OracleCapError when a move takes v's level
+    past the level cap."""
 
     def __init__(self, topo: Topology, protocol: Protocol, level_bound: int):
-        self.topo, self.protocol = topo, protocol
+        self.topo, self.kernel = topo, Kernel(topo, protocol)
         self.level_cap = level_bound + 2 * topo.n + 2
-        self.memo: dict[int, dict] = {v: {} for v in sorted(topo.correct)}
 
     def __call__(self, cfg: Configuration):
-        topo = self.topo
-        for v, seen in self.memo.items():
-            view = local_view(topo, cfg, v)
-            fired = seen.get(view, seen)
-            if fired is seen:
-                fired = fire(topo, self.protocol, cfg, v)
-                if fired is not None and fired[1].state.level > self.level_cap:
-                    raise OracleCapError("level escaped the bounded domain")
-                seen[view] = fired
+        kernel = self.kernel
+        for v in kernel.correct:
+            fired = kernel.fire(cfg, v)
             if fired is not None:
-                yield v, apply_effects(cfg, topo, [(v, fired[1])])
+                if fired[1].state.level > self.level_cap:
+                    raise OracleCapError("level escaped the bounded domain")
+                yield v, apply_effects(cfg, self.topo, [(v, fired[1])])
 
 
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:

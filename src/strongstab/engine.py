@@ -11,9 +11,9 @@ their own state and output registers.
 Guards and actions receive a LocalView and nothing else: no process ids, no
 topology beyond the local degree. That is what keeps protocols anonymous.
 
-One step kernel serves every caller: `fire` returns a correct process's
-first enabled action and its effect, and `apply_effects` is the only code
-that writes effects into a configuration.
+One step kernel serves every caller: each run, audit pass, stability search
+and oracle query owns a `Kernel`, which fires correct processes memoized per
+(role, local view), and `apply_effects` alone writes effects into a configuration.
 """
 
 from __future__ import annotations
@@ -229,26 +229,70 @@ class StopCondition:
     predicate: Optional[Callable[[Configuration], bool]] = None
 
 
-def local_view(topo: Topology, config: Configuration, v: int) -> LocalView:
-    degree, in_regs, out_regs = topo.register_access[v]
-    regs = config.registers
-    return LocalView(config.states[v], degree, in_regs(regs), regs[out_regs])
+class Kernel:
+    """The step kernel of one run, audit pass, stability search or oracle query.
+    Guards read only the local view and the role picks the actions, so `memo[role]`
+    maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life."""
 
+    def __init__(self, topo: Topology, protocol: Protocol):
+        self.topo = topo
+        self.correct = sorted(topo.correct)
+        self.memo: dict[str, dict] = {}
+        self._access = [
+            (degree, in_regs, out_regs, protocol.actions(role), self.memo.setdefault(role, {}))
+            for v, (degree, in_regs, out_regs) in enumerate(topo.register_access)
+            for role in [protocol.role_of(topo, v)]
+        ]
 
-def fire(topo: Topology, protocol: Protocol, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
-    """The step kernel: the label and effect of the first of correct process
-    `v`'s actions, in priority order, whose guard holds in `config`, or None
-    when none holds. Guards after the first match are not evaluated."""
-    view = local_view(topo, config, v)
-    for action in protocol.actions(protocol.role_of(topo, v)):
-        if action.guard(view):
-            return action.label, action.effect(view)
-    return None
+    def fire(self, config: Configuration, v: int) -> Optional[tuple[str, LocalEffect]]:
+        """The label and effect of correct process `v`'s first action, in priority order,
+        whose guard holds in `config`, or None. A guard that raises memoizes nothing."""
+        degree, in_regs, out_regs, actions, memo = self._access[v]
+        regs = config.registers
+        key = (config.states[v], in_regs(regs), regs[out_regs])
+        fired = memo.get(key, memo)
+        if fired is memo:
+            view = LocalView(key[0], degree, key[1], key[2])
+            fired = None
+            for action in actions:
+                if action.guard(view):
+                    fired = action.label, action.effect(view)
+                    break
+            memo[key] = fired
+        return fired
 
+    def quiescent(self, config: Configuration) -> bool:
+        """Whether no correct process has an enabled action in `config`."""
+        return all(self.fire(config, v) is None for v in self.correct)
 
-def quiescent(topo: Topology, config: Configuration, protocol: Protocol) -> bool:
-    """Whether no correct process has an enabled action in `config`."""
-    return all(fire(topo, protocol, config, v) is None for v in sorted(topo.correct))
+    def apply_step(self, config: Configuration, step: Step) -> Configuration:
+        """Re-execute one recorded step from `config`: every activated correct
+        process must have recorded the action enabled in `config`, and all
+        effects are computed against `config` (stale reads), then merged."""
+        topo = self.topo
+        if not step.activated:
+            raise EngineError("activated set must be nonempty")
+        for pid in step.byz_writes:
+            if pid not in topo.byzantine:
+                raise EngineError(f"byzantine write recorded for correct process {pid}")
+            if pid not in step.activated:
+                raise EngineError(f"byzantine write for non-activated process {pid}")
+
+        effects: list[tuple[int, LocalEffect | ByzWrite]] = []
+        for pid in sorted(step.activated):
+            if pid in topo.byzantine:
+                write = step.byz_writes.get(pid)
+                if write is not None:
+                    effects.append((pid, write))
+                continue
+            fired = self.fire(config, pid)
+            label = fired[0] if fired else None
+            recorded = step.actions.get(pid)
+            if label != recorded:
+                raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
+            if fired:
+                effects.append((pid, fired[1]))
+        return apply_effects(config, topo, effects)
 
 
 def apply_effects(
@@ -268,35 +312,6 @@ def apply_effects(
     return Configuration(tuple(states), tuple(registers))
 
 
-def apply_step(config: Configuration, step: Step, protocol: Protocol, topo: Topology) -> Configuration:
-    """Re-execute one recorded step from `config`: every activated correct
-    process must have recorded the action enabled in `config`, and all
-    effects are computed against `config` (stale reads), then merged."""
-    if not step.activated:
-        raise EngineError("activated set must be nonempty")
-    for pid in step.byz_writes:
-        if pid not in topo.byzantine:
-            raise EngineError(f"byzantine write recorded for correct process {pid}")
-        if pid not in step.activated:
-            raise EngineError(f"byzantine write for non-activated process {pid}")
-
-    effects: list[tuple[int, LocalEffect | ByzWrite]] = []
-    for pid in sorted(step.activated):
-        if pid in topo.byzantine:
-            write = step.byz_writes.get(pid)
-            if write is not None:
-                effects.append((pid, write))
-            continue
-        fired = fire(topo, protocol, config, pid)
-        label = fired[0] if fired else None
-        recorded = step.actions.get(pid)
-        if label != recorded:
-            raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
-        if fired:
-            effects.append((pid, fired[1]))
-    return apply_effects(config, topo, effects)
-
-
 class _Scheduler:
     def __init__(self, daemon: Daemon, topo: Topology):
         self.daemon = daemon
@@ -308,7 +323,7 @@ class _Scheduler:
 
     def pick(self, t: int, proposal: Optional[frozenset[int]]) -> frozenset[int]:
         bound = self.daemon.fairness_bound
-        forced = {v for v in self.correct if t - self.last_seen[v] >= bound}
+        forced = {v for v, seen in self.last_seen.items() if t - seen >= bound}
         if self.daemon.kind == "central":
             activated = self._pick_central(forced, proposal)
         else:
@@ -363,6 +378,7 @@ def run(
     configs = [init]
     steps: list[Step] = []
     sched = _Scheduler(daemon, topo)
+    kernel = Kernel(topo, protocol)
     stop_reason = "max_steps"
     t = 0
     while True:
@@ -370,7 +386,7 @@ def run(
         if stop.predicate is not None and stop.predicate(config):
             stop_reason = "predicate"
             break
-        if adversary.pledges_silence() and quiescent(topo, config, protocol):
+        if adversary.pledges_silence() and kernel.quiescent(config):
             stop_reason = "quiescent"
             break
         if t >= stop.max_steps:
@@ -392,7 +408,7 @@ def run(
                 if write is not None:
                     effects.append((pid, write))
             else:
-                fired = fire(topo, protocol, config, pid)
+                fired = kernel.fire(config, pid)
                 actions[pid] = fired[0] if fired else None
                 if fired:
                     effects.append((pid, fired[1]))
@@ -450,7 +466,7 @@ def arbitrary_configuration(topo: Topology, protocol: Protocol, seed: int) -> Co
 def out_registers(prnt: int, level: int, degree: int) -> tuple[RegisterValue, ...]:
     """The out-registers a process in state (prnt, level) writes: the
     parent-facing one flagged true, all carrying its level."""
-    return tuple(RegisterValue(prnt=(k == prnt), level=level) for k in range(1, degree + 1))
+    return tuple([RegisterValue(k == prnt, level) for k in range(1, degree + 1)])
 
 
 def registers_stale(state: ProcessState, out_regs: Sequence[RegisterValue]) -> bool:
@@ -526,9 +542,10 @@ def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> N
     """Guards, priority, simultaneity and replay determinism in one pass."""
     if trace.configs[0] != trace.initial:
         raise EngineError("trace does not start at its initial configuration")
+    kernel = Kernel(topo, protocol)
     for i, step in enumerate(trace.steps):
         try:
-            after = apply_step(trace.configs[i], step, protocol, topo)
+            after = kernel.apply_step(trace.configs[i], step)
         except EngineError as exc:
             raise EngineError(f"step {i}: {exc}") from None
         if after != trace.configs[i + 1]:
@@ -577,6 +594,8 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
     def reg(r: RegisterValue) -> list:
         return [int(r.prnt), r.level]
 
+    # records hold no cycles; json copies a NamedTuple to a list more slowly than `list` does
+    dumps = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "type": "meta",
@@ -587,13 +606,13 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
             "byz": sorted(topo.byzantine),
             "neighbor_order": [list(o) for o in topo.neighbor_order],
         }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(dumps(meta) + "\n")
         init = {
             "type": "init",
             "states": [list(s) for s in trace.initial.states],
             "registers": [reg(r) for r in trace.initial.registers],
         }
-        fh.write(json.dumps(init, sort_keys=True) + "\n")
+        fh.write(dumps(init) + "\n")
         for i, step in enumerate(trace.steps):
             before, after = trace.configs[i], trace.configs[i + 1]
             rec = {
@@ -607,14 +626,14 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
                 },
                 "states": [list(s) for s in after.states],
                 "reg_diff": {
-                    str(slot): reg(after.registers[slot])
-                    for slot in range(topo.num_registers)
-                    if after.registers[slot] != before.registers[slot]
+                    str(slot): reg(new)
+                    for slot, (old, new) in enumerate(zip(before.registers, after.registers))
+                    if old is not new and old != new
                 },
             }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(dumps(rec) + "\n")
         tail = {"type": "end", "stop_reason": trace.stop_reason, "round_ends": trace.round_ends}
-        fh.write(json.dumps(tail, sort_keys=True) + "\n")
+        fh.write(dumps(tail) + "\n")
 
 
 def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:

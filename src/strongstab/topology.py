@@ -57,7 +57,7 @@ class Topology:
     def max_degree(self) -> int:
         return max(len(order) for order in self.neighbor_order)
 
-    @property
+    @cached_property
     def correct(self) -> frozenset[int]:
         return frozenset(range(self.n)) - self.byzantine
 

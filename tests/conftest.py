@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from strongstab.engine import (
     Configuration,
     Daemon,
+    Kernel,
+    LocalView,
     ProcessState,
     RegisterValue,
     StopCondition,
     arbitrary_configuration,
-    fire,
-    local_view,
     run,
 )
 from strongstab.adversary import make_adversary
@@ -82,9 +82,27 @@ def quick_run(topo, protocol, adversary_name="silent", adversary_params=None, *,
     return trace, daemon
 
 
+def local_view(topo, config, v):
+    """What process `v` reads in `config`: its state and its link registers."""
+    degree, in_regs, out_regs = topo.register_access[v]
+    regs = config.registers
+    return LocalView(config.states[v], degree, in_regs(regs), regs[out_regs])
+
+
+def ref_fire(protocol, role, view):
+    """The reference step kernel, without a memo: the label and effect of the
+    first of `role`'s actions, in priority order, whose guard holds in
+    `view`, or None when none holds."""
+    for action in protocol.actions(role):
+        if action.guard(view):
+            return action.label, action.effect(view)
+    return None
+
+
 def fired_label(protocol, role, view):
-    """The label of the action `engine.fire` picks for a process in `role`
-    that sees exactly `view`, or None: fire at the center of a star."""
+    """The label of the action a fresh `Kernel` fires (its miss path) for a
+    process in `role` that sees exactly `view`, or None: fire at the center
+    of a star."""
     root = None if protocol.name == "ss-to" else 0 if role == "root" else 1
     topo = build_topology([(0, k) for k in range(1, view.degree + 1)], root=root, mode=protocol.name)
     registers = [RegisterValue(False, 0)] * topo.num_registers
@@ -92,7 +110,7 @@ def fired_label(protocol, role, view):
         registers[slot] = value
     config = Configuration((view.state,) + (ProcessState(1, 0),) * view.degree, tuple(registers))
     assert local_view(topo, config, 0) == view and protocol.role_of(topo, 0) == role
-    fired = fire(topo, protocol, config, 0)
+    fired = Kernel(topo, protocol).fire(config, 0)
     return fired and fired[0]
 
 

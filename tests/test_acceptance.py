@@ -14,8 +14,8 @@ from strongstab.engine import (
     Daemon,
     StopCondition,
     arbitrary_configuration,
+    Kernel,
     check_trace,
-    quiescent,
     run,
 )
 from strongstab.spanning_tree import SS_ST, in_lc
@@ -73,7 +73,7 @@ def test_criterion_1_construction_closure():
         topo = random_st_topology(n, f, seed=case, extra=rng.randint(0, 3))
         cfg = st_legit(topo, case + 1000)
         assert in_lc(cfg, topo), case
-        assert quiescent(topo, cfg, SS_ST), case
+        assert Kernel(topo, SS_ST).quiescent(cfg), case
     elapsed = time.time() - started
     assert elapsed < 5.0, f"closure sweep took {elapsed:.1f}s"
     print(f"\nCRITERION 1 PASS: 200 legitimate configurations quiescent in {elapsed:.2f}s")

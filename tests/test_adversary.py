@@ -9,8 +9,8 @@ from strongstab.engine import (
     ProcessState,
     RegisterValue,
     StopCondition,
+    Kernel,
     Step,
-    apply_step,
     run,
 )
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
@@ -53,7 +53,7 @@ def test_level_inflation_raises_by_step_each_activation():
     assert w1.state.level == cfg.states[2].level + 4
     # apply and inflate again from the new state
     step = Step(frozenset({2}), {}, {2: w1})
-    cfg2 = apply_step(cfg, step, SS_TO, t)
+    cfg2 = Kernel(t, SS_TO).apply_step(cfg, step)
     w2 = adv.act(cfg2, t, 2)
     assert w2.state.level == w1.state.level + 4
     assert not adv.pledges_silence()
@@ -105,7 +105,7 @@ def test_engine_rejects_strategy_output_for_correct_process():
         byz_writes={0: ByzWrite(ProcessState(0, 0), (RegisterValue(False, 0),))},
     )
     with pytest.raises(Exception, match="correct process"):
-        apply_step(cfg, rogue, SS_ST, t)
+        Kernel(t, SS_ST).apply_step(cfg, rogue)
 
 
 def test_max_damage_reproduces_oracle_worst_case():

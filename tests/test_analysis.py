@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import path_edges, quick_run, random_st_topology, random_to_topology, st_topology, to_topology
+from conftest import local_view, path_edges, quick_run, random_st_topology, random_to_topology, ref_fire, st_topology, to_topology
 
 from strongstab import analysis
 from strongstab.analysis import (
@@ -26,7 +26,6 @@ from strongstab.engine import (
     RegisterValue,
     apply_effects,
     consistent_registers,
-    fire,
 )
 from strongstab.spanning_tree import SS_ST, in_lc, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
@@ -374,8 +373,8 @@ def test_level_cap_set_decides_convergence_like_the_predicate():
 #
 # The reference below is the earlier game: every edge keeps its move and a
 # frozenset of changed processes, a Byzantine move writes any combination of
-# its out-registers through `apply_effects`, correct moves come from `fire`
-# without a memo, nodes are keyed by (configuration, dirty) tuples, and the
+# its out-registers through `apply_effects`, correct moves come from
+# `ref_fire` (no memo), nodes are keyed by (configuration, dirty) tuples, and the
 # longest paths scan every edge per weight function.
 
 def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
@@ -387,7 +386,7 @@ def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
 def _fresh_moves(topo, protocol, cfg):
     moves = []
     for v in sorted(topo.correct):
-        fired = fire(topo, protocol, cfg, v)
+        fired = ref_fire(protocol, protocol.role_of(topo, v), local_view(topo, cfg, v))
         if fired is not None:
             moves.append((v, apply_effects(cfg, topo, [(v, fired[1])])))
     return moves
@@ -581,7 +580,7 @@ def _assert_single_register_writes(topo, protocol, anchor, play):
     cfg = anchor
     for pid, write in play:
         if write is None:
-            write = fire(topo, protocol, cfg, pid)[1]
+            write = ref_fire(protocol, protocol.role_of(topo, pid), local_view(topo, cfg, pid))[1]
         else:
             own = cfg.registers[topo.register_access[pid][2]]
             assert sum(a != b for a, b in zip(own, write.out_regs)) == 1, (own, write)
@@ -611,14 +610,14 @@ def test_compact_game_matches_move_storing_game(protocol, kwargs, edges, level_b
 
 
 def test_move_memo_matches_fresh_fire(monkeypatch):
-    # every configuration of the path3 domains through the memo a query filled;
-    # a second query, on another neighbor order, starts from an empty memo of its own
+    # every configuration of the path3 domains through the kernel a query filled;
+    # a second query, on another neighbor order, starts from an empty kernel of its own
     made = []
 
     class Recorded(analysis._LocalMoves):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append((self, sum(map(len, self.memo.values()))))
+            made.append((self, sum(map(len, self.kernel.memo.values()))))
 
     monkeypatch.setattr(analysis, "_LocalMoves", Recorded)
     for protocol, root in ((SS_TO, None), (SS_ST, 0)):
@@ -631,7 +630,8 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
                 assert list(queried(cfg)) == _fresh_moves(topo, protocol, cfg), cfg
         (first, empty_first), (second, empty_second) = made
         assert empty_first == empty_second == 0
-        assert all(first.memo[v] is not second.memo[v] for v in first.memo)
+        first, second = first.kernel.memo, second.kernel.memo
+        assert first.keys() == second.keys() and all(first[role] and first[role] is not second[role] for role in first)
 
 
 def test_compact_game_state_cap():

@@ -263,6 +263,18 @@ def test_usage_and_parse_errors_exit_two(tmp_path):
 _TO_SCENARIO = {"protocol": "ss-to", "topology": "p3_to.topo", "bounds": "to_disruptions to_changes"}
 
 
+# adversary parameters outside their domain, each with the adversary and parameter its error names
+_BAD_ADVERSARY_PARAMETERS = [
+    ("level-inflation step=-3", "level-inflation parameter step"),
+    ("level-inflation step=0", "level-inflation parameter step"),
+    ("level-inflation step=x", "level-inflation parameter step"),
+    ("chain-replay step=0", "chain-replay parameter step"),
+    ("oscillate period=0", "oscillate parameter period"),
+    ("oscillate period=-5", "oscillate parameter period"),
+    ("oscillate cycles=-1", "oscillate parameter cycles"),
+    ("chain-replay reversals=-1", "chain-replay parameter reversals"),
+]
+
 # the setting under which max-damage plays its game: a hostile central daemon from a legitimate start
 _MAX_DAMAGE = {"daemon": "central", "hostile": "true", "fairness_bound": "100", "init": "legitimate"}
 
@@ -291,7 +303,7 @@ _BAD_INPUTS = {
         pytest.param({"daemon": "centrl"}, None, id="unknown-daemon"),
         pytest.param({"fairness_bound": "0"}, None, id="zero-fairness-bound"),
         pytest.param({"adversary": "nobody"}, None, id="unknown-adversary"),
-        pytest.param({"adversary": "oscillate period=fast"}, None, id="non-integer-adversary-parameter"),
+        pytest.param({"adversary": "oscillate period=fast"}, "adversary oscillate parameter period", id="non-integer-adversary-parameter"),
         pytest.param({"max_step": "10"}, None, id="unknown-key"),
         pytest.param({"init": "legitimate lc2"}, None, id="ss-st-takes-no-legitimate-kind"),
         pytest.param({**_TO_SCENARIO, "init": "legitimate lc9"}, None, id="ss-to-unknown-legitimate-kind"),
@@ -311,7 +323,8 @@ _BAD_INPUTS = {
         pytest.param({"STRONGSTAB_SEED": "x"}, "STRONGSTAB_SEED", id="non-integer-seed-variable"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage radius=-1"}, None, id="max-damage-negative-radius"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage level_bound=-1"}, None, id="max-damage-negative-level-bound"),
-    ],
+    ]
+    + [pytest.param({"adversary": spec}, f"adversary {names}", id=spec) for spec, names in _BAD_ADVERSARY_PARAMETERS],
 )
 def test_scenario_input_errors_exit_two(tmp_path, capsys, monkeypatch, over, where):
     _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
@@ -449,7 +462,8 @@ _SWEEP = {
         pytest.param({"protocol": "ss-st", "f": "4"}, None, id="f-above-non-root-processes"),
         pytest.param({"n": "", "topology_kind": "bogus"}, "sweep spec line 2", id="unknown-topology-kind-empty-grid"),
         pytest.param({"n": "", "daemon": "nobody"}, "sweep spec line 9", id="unknown-daemon-empty-grid"),
-    ],
+    ]
+    + [pytest.param({"adversary": spec}, f"adversary {names}", id=spec) for spec, names in _BAD_ADVERSARY_PARAMETERS],
 )
 def test_sweep_spec_errors_exit_two(tmp_path, capsys, over, where):
     spec = _write(tmp_path, "bad.sweep", "\n".join(f"{k} {v}" for k, v in {**_SWEEP, **over}.items()))

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fired_label, path_edges, quick_run, st_topology, to_topology
+from conftest import (
+    fired_label,
+    local_view,
+    path_edges,
+    quick_run,
+    random_st_topology,
+    random_to_topology,
+    ref_fire,
+    st_topology,
+    to_topology,
+)
 
 from strongstab.engine import (
     ByzWrite,
@@ -12,18 +22,17 @@ from strongstab.engine import (
     Daemon,
     EngineError,
     ExecutionTrace,
+    Kernel,
     LocalView,
     ProcessState,
     RegisterValue,
     Step,
     StopCondition,
-    apply_step,
     arbitrary_configuration,
     check_fairness,
     check_locality,
     check_trace,
     consistent_registers,
-    local_view,
     read_trace,
     round_boundaries,
     run,
@@ -42,7 +51,7 @@ def test_apply_step_rejects_empty_activation():
     t = st_topology(3)
     cfg = _quiescent_config(t)
     with pytest.raises(EngineError, match="nonempty"):
-        apply_step(cfg, Step(frozenset(), {}, {}), SS_ST, t)
+        Kernel(t, SS_ST).apply_step(cfg, Step(frozenset(), {}, {}))
 
 
 def test_apply_step_rejects_byz_write_for_correct_process():
@@ -54,7 +63,7 @@ def test_apply_step_rejects_byz_write_for_correct_process():
         byz_writes={1: ByzWrite(ProcessState(0, 9), (RegisterValue(False, 9),) * 2)},
     )
     with pytest.raises(EngineError, match="correct process"):
-        apply_step(cfg, bad, SS_ST, t)
+        Kernel(t, SS_ST).apply_step(cfg, bad)
 
 
 def test_apply_step_rejects_wrong_recorded_action():
@@ -62,7 +71,7 @@ def test_apply_step_rejects_wrong_recorded_action():
     cfg = _quiescent_config(t)  # nothing is enabled here
     bad = Step(activated=frozenset({1}), actions={1: "GA1"}, byz_writes={})
     with pytest.raises(EngineError, match="records action"):
-        apply_step(cfg, bad, SS_ST, t)
+        Kernel(t, SS_ST).apply_step(cfg, bad)
 
 
 def test_byzantine_write_only_touches_own_state_and_registers():
@@ -70,7 +79,7 @@ def test_byzantine_write_only_touches_own_state_and_registers():
     cfg = _quiescent_config(t)
     write = ByzWrite(ProcessState(0, 999), (RegisterValue(True, 999),) * t.degree(2))
     step = Step(activated=frozenset({2}), actions={}, byz_writes={2: write})
-    nxt = apply_step(cfg, step, SS_ST, t)
+    nxt = Kernel(t, SS_ST).apply_step(cfg, step)
     assert nxt.states[2] == ProcessState(0, 999)
     assert all(nxt.states[v] == cfg.states[v] for v in (0, 1))
     touched = {slot for slot in range(t.num_registers) if nxt.registers[slot] != cfg.registers[slot]}
@@ -87,7 +96,7 @@ def test_simultaneous_neighbors_read_stale_registers():
     registers[t.out_slot[1][0]] = regs[1]
     cfg = Configuration(states, tuple(registers))
     step = Step(activated=frozenset({0, 1}), actions={0: "GA1", 1: "GA1"}, byz_writes={})
-    nxt = apply_step(cfg, step, SS_TO, t)
+    nxt = Kernel(t, SS_TO).apply_step(cfg, step)
     # each copied the other's old advertisement, not the freshly written one
     assert nxt.states[0].level == 5
     assert nxt.states[1].level == 3
@@ -589,3 +598,40 @@ def test_fire_raises_where_the_paper_guards_raise():
         _paper_enabled(SS_TO, "node", view)
     with pytest.raises(ValueError, match="needs prnt"):
         fired_label(SS_TO, "node", view)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """A random tree (ss-to) or graph (ss-st) with at most one Byzantine
+    process, and configurations over a small domain, so views repeat across
+    processes and configurations; prnt 0 makes the guards that need a
+    parent raise."""
+    protocol = draw(st.sampled_from([SS_TO, SS_ST]))
+    n, f, seed = draw(st.integers(3, 7)), draw(st.integers(0, 1)), draw(st.integers(0, 10**6))
+    topo = (random_to_topology if protocol is SS_TO else random_st_topology)(n, f, seed)
+    levels = st.integers(0, 2)
+    registers = st.lists(st.builds(RegisterValue, st.booleans(), levels), min_size=topo.num_registers, max_size=topo.num_registers)
+    configs = st.builds(
+        Configuration,
+        st.tuples(*(st.builds(ProcessState, st.integers(0, topo.degree(v)), levels) for v in range(topo.n))),
+        registers.map(tuple),
+    )
+    return topo, protocol, draw(st.lists(configs, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_kernel_cases())
+def test_kernel_fires_like_the_reference_walk(case):
+    # every correct process, twice through one kernel and once through a
+    # fresh one; a result that raises leaves the memo as it was
+    topo, protocol, configs = case
+    kernel = Kernel(topo, protocol)
+    for cfg in configs:
+        for v in kernel.correct:
+            want = _outcome(ref_fire, protocol, protocol.role_of(topo, v), local_view(topo, cfg, v))
+            size = sum(map(len, kernel.memo.values()))
+            assert _outcome(kernel.fire, cfg, v) == want
+            assert _outcome(kernel.fire, cfg, v) == want
+            assert _outcome(Kernel(topo, protocol).fire, cfg, v) == want
+            grown = sum(map(len, kernel.memo.values())) - size
+            assert grown in ((0,) if want is ValueError else (0, 1))

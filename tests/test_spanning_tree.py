@@ -6,12 +6,11 @@ from conftest import fired_label, quick_run, random_st_topology, st_topology
 
 from strongstab.engine import (
     Configuration,
+    Kernel,
     LocalView,
     ProcessState,
     RegisterValue,
     consistent_registers,
-    quiescent,
-    local_view,
 )
 from strongstab.spanning_tree import (
     SS_ST,
@@ -151,7 +150,7 @@ def test_closure_no_correct_process_enabled_in_lc(n, f, seed):
     t = random_st_topology(n, min(f, n - 2), seed)
     cfg = legitimate_configuration(t, seed + 1)
     assert in_lc(cfg, t)
-    assert quiescent(t, cfg, SS_ST)
+    assert Kernel(t, SS_ST).quiescent(cfg)
 
 
 def test_round_robin_recovery_on_traces():

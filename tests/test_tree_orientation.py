@@ -9,8 +9,8 @@ from strongstab.engine import (
     LocalView,
     ProcessState,
     RegisterValue,
+    Kernel,
     consistent_registers,
-    quiescent,
 )
 from strongstab.tree_orientation import (
     SS_TO,
@@ -208,7 +208,7 @@ def test_lc0_generator_members_are_quiescent(n, seed):
     t = random_to_topology(n, 0, seed)
     cfg = legitimate_configuration(t, seed, kind="lc0")
     assert in_lc0(cfg, t)
-    assert quiescent(t, cfg, SS_TO)
+    assert Kernel(t, SS_TO).quiescent(cfg)
 
 
 @settings(max_examples=30, deadline=None)
