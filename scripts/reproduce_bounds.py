@@ -5,19 +5,22 @@ sweep, the exact worst-case oracle on the small instances, and the
 two-Byzantine chain demonstration where disruptions never stop accruing.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
+# the package runs from this checkout's source tree, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def cli(*args: str) -> bool:
     """Run one command; True when it failed, whatever its nonzero exit code."""
     cmd = [sys.executable, "-m", "strongstab.cli", *args]
     print("+", " ".join(args))
-    return subprocess.run(cmd, cwd=ROOT).returncode != 0
+    return subprocess.run(cmd, cwd=ROOT, env=ENV).returncode != 0
 
 
 def main() -> int:

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Optional
 
 from .engine import (
@@ -133,7 +133,8 @@ class TraceScan:
 def _changed_watch(trace: ExecutionTrace, i: int, watch, protocol: Protocol) -> list[int]:
     before, after = trace.configs[i].states, trace.configs[i + 1].states
     changed = protocol.o_changed
-    return [v for v in watch if changed(before[v], after[v])]
+    candidates = itertools.compress(range(len(before)), map(ne, before, after))
+    return [v for v in candidates if v in watch and changed(before[v], after[v])]
 
 
 def find_disruptions(
@@ -177,12 +178,13 @@ def count_o_changes(
     trace: ExecutionTrace, topo: Topology, radius: int, protocol: Protocol, from_index: int
 ) -> dict[int, int]:
     """Total O-variable changes per c-correct process from a config index on;
-    the reference for `TraceScan.o_changes`."""
+    the reference for `TraceScan.o_changes`, testing every one at every step."""
     watch = c_correct_set(topo, radius)
     counts = {v: 0 for v in watch}
-    for i in range(from_index, len(trace.configs) - 1):
-        for v in _changed_watch(trace, i, watch, protocol):
-            counts[v] += 1
+    for before, after in zip(trace.configs[from_index:], trace.configs[from_index + 1 :]):
+        for v in watch:
+            if protocol.o_changed(before.states[v], after.states[v]):
+                counts[v] += 1
     return counts
 
 

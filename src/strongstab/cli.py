@@ -33,7 +33,6 @@ from .engine import (
     Protocol,
     RegisterValue,
     StopCondition,
-    check_locality,
     check_replay,
     read_trace,
     round_boundaries,
@@ -483,7 +482,6 @@ def cmd_replay(args) -> int:
         trace, topo, protocol_name = read_trace(args.trace)
         protocol = PROTOCOLS.get(protocol_name)
         if protocol is not None:
-            check_locality(trace, topo)
             check_replay(trace, topo, protocol)
             rounds = round_boundaries(trace, topo.correct)
             if trace.round_ends != rounds:

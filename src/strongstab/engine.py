@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .topology import Topology, build_topology, correct_metrics, read_text
@@ -323,7 +323,8 @@ class _Scheduler:
 
     def pick(self, t: int, proposal: Optional[frozenset[int]]) -> frozenset[int]:
         bound = self.daemon.fairness_bound
-        forced = {v for v, seen in self.last_seen.items() if t - seen >= bound}
+        overdue = t - min(self.last_seen.values(), default=t) >= bound  # rare at the usual bound of 2n
+        forced = {v for v, seen in self.last_seen.items() if t - seen >= bound} if overdue else set()
         if self.daemon.kind == "central":
             activated = self._pick_central(forced, proposal)
         else:
@@ -354,7 +355,8 @@ class _Scheduler:
             activated = set(proposal) | forced
             if activated:
                 return activated
-        activated = {v for v in self.all_pids if self.rng.random() < 0.5} | forced
+        draw = self.rng.random
+        activated = {v for v in self.all_pids if draw() < 0.5} | forced
         if not activated:
             activated = {self.rng.choice(self.all_pids)}
         return activated
@@ -516,39 +518,47 @@ def byzantine_writes(topo: Topology, protocol: Protocol, level_bound: int) -> li
 # ---------------------------------------------------------------------------
 # machine-checked execution-model invariants (used by tests on every trace)
 #
-# check_trace runs three audits:
-# - locality: a step changes only its activated processes' states and their
-#   out-registers;
+# check_trace runs two audits:
 # - replay, one pass: the trace starts at its initial configuration, and
 #   each step, re-executed from its recorded before-configuration, finds
 #   the recorded action first enabled at every activated correct process
-#   (priority), and the recorded after-configuration as the
-#   merge of effects computed against the before-configuration (simultaneity);
+#   (priority), and the recorded after-configuration as the merge of effects
+#   computed against the before-configuration (simultaneity). A replayed step
+#   writes only its activated processes' states and out-registers, so a trace
+#   that replays is local too; a mismatch is first diagnosed for locality;
 # - fairness: no correct process idles for `bound` consecutive steps.
 
-def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
-    for i, step in enumerate(trace.steps):
-        before, after = trace.configs[i], trace.configs[i + 1]
+def _check_step_locality(i: int, step: Step, before: Configuration, after: Configuration, topo: Topology) -> None:
+    """Step `i` changes only its activated processes' states and their out-registers."""
+    for pid in itertools.compress(range(topo.n), map(ne, before.states, after.states)):
+        if pid not in step.activated:
+            raise EngineError(f"step {i}: non-activated process {pid} changed state")
+    changed = list(itertools.compress(range(topo.num_registers), map(ne, before.registers, after.registers)))
+    if changed:
         allowed_slots = {s for pid in step.activated for s in topo.out_slot[pid]}
-        for pid in range(topo.n):
-            if before.states[pid] != after.states[pid] and pid not in step.activated:
-                raise EngineError(f"step {i}: non-activated process {pid} changed state")
-        for slot in range(topo.num_registers):
-            if before.registers[slot] != after.registers[slot] and slot not in allowed_slots:
+        for slot in changed:
+            if slot not in allowed_slots:
                 raise EngineError(f"step {i}: register {slot} changed outside activated set")
 
 
+def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
+    for i, step in enumerate(trace.steps):
+        _check_step_locality(i, step, trace.configs[i], trace.configs[i + 1], topo)
+
+
 def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
-    """Guards, priority, simultaneity and replay determinism in one pass."""
+    """Guards, priority, simultaneity, locality and replay determinism in one pass."""
     if trace.configs[0] != trace.initial:
         raise EngineError("trace does not start at its initial configuration")
-    kernel = Kernel(topo, protocol)
+    _check_shape(topo, trace.initial)  # every replayed configuration keeps this shape
+    kernel, configs = Kernel(topo, protocol), trace.configs
     for i, step in enumerate(trace.steps):
         try:
-            after = kernel.apply_step(trace.configs[i], step)
+            after = kernel.apply_step(configs[i], step)
         except EngineError as exc:
             raise EngineError(f"step {i}: {exc}") from None
-        if after != trace.configs[i + 1]:
+        if after != configs[i + 1]:
+            _check_step_locality(i, step, configs[i], configs[i + 1], topo)
             raise EngineError(f"step {i}: recorded result differs from the merged stale-read result")
 
 
@@ -582,7 +592,6 @@ def check_fairness(trace: ExecutionTrace, correct: frozenset[int], bound: int) -
 
 def check_trace(trace: ExecutionTrace, topo: Topology, protocol: Protocol, fairness_bound: int) -> None:
     """All engine-semantics invariants in one call."""
-    check_locality(trace, topo)
     check_replay(trace, topo, protocol)
     check_fairness(trace, topo.correct, fairness_bound)
 
@@ -590,12 +599,24 @@ def check_trace(trace: ExecutionTrace, topo: Topology, protocol: Protocol, fairn
 # ---------------------------------------------------------------------------
 # trace files: one JSON record per line
 
+# records hold no cycles; json copies a NamedTuple to a list more slowly than `list` does
+_dumps = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+class _JsonText(dict):
+    """The JSON text of each value looked up, encoded on its first lookup; values
+    that compare equal share one text, which holds for states of plain ints."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _dumps(list(value))
+        return text
+
+
 def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
     def reg(r: RegisterValue) -> list:
         return [int(r.prnt), r.level]
 
-    # records hold no cycles; json copies a NamedTuple to a list more slowly than `list` does
-    dumps = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+    state_json, slots = _JsonText().__getitem__, range(topo.num_registers)
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "type": "meta",
@@ -606,34 +627,31 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
             "byz": sorted(topo.byzantine),
             "neighbor_order": [list(o) for o in topo.neighbor_order],
         }
-        fh.write(dumps(meta) + "\n")
+        fh.write(_dumps(meta) + "\n")
         init = {
             "type": "init",
             "states": [list(s) for s in trace.initial.states],
             "registers": [reg(r) for r in trace.initial.registers],
         }
-        fh.write(dumps(init) + "\n")
+        fh.write(_dumps(init) + "\n")
         for i, step in enumerate(trace.steps):
             before, after = trace.configs[i], trace.configs[i + 1]
-            rec = {
-                "type": "step",
+            changed = itertools.compress(slots, map(ne, before.registers, after.registers))
+            # the keys that sort before "states"; sort_keys orders the process ids as strings
+            head = _dumps({
                 "i": i + 1,
                 "activated": sorted(step.activated),
-                "actions": {str(p): a for p, a in sorted(step.actions.items())},
+                "actions": dict(zip(map(str, step.actions), step.actions.values())),
                 "byz": {
                     str(p): None if w is None else {"state": list(w.state), "out": [reg(r) for r in w.out_regs]}
-                    for p, w in sorted(step.byz_writes.items())
+                    for p, w in step.byz_writes.items()
                 },
-                "states": [list(s) for s in after.states],
-                "reg_diff": {
-                    str(slot): reg(new)
-                    for slot, (old, new) in enumerate(zip(before.registers, after.registers))
-                    if old is not new and old != new
-                },
-            }
-            fh.write(dumps(rec) + "\n")
+                "reg_diff": {str(slot): reg(after.registers[slot]) for slot in changed},
+            })
+            states = ", ".join(map(state_json, after.states))
+            fh.write(f'{head[:-1]}, "states": [{states}], "type": "step"}}\n')
         tail = {"type": "end", "stop_reason": trace.stop_reason, "round_ends": trace.round_ends}
-        fh.write(dumps(tail) + "\n")
+        fh.write(_dumps(tail) + "\n")
 
 
 def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:

@@ -1,3 +1,4 @@
+import json
 import random
 
 from hypothesis import strategies as st
@@ -112,6 +113,54 @@ def fired_label(protocol, role, view):
     assert local_view(topo, config, 0) == view and protocol.role_of(topo, 0) == role
     fired = Kernel(topo, protocol).fire(config, 0)
     return fired and fired[0]
+
+
+def ref_write_trace(path, trace, topo, protocol):
+    """The reference trace writer: each record built as a dict and encoded
+    whole with sorted keys, one per line."""
+
+    def reg(r):
+        return [int(r.prnt), r.level]
+
+    dumps = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        meta = {
+            "type": "meta",
+            "protocol": protocol.name,
+            "n": topo.n,
+            "edges": [list(e) for e in topo.edges],
+            "root": topo.root,
+            "byz": sorted(topo.byzantine),
+            "neighbor_order": [list(o) for o in topo.neighbor_order],
+        }
+        fh.write(dumps(meta) + "\n")
+        init = {
+            "type": "init",
+            "states": [list(s) for s in trace.initial.states],
+            "registers": [reg(r) for r in trace.initial.registers],
+        }
+        fh.write(dumps(init) + "\n")
+        for i, step in enumerate(trace.steps):
+            before, after = trace.configs[i], trace.configs[i + 1]
+            rec = {
+                "type": "step",
+                "i": i + 1,
+                "activated": sorted(step.activated),
+                "actions": {str(p): a for p, a in sorted(step.actions.items())},
+                "byz": {
+                    str(p): None if w is None else {"state": list(w.state), "out": [reg(r) for r in w.out_regs]}
+                    for p, w in sorted(step.byz_writes.items())
+                },
+                "states": [list(s) for s in after.states],
+                "reg_diff": {
+                    str(slot): reg(new)
+                    for slot, (old, new) in enumerate(zip(before.registers, after.registers))
+                    if old != new
+                },
+            }
+            fh.write(dumps(rec) + "\n")
+        tail = {"type": "end", "stop_reason": trace.stop_reason, "round_ends": trace.round_ends}
+        fh.write(dumps(tail) + "\n")
 
 
 def keyed_text(arity, words=()):

@@ -12,6 +12,7 @@ from conftest import (
     random_st_topology,
     random_to_topology,
     ref_fire,
+    ref_write_trace,
     st_topology,
     to_topology,
 )
@@ -22,6 +23,7 @@ from strongstab.engine import (
     Daemon,
     EngineError,
     ExecutionTrace,
+    FairnessError,
     Kernel,
     LocalView,
     ProcessState,
@@ -38,6 +40,8 @@ from strongstab.engine import (
     run,
     write_trace,
 )
+from strongstab.engine import _Scheduler
+from strongstab.topology import build_topology
 from strongstab import spanning_tree, tree_orientation
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
 from strongstab.tree_orientation import SS_TO
@@ -234,6 +238,121 @@ def test_trace_file_roundtrip(tmp_path):
     check_locality(loaded, topo2)
 
 
+def _writer_case(protocol, n, f, adversary, seed):
+    """A short run on a random topology of `n` processes, `f` of them Byzantine,
+    from an arbitrary configuration."""
+    topo = (random_to_topology if protocol is SS_TO else random_st_topology)(n, f, seed)
+    trace, _ = quick_run(
+        topo, protocol, adversary, init_seed=seed, daemon_seed=seed + 1, adversary_seed=seed + 2, max_steps=40
+    )
+    return trace, topo
+
+
+def _same_trace_bytes(tmp_path, trace, topo, protocol):
+    write_trace(str(tmp_path / "fast.jsonl"), trace, topo, protocol)
+    ref_write_trace(str(tmp_path / "ref.jsonl"), trace, topo, protocol)
+    return (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+
+
+_WRITER_ADVERSARIES = ("silent", "oscillate", "fake-root", "level-inflation")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from([SS_TO, SS_ST]),
+    n=st.integers(2, 12),
+    f=st.integers(0, 2),
+    adversary=st.sampled_from(_WRITER_ADVERSARIES),
+    seed=st.integers(0, 10**6),
+)
+def test_trace_writer_matches_the_reference_writer(tmp_path_factory, protocol, n, f, adversary, seed):
+    trace, topo = _writer_case(protocol, n, min(f, n - 1), adversary, seed)
+    assert _same_trace_bytes(tmp_path_factory.mktemp("w"), trace, topo, protocol)
+
+
+def test_trace_writer_cases_reach_every_record_shape(tmp_path):
+    # two-digit register slots, Byzantine writes of None, steps with no
+    # register change and steps where no activated process fired
+    seen = set()
+    for protocol in (SS_TO, SS_ST):
+        for adversary in _WRITER_ADVERSARIES:
+            trace, topo = _writer_case(protocol, 12, 1, adversary, 5)
+            assert _same_trace_bytes(tmp_path, trace, topo, protocol)
+            for before, after, step in zip(trace.configs, trace.configs[1:], trace.steps):
+                changed = [s for s in range(topo.num_registers) if before.registers[s] != after.registers[s]]
+                shapes = {
+                    "two-digit slot": any(s >= 10 for s in changed),
+                    "no register change": not changed,
+                    "none written": None in step.byz_writes.values(),
+                    "none fired": not any(step.actions.values()),
+                }
+                seen |= {shape for shape, present in shapes.items() if present}
+    assert seen == {"two-digit slot", "no register change", "none written", "none fired"}
+
+
+class _RefScheduler:
+    """The daemon's choice with the forced set rebuilt by a full scan at every step."""
+
+    def __init__(self, daemon, topo):
+        self.daemon, self.rng = daemon, random.Random(daemon.rng_seed)
+        self.last_seen = {v: 0 for v in sorted(topo.correct)}
+        self.all_pids = list(range(topo.n))
+
+    def pick(self, t, proposal):
+        bound, rng = self.daemon.fairness_bound, self.rng
+        forced = {v for v, seen in self.last_seen.items() if t - seen >= bound}
+        if self.daemon.kind == "central":
+            if forced:
+                oldest = min(self.last_seen[v] for v in forced)
+                activated = {rng.choice(sorted(v for v in forced if self.last_seen[v] == oldest))}
+            else:
+                activated = set(proposal) if proposal else {rng.choice(self.all_pids)}
+        else:
+            activated = set() if proposal is None else set(proposal) | forced
+            if not activated:
+                activated = {v for v in self.all_pids if rng.random() < 0.5} | forced
+            if not activated:
+                activated = {rng.choice(self.all_pids)}
+        for v in activated & self.last_seen.keys():
+            self.last_seen[v] = t
+        if forced - activated:
+            raise FairnessError(f"fairness bound {bound} unsatisfiable at step {t} (kind={self.daemon.kind})")
+        return frozenset(activated)
+
+
+def _picks(scheduler, proposals):
+    """Each step's activated set, and the fairness error that ends the run early, if any."""
+    picked = []
+    try:
+        for t, proposal in enumerate(proposals, 1):
+            picked.append(scheduler.pick(t, proposal))
+    except FairnessError as exc:
+        return picked, str(exc)
+    return picked, None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    byz=st.sets(st.integers(0, 7)) | st.just(frozenset(range(8))),
+    kind=st.sampled_from(["central", "distributed"]),
+    hostile=st.booleans(),
+    bound=st.sampled_from(["1", "2", "n"]),
+    seed=st.integers(0, 10**6),
+)
+def test_scheduler_picks_what_the_full_scan_picks(n, byz, kind, hostile, bound, seed):
+    # `byz` may cover every process, and then the correct set is empty
+    topo = build_topology(path_edges(n), byzantine=byz & set(range(n)))
+    daemon = Daemon(kind=kind, fairness_bound=n if bound == "n" else int(bound), rng_seed=seed, hostile=hostile)
+    rng = random.Random(seed)
+    proposals = [None] * 60
+    if hostile:  # what an adversary may propose: a set, nothing, or no wish at all
+        size = 1 if kind == "central" else n
+        wishes = lambda: [None, frozenset(), frozenset(rng.sample(range(n), rng.randint(1, size)))]
+        proposals = [rng.choice(wishes()) for _ in proposals]
+    assert _picks(_Scheduler(daemon, topo), proposals) == _picks(_RefScheduler(daemon, topo), proposals)
+
+
 # ---------------------------------------------------------------------------
 # the audit must reject tampered traces
 
@@ -312,6 +431,14 @@ def test_audit_rejects_trace_that_does_not_start_at_its_initial_configuration():
     idle = min(set(range(t.n)) - trace.steps[0].activated)
     with pytest.raises(EngineError):
         check_trace(_tampered(trace, initial=_bumped_state(trace.initial, idle)), t, SS_ST, bound)
+
+
+def test_audit_rejects_configurations_of_the_wrong_shape():
+    # a process missing from every configuration of a trace
+    t, trace, bound = _byz_trace()
+    short = [c._replace(states=c.states[:-1]) for c in trace.configs]
+    with pytest.raises(EngineError, match="shape"):
+        check_trace(_tampered(trace, configs=dict(enumerate(short)), initial=short[0]), t, SS_ST, bound)
 
 
 def test_audit_rejects_byzantine_write_recorded_for_correct_process():
