@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Drive the headline experiments end to end and leave their artifacts in
 ./results: the fault-free round-bound sweep, the Byzantine construction
-sweep, the exact worst-case oracle on the small instances, and the
-two-Byzantine chain demonstration where disruptions never stop accruing.
+sweep, the exact worst-case and convergence oracles on the small instances,
+and the two-Byzantine chain demonstration where disruptions never stop accruing.
 """
 
 import os
@@ -54,6 +54,15 @@ def main() -> int:
     failures += cli(
         "oracle", "--topology", "topologies/tree7_ff.topo", "--protocol", "ss-to",
         "--property", "worst-disruptions", "--level-bound", "3",
+    )
+    # from every configuration of the bounded domain, both protocols converge fault-free on the 3-path
+    failures += cli(
+        "oracle", "--topology", "topologies/path3_ff.topo", "--protocol", "ss-to",
+        "--property", "converges-to", "--level-bound", "2",
+    )
+    failures += cli(
+        "oracle", "--topology", "topologies/path3_ff_st.topo", "--protocol", "ss-st",
+        "--property", "converges-to", "--level-bound", "1",
     )
 
     failures += cli(

@@ -13,7 +13,7 @@ import random
 from typing import Optional
 
 from . import analysis
-from .engine import ByzWrite, Configuration, Kernel, ProcessState, Protocol, RegisterValue
+from .engine import ByzWrite, Configuration, Daemon, Kernel, ProcessState, Protocol, RegisterValue
 from .topology import Topology, TopologyError
 
 
@@ -21,6 +21,7 @@ class Adversary:
     name = "adversary"
     # the integer parameters the strategy reads, each an attribute: key -> (default, least value)
     accepts: dict[str, tuple[Optional[int], int]] = {}
+    schedules = False  # whether it plays through `propose_activation`, which only a hostile central daemon calls
 
     def __init__(self, params: dict, seed: int, topo: Topology, protocol: Protocol):
         self.rng = random.Random(seed)
@@ -35,6 +36,11 @@ class Adversary:
             if not valid:
                 raise ValueError(f"adversary {self.name} parameter {key}: needs an integer >= {least}, got {value!r}")
             setattr(self, key, None if value is None else int(value))
+
+    def check_daemon(self, daemon: Daemon) -> None:
+        """ValueError when the strategy schedules but `daemon` would never ask it to."""
+        if self.schedules and not (daemon.hostile and daemon.kind == "central"):
+            raise ValueError(f"adversary {self.name} needs a hostile central daemon (daemon central, hostile true)")
 
     def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[ByzWrite]:
         raise NotImplementedError
@@ -176,11 +182,13 @@ class MaxDamageAdversary(Adversary):
     On the first scheduling request it runs the brute-force game search from
     the run's initial configuration (which must be legitimate and stable)
     and then drives the run along the disruption-maximizing play. Needs a
-    hostile central daemon with a fairness bound longer than the script.
+    hostile central daemon (`check_daemon` refuses any other) with a
+    fairness bound longer than the script.
     """
 
     name = "max-damage"
     accepts = {"level_bound": (3, 0), "radius": (0, 0)}  # level_bound bounds the game's register values
+    schedules = True
 
     def __init__(self, params, seed, topo, protocol):
         super().__init__(params, seed, topo, protocol)

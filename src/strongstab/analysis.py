@@ -31,7 +31,6 @@ from .engine import (
     Kernel,
     Protocol,
     RegisterValue,
-    apply_effects,
 )
 from .topology import InputError, Topology, distance_to_byzantine
 
@@ -89,19 +88,14 @@ class StabilityChecker:
         return all(spec(v, config, topo) for v in self.watch) and self.check(config) is Stability.STABLE
 
     def _search(self, config: Configuration) -> Stability:
-        topo, protocol, kernel = self.topo, self.protocol, self.kernel
+        o_changed, moves, watch = self.protocol.o_changed, self.kernel.moves, self.watch
         seen = {config}
         frontier = [config]
         while frontier:
             cfg = frontier.pop()
-            for v in kernel.correct:
-                fired = kernel.fire(cfg, v)
-                if fired is None:
-                    continue
-                effect = fired[1]
-                if v in self.watch and protocol.o_changed(cfg.states[v], effect.state):
+            for v, effect, nxt in moves(cfg):
+                if v in watch and o_changed(cfg.states[v], effect.state):
                     return Stability.UNSTABLE
-                nxt = apply_effects(cfg, topo, [(v, effect)])
                 if nxt not in seen:
                     if len(seen) > self.budget:
                         return Stability.UNKNOWN
@@ -361,36 +355,21 @@ def brute_force_verify(
     raise ValueError(f"unknown oracle property {prop!r}")
 
 
-class _LocalMoves:
-    """One query's local moves, through its own kernel. Called on a
-    configuration, it yields (v, next configuration) per correct v whose
-    action fires, in id order; OracleCapError when a move takes v's level
-    past the level cap."""
-
-    def __init__(self, topo: Topology, protocol: Protocol, level_bound: int):
-        self.topo, self.kernel = topo, Kernel(topo, protocol)
-        self.level_cap = level_bound + 2 * topo.n + 2
-
-    def __call__(self, cfg: Configuration):
-        kernel = self.kernel
-        for v in kernel.correct:
-            fired = kernel.fire(cfg, v)
-            if fired is not None:
-                if fired[1].state.level > self.level_cap:
-                    raise OracleCapError("level escaped the bounded domain")
-                yield v, apply_effects(cfg, self.topo, [(v, fired[1])])
+def _level_cap(topo: Topology, level_bound: int) -> int:
+    """The highest level an oracle query lets a correct move write; a move past it is refused."""
+    return level_bound + 2 * topo.n + 2
 
 
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    moves = _LocalMoves(topo, protocol, level_bound)
+    kernel, level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
 
     per_state = math.prod(len(protocol.state_domain(topo.degree(v), level_bound)) for v in range(topo.n))
     total = per_state * (2 * (level_bound + 1)) ** topo.num_registers
     if total > state_cap:
         raise OracleCapError(f"{total} initial configurations exceed cap {state_cap}")
-    legitimate = set(protocol.legitimate_set(topo, moves.level_cap))
+    legitimate = set(protocol.legitimate_set(topo, level_cap))
 
     memo: dict[Configuration, bool] = {}
     cycle_nodes: set[Configuration] = set()
@@ -411,7 +390,11 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
                     result.diverged_by_cycle = True
                     cycle_nodes.add(cfg)
                     continue
-                succs = [nxt for _, nxt in moves(cfg)]
+                succs = []
+                for _, effect, nxt in kernel.moves(cfg):
+                    if effect.state.level > level_cap:
+                        raise OracleCapError("level escaped the bounded domain")
+                    succs.append(nxt)
                 if not succs:
                     memo[cfg] = cfg in legitimate
                     continue
@@ -475,7 +458,7 @@ class _Game:
         self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
         self.checker = StabilityChecker(topo, protocol, radius)
         self.watch = self.checker.watch
-        self.moves = _LocalMoves(topo, protocol, level_bound)
+        self.kernel, self.level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
         self.seen: dict[Configuration, list] = {}
         self.nodes: list[tuple[Configuration, bool]] = []
         self.edges: list[Optional[list]] = []
@@ -526,10 +509,13 @@ class _Game:
 
     def _successors(self, cfg: Configuration):
         """Correct moves, then every Byzantine write of one out-register to
-        another value of its bounded domain, spliced into the register tuple."""
+        another value of its bounded domain, spliced into the register tuple;
+        OracleCapError when a correct move writes a level past the level cap."""
         protocol, watch = self.protocol, self.watch
-        for v, nxt in self.moves(cfg):
-            changed = v in watch and protocol.o_changed(cfg.states[v], nxt.states[v])
+        for v, effect, nxt in self.kernel.moves(cfg):
+            if effect.state.level > self.level_cap:
+                raise OracleCapError("level escaped the bounded domain")
+            changed = v in watch and protocol.o_changed(cfg.states[v], effect.state)
             yield v, None, nxt, v if changed else None
         states, regs = cfg
         for b in sorted(self.topo.byzantine):
@@ -628,7 +614,7 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
         anchor_list = list(anchors)
         for c in anchor_list:
             if not game.entry(c)[0]:
-                raise ValueError("supplied start is not legitimate and stable")
+                raise InputError("supplied start is not legitimate and stable")
     result = OracleResult(prop="worst-disruptions", anchors=len(anchor_list))
     start_ids = game.expand(anchor_list)
     if game.checker.saw_unknown:

@@ -253,6 +253,7 @@ def _setup(sc: Scenario):
     try:
         daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"], hostile=sc.hostile)
         adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
+        adversary.check_daemon(daemon)
     except (EngineError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
     if sc.init_mode == "arbitrary":
@@ -325,6 +326,7 @@ def _sweep_row(job: dict) -> dict:
     try:
         adversary = make_adversary(adv_name, adv_params, seed * 1000 + 3, topo, protocol)
         daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
+        adversary.check_daemon(daemon)
     except (EngineError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
     if job["init"] == "legitimate":

@@ -13,7 +13,9 @@ topology beyond the local degree. That is what keeps protocols anonymous.
 
 One step kernel serves every caller: each run, audit pass, stability search
 and oracle query owns a `Kernel`, which fires correct processes memoized per
-(role, local view), and `apply_effects` alone writes effects into a configuration.
+(role, local view). A configuration advances only through `Kernel.step` (runs
+and replays) and `Kernel.moves` (single-process moves, for the stability
+search and the oracle); they alone write effects, through `apply_effects`.
 """
 
 from __future__ import annotations
@@ -232,7 +234,8 @@ class StopCondition:
 class Kernel:
     """The step kernel of one run, audit pass, stability search or oracle query.
     Guards read only the local view and the role picks the actions, so `memo[role]`
-    maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life."""
+    maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life.
+    `step` and `moves` are the only writers of effects."""
 
     def __init__(self, topo: Topology, protocol: Protocol):
         self.topo = topo
@@ -265,10 +268,29 @@ class Kernel:
         """Whether no correct process has an enabled action in `config`."""
         return all(self.fire(config, v) is None for v in self.correct)
 
+    def step(self, config: Configuration, activated: Iterable[int], byz_writes: dict) -> tuple[dict, Configuration]:
+        """One step from `config`: the label each activated correct process fires, in id order,
+        and the merge of their effects, computed against `config`, with the non-None `byz_writes`."""
+        byzantine, actions = self.topo.byzantine, {}
+        effects = [(pid, write) for pid, write in byz_writes.items() if write is not None]
+        for v in sorted(activated):
+            if v not in byzantine:
+                fired = self.fire(config, v)
+                actions[v] = fired and fired[0]
+                if fired:
+                    effects.append((v, fired[1]))
+        return actions, apply_effects(config, self.topo, effects)
+
+    def moves(self, config: Configuration) -> Iterator[tuple[int, LocalEffect, Configuration]]:
+        """(v, effect, next configuration) per correct `v` whose action fires when `v` moves alone, in id order."""
+        for v in self.correct:
+            fired = self.fire(config, v)
+            if fired is not None:
+                yield v, fired[1], apply_effects(config, self.topo, [(v, fired[1])])
+
     def apply_step(self, config: Configuration, step: Step) -> Configuration:
-        """Re-execute one recorded step from `config`: every activated correct
-        process must have recorded the action enabled in `config`, and all
-        effects are computed against `config` (stale reads), then merged."""
+        """Re-execute one recorded step from `config`: a nonempty activated set, Byzantine writes only
+        by activated Byzantine processes, and at each activated correct process the label `step` fires."""
         topo = self.topo
         if not step.activated:
             raise EngineError("activated set must be nonempty")
@@ -277,22 +299,12 @@ class Kernel:
                 raise EngineError(f"byzantine write recorded for correct process {pid}")
             if pid not in step.activated:
                 raise EngineError(f"byzantine write for non-activated process {pid}")
-
-        effects: list[tuple[int, LocalEffect | ByzWrite]] = []
-        for pid in sorted(step.activated):
-            if pid in topo.byzantine:
-                write = step.byz_writes.get(pid)
-                if write is not None:
-                    effects.append((pid, write))
-                continue
-            fired = self.fire(config, pid)
-            label = fired[0] if fired else None
+        actions, after = self.step(config, step.activated, step.byz_writes)
+        for pid, label in actions.items():
             recorded = step.actions.get(pid)
             if label != recorded:
                 raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
-            if fired:
-                effects.append((pid, fired[1]))
-        return apply_effects(config, topo, effects)
+        return after
 
 
 def apply_effects(
@@ -401,20 +413,9 @@ def run(
             if proposal is not None:
                 proposal = frozenset(proposal)
         activated = sched.pick(t, proposal)
-        actions: dict[int, Optional[str]] = {}
-        byz_writes: dict[int, Optional[ByzWrite]] = {}
-        effects: list[tuple[int, LocalEffect | ByzWrite]] = []
-        for pid in sorted(activated):
-            if pid in topo.byzantine:
-                write = byz_writes[pid] = adversary.act(config, topo, pid)
-                if write is not None:
-                    effects.append((pid, write))
-            else:
-                fired = kernel.fire(config, pid)
-                actions[pid] = fired[0] if fired else None
-                if fired:
-                    effects.append((pid, fired[1]))
-        configs.append(apply_effects(config, topo, effects))
+        byz_writes = {pid: adversary.act(config, topo, pid) for pid in sorted(activated & topo.byzantine)}
+        actions, after = kernel.step(config, activated, byz_writes)
+        configs.append(after)
         steps.append(Step(activated=activated, actions=actions, byz_writes=byz_writes))
     trace = ExecutionTrace(
         initial=init,

@@ -22,6 +22,7 @@ from strongstab.analysis import (
 from strongstab.engine import (
     ByzWrite,
     Configuration,
+    Kernel,
     ProcessState,
     RegisterValue,
     apply_effects,
@@ -353,14 +354,17 @@ def test_level_cap_set_decides_convergence_like_the_predicate():
     for protocol, root in ((SS_TO, None), (SS_ST, 0)):
         topo = build_topology(path_edges(3), root=root, mode=protocol.name)
         in_set = _membership(protocol, topo)
-        moves = analysis._LocalMoves(topo, protocol, 1)
-        legitimate = set(protocol.legitimate_set(topo, moves.level_cap))
+        kernel, level_cap = Kernel(topo, protocol), analysis._level_cap(topo, 1)
+        legitimate = set(protocol.legitimate_set(topo, level_cap))
         reached = set(analysis._enumerate_domain(topo, protocol, 1))
         stack, terminal = list(reached), 0
         while stack:
             cfg = stack.pop()
             assert (cfg in legitimate) == in_set(cfg, topo), cfg
-            successors = [nxt for _, nxt in moves(cfg)]
+            successors = []
+            for _, effect, nxt in kernel.moves(cfg):
+                assert effect.state.level <= level_cap, cfg  # the query would refuse the move
+                successors.append(nxt)
             terminal += not successors
             for nxt in successors:
                 if nxt not in reached:
@@ -614,12 +618,12 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
     # a second query, on another neighbor order, starts from an empty kernel of its own
     made = []
 
-    class Recorded(analysis._LocalMoves):
+    class Recorded(Kernel):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append((self, sum(map(len, self.kernel.memo.values()))))
+            made.append((self, sum(map(len, self.memo.values()))))
 
-    monkeypatch.setattr(analysis, "_LocalMoves", Recorded)
+    monkeypatch.setattr(analysis, "Kernel", Recorded)
     for protocol, root in ((SS_TO, None), (SS_ST, 0)):
         made.clear()
         for order in ([[1], [0, 2], [1]], [[1], [2, 0], [1]]):
@@ -627,10 +631,10 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
             assert brute_force_verify(topo, protocol, "converges-to", 1).converges
             queried = made[-1][0]
             for cfg in analysis._enumerate_domain(topo, protocol, 1):
-                assert list(queried(cfg)) == _fresh_moves(topo, protocol, cfg), cfg
+                assert [(v, nxt) for v, _, nxt in queried.moves(cfg)] == _fresh_moves(topo, protocol, cfg), cfg
         (first, empty_first), (second, empty_second) = made
         assert empty_first == empty_second == 0
-        first, second = first.kernel.memo, second.kernel.memo
+        first, second = first.memo, second.memo
         assert first.keys() == second.keys() and all(first[role] and first[role] is not second[role] for role in first)
 
 

@@ -323,6 +323,13 @@ _BAD_INPUTS = {
         pytest.param({"STRONGSTAB_SEED": "x"}, "STRONGSTAB_SEED", id="non-integer-seed-variable"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage radius=-1"}, None, id="max-damage-negative-radius"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage level_bound=-1"}, None, id="max-damage-negative-level-bound"),
+        pytest.param({**_MAX_DAMAGE, "hostile": "false", "adversary": "max-damage"}, None, id="max-damage-not-hostile"),
+        pytest.param({**_MAX_DAMAGE, "daemon": "distributed", "adversary": "max-damage"}, None, id="max-damage-distributed"),
+        pytest.param(
+            {**_MAX_DAMAGE, "init": "arbitrary", "adversary": "max-damage", "topology": str(REPO / "topologies" / "path3_st.topo")},
+            None,
+            id="max-damage-start-not-legitimate-and-stable",
+        ),
     ]
     + [pytest.param({"adversary": spec}, f"adversary {names}", id=spec) for spec, names in _BAD_ADVERSARY_PARAMETERS],
 )
@@ -462,6 +469,7 @@ _SWEEP = {
         pytest.param({"protocol": "ss-st", "f": "4"}, None, id="f-above-non-root-processes"),
         pytest.param({"n": "", "topology_kind": "bogus"}, "sweep spec line 2", id="unknown-topology-kind-empty-grid"),
         pytest.param({"n": "", "daemon": "nobody"}, "sweep spec line 9", id="unknown-daemon-empty-grid"),
+        pytest.param({"adversary": "max-damage"}, None, id="max-damage-without-a-hostile-daemon"),
     ]
     + [pytest.param({"adversary": spec}, f"adversary {names}", id=spec) for spec, names in _BAD_ADVERSARY_PARAMETERS],
 )
