@@ -21,7 +21,7 @@ class Adversary:
     name = "adversary"
     # the integer parameters the strategy reads, each an attribute: key -> (default, least value)
     accepts: dict[str, tuple[Optional[int], int]] = {}
-    schedules = False  # whether it plays through `propose_activation`, which only a hostile central daemon calls
+    schedules = False  # whether it plays through `propose_activation`, which needs a central daemon
 
     def __init__(self, params: dict, seed: int, topo: Topology, protocol: Protocol):
         self.rng = random.Random(seed)
@@ -38,9 +38,9 @@ class Adversary:
             setattr(self, key, None if value is None else int(value))
 
     def check_daemon(self, daemon: Daemon) -> None:
-        """ValueError when the strategy schedules but `daemon` would never ask it to."""
-        if self.schedules and not (daemon.hostile and daemon.kind == "central"):
-            raise ValueError(f"adversary {self.name} needs a hostile central daemon (daemon central, hostile true)")
+        """ValueError when the strategy schedules but `daemon` is not central."""
+        if self.schedules and daemon.kind != "central":
+            raise ValueError(f"adversary {self.name} needs a central daemon (daemon central)")
 
     def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[ByzWrite]:
         raise NotImplementedError
@@ -48,8 +48,8 @@ class Adversary:
     def pledges_silence(self) -> bool:
         return False
 
-    def propose_activation(self, config: Configuration, topo: Topology, t: int):
-        """Activation set wish, honored only under a hostile daemon."""
+    def propose_activation(self, config: Configuration, topo: Topology, t: int) -> Optional[frozenset[int]]:
+        """The activation set wished for step `t`, or None for the daemon's own pick; asked every step."""
         return None
 
     def _uniform_write(self, state: ProcessState, reg: RegisterValue, degree: int) -> ByzWrite:
@@ -182,8 +182,8 @@ class MaxDamageAdversary(Adversary):
     On the first scheduling request it runs the brute-force game search from
     the run's initial configuration (which must be legitimate and stable)
     and then drives the run along the disruption-maximizing play. Needs a
-    hostile central daemon (`check_daemon` refuses any other) with a
-    fairness bound longer than the script.
+    central daemon (`check_daemon` refuses any other) with a fairness bound
+    longer than the script.
     """
 
     name = "max-damage"

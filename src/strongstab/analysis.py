@@ -185,7 +185,7 @@ def count_o_changes(
 # ---------------------------------------------------------------------------
 # containment reports
 
-# the scenario expectation `run --expect-unbounded` checks: a least disruption count
+# the bound a scenario lists to expect at least `expect_min_disruptions` disruptions
 MIN_DISRUPTIONS = "min_disruptions"
 
 @dataclass(frozen=True)
@@ -458,7 +458,7 @@ class _Game:
         self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
         self.checker = StabilityChecker(topo, protocol, radius)
         self.watch = self.checker.watch
-        self.kernel, self.level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
+        self.kernel, self.level_cap = self.checker.kernel, _level_cap(topo, level_bound)
         self.seen: dict[Configuration, list] = {}
         self.nodes: list[tuple[Configuration, bool]] = []
         self.edges: list[Optional[list]] = []

@@ -1,11 +1,13 @@
 """Command-line front end: runs, parameter sweeps, the exhaustive oracle,
 and trace replay.
 
-Scenario files are line-oriented `key value...` text (see README). A
-scenario pins every seed, so the same file always produces byte-identical
-trace and report files. Exit codes: 0 all checked bounds hold, 1 a bound
-failed, 2 usage or input errors, 3 inconclusive (a stability search ran
-out of budget, and no bound failed in a sweep).
+Scenario files are line-oriented `key value...` text (see README). A run
+is a function of its scenario alone: its seed derives every other seed and
+it lists every bound checked, so the same file always produces
+byte-identical trace and report files; a sweep row is the run of the
+scenario its grid point makes. Exit codes: 0 all checked bounds hold, 1 a
+bound failed, 2 usage or input errors, 3 inconclusive (a stability search
+ran out of budget, and no bound failed in a sweep).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
-import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -60,18 +61,14 @@ PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
 # every protocol's bounds by name; the names do not clash
 BOUNDS = {bound.name: bound for protocol in PROTOCOLS.values() for bound in protocol.bounds}
 
-SEED_ENV = "STRONGSTAB_SEED"
-
 # the exit code of a report's or a sweep's verdict
 EXIT_CODES = {"pass": 0, "FAIL": 1, "inconclusive": 3}
 # integer keys of scenarios and sweep specs that count something, so cannot be negative
 _COUNTS = ("max_steps", "radius", "expect_min_disruptions", "replications", "extra_edges")
 
-_SCENARIO_INTEGERS = (
-    "fairness_bound seed seed_daemon seed_init seed_adversary seed_neighbor max_steps radius expect_min_disruptions"
-).split()
+_SCENARIO_INTEGERS = "fairness_bound seed seed_neighbor max_steps radius expect_min_disruptions".split()
 # key -> (fewest, most arguments); every key but `bounds` may appear once
-SCENARIO_KEYS = {key: (1, 1) for key in ("topology", "protocol", "daemon", "hostile", *_SCENARIO_INTEGERS)}
+SCENARIO_KEYS = {key: (1, 1) for key in ("topology", "protocol", "daemon", *_SCENARIO_INTEGERS)}
 SCENARIO_KEYS.update(init=(1, 2), adversary=(1, None), bounds=(0, None))
 
 
@@ -93,17 +90,13 @@ class Scenario:
     topology_path: str
     protocol: str
     daemon_kind: str = "distributed"
-    hostile: bool = False
     fairness_bound: Optional[int] = None
     init_mode: str = "arbitrary"
     init_arg: Optional[str] = None
     adversary: str = "silent"
     adversary_params: dict = field(default_factory=dict)
     seed: int = 0
-    seed_daemon: Optional[int] = None
-    seed_init: Optional[int] = None
-    seed_adversary: Optional[int] = None
-    seed_neighbor: Optional[int] = None
+    seed_neighbor: Optional[int] = None  # named init files name parents by neighbor position, so pin the order
     max_steps: int = 2000
     radius: int = 0
     bounds: list = field(default_factory=list)
@@ -111,19 +104,9 @@ class Scenario:
     base_dir: Path = Path(".")
 
     def resolved_seeds(self) -> dict[str, int]:
-        master = self.seed
-        env = os.environ.get(SEED_ENV)
-        if env is not None:
-            try:
-                master = int(env)
-            except ValueError:
-                raise ScenarioError(f"{SEED_ENV}: needs an integer, got {env!r}") from None
-        return {
-            "daemon": self.seed_daemon if self.seed_daemon is not None else master * 1000 + 1,
-            "init": self.seed_init if self.seed_init is not None else master * 1000 + 2,
-            "adversary": self.seed_adversary if self.seed_adversary is not None else master * 1000 + 3,
-            "neighbor": self.seed_neighbor if self.seed_neighbor is not None else master * 1000 + 4,
-        }
+        base = self.seed * 1000
+        neighbor = self.seed_neighbor if self.seed_neighbor is not None else base + 4
+        return {"daemon": base + 1, "init": base + 2, "adversary": base + 3, "neighbor": neighbor}
 
 
 def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
@@ -136,10 +119,6 @@ def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
                 line.fail(f"{key} must be non-negative")
         elif key == "protocol" and args[0] not in PROTOCOLS:
             line.fail(f"unknown protocol {args[0]!r}")
-        elif key == "hostile":
-            if args[0].lower() not in ("true", "false"):
-                line.fail(f"'hostile' needs true or false, got {args[0]!r}")
-            fields["hostile"] = args[0].lower() == "true"
         elif key == "init":
             fields["init_mode"] = args[0]
             fields["init_arg"] = args[1] if len(args) > 1 else None
@@ -241,17 +220,18 @@ def bound_limits(names: list[str], topo: Topology, sc: Scenario) -> dict[str, tu
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _setup(sc: Scenario):
+def _topology(sc: Scenario) -> Topology:
+    path, seed = str(sc.base_dir / sc.topology_path), sc.resolved_seeds()["neighbor"]
+    return load_topology(path, neighbor_seed=seed, mode=sc.protocol)
+
+
+def _players(sc: Scenario, topo: Topology):
+    """The protocol, daemon, adversary and initial configuration of `sc` on `topo`."""
     protocol = PROTOCOLS[sc.protocol]
-    foreign = set(sc.bounds) - {b.name for b in protocol.bounds} - {analysis.MIN_DISRUPTIONS}
-    if foreign:
-        raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(foreign))}")
     seeds = sc.resolved_seeds()
-    topo_path = sc.base_dir / sc.topology_path
-    topo = load_topology(str(topo_path), neighbor_seed=seeds["neighbor"], mode=protocol.name)
     fairness = sc.fairness_bound if sc.fairness_bound is not None else 2 * topo.n
     try:
-        daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"], hostile=sc.hostile)
+        daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"])
         adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
         adversary.check_daemon(daemon)
     except (EngineError, ValueError) as exc:
@@ -268,22 +248,28 @@ def _setup(sc: Scenario):
         init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
     else:
         raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
-    return topo, protocol, daemon, adversary, init
+    return protocol, daemon, adversary, init
+
+
+def _verify(sc: Scenario, topo: Topology):
+    """Run `sc` on `topo`: the trace and its containment report on the scenario's bounds."""
+    protocol, daemon, adversary, init = _players(sc, topo)
+    foreign = set(sc.bounds) - {b.name for b in protocol.bounds} - {analysis.MIN_DISRUPTIONS}
+    if foreign:
+        raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(foreign))}")
+    limits = bound_limits(sc.bounds, topo, sc)
+    trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=sc.max_steps))
+    return trace, analysis.verify_containment(trace, topo, protocol, sc.radius, limits)
 
 
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
-    if args.expect_unbounded:
-        capped = {b.name for b in PROTOCOLS[sc.protocol].bounds if b.observable == "disruptions"}
-        sc.bounds = [name for name in sc.bounds if name not in capped] + [analysis.MIN_DISRUPTIONS]
-    topo, protocol, daemon, adversary, init = _setup(sc)
-    limits = bound_limits(sc.bounds, topo, sc)
-    trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=sc.max_steps))
-    report = analysis.verify_containment(trace, topo, protocol, sc.radius, limits)
+    topo = _topology(sc)
+    trace, report = _verify(sc, topo)
     text = analysis.render_report(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_trace(str(out / "trace.jsonl"), trace, topo, protocol)
+    write_trace(str(out / "trace.jsonl"), trace, topo, PROTOCOLS[sc.protocol])
     (out / "report.txt").write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     return EXIT_CODES[report.verdict]
@@ -315,39 +301,30 @@ def _sweep_topology(kind: str, n: int, f: int, protocol: Protocol, seed: int, ex
 
 
 def _sweep_row(job: dict) -> dict:
-    """One seeded replication; self-contained so replications can run in
-    worker processes."""
+    """One seeded replication, the scenario of its grid point run on a drawn
+    topology; self-contained so replications can run in worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
     topo = _sweep_topology(job["topology_kind"], job["n"], job["f"], protocol, job["seed"], job["extra_edges"])
-    inputs = BoundInputs.of(topo)
-    limits = {b.name: (b.limit(inputs), "max") for b in protocol.bounds if b.swept(job["f"])}
-    seed = job["seed"]
     adv_name, adv_params = job["adversary"]
-    try:
-        adversary = make_adversary(adv_name, adv_params, seed * 1000 + 3, topo, protocol)
-        daemon = Daemon(kind=job["daemon"], fairness_bound=2 * job["n"], rng_seed=seed * 1000 + 1)
-        adversary.check_daemon(daemon)
-    except (EngineError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from None
-    if job["init"] == "legitimate":
-        init = protocol.legitimate_configuration(topo, seed * 1000 + 2)
-    else:
-        init = engine_mod.arbitrary_configuration(topo, protocol, seed * 1000 + 2)
-    trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=job["max_steps"]))
-    report = analysis.verify_containment(trace, topo, protocol, job["radius"], limits)
+    sc = Scenario(
+        "-", job["protocol"], daemon_kind=job["daemon"], init_mode=job["init"], adversary=adv_name,
+        adversary_params=adv_params, seed=job["seed"], max_steps=job["max_steps"], radius=job["radius"],
+        bounds=[b.name for b in protocol.bounds if b.swept(job["f"])],
+    )
+    _, report = _verify(sc, topo)
     ok = "inconclusive" if report.stability_unknown_seen else report.all_passed and not report.never_stabilized
     return {
         "protocol": job["protocol"],
         "n": job["n"],
         "f": job["f"],
         "adversary": adv_name,
-        "seed": seed,
+        "seed": job["seed"],
         "delta": topo.max_degree,
         "d": correct_metrics(topo).d,
         "rounds": report.stabilization_round,
         "disruptions": report.t_observed,
         "max_changes": report.k_observed,
-        **{f"bound_{name}": limits[name][0] for name in sorted(limits)},
+        **{f"bound_{name}": report.bounds_checked[name].limit for name in sorted(sc.bounds)},
         "pass": ok,
     }
 
@@ -508,11 +485,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute one scenario and check its bounds")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument(
-        "--expect-unbounded",
-        action="store_true",
-        help="pass when disruptions keep accumulating instead of staying bounded",
-    )
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid of seeded runs, aggregated to CSV")

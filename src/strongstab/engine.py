@@ -208,15 +208,14 @@ DAEMON_KINDS = ("distributed", "central")
 class Daemon:
     """Scheduler: central activates one process per step, distributed any
     nonempty subset. Weak fairness is constructive: a correct process idle
-    for `fairness_bound` steps is force-activated. With ``hostile=True`` the
-    adversary proposes activation sets and the daemon only tops them up with
-    forced processes.
+    for `fairness_bound` steps is force-activated. An activation set the
+    adversary proposes is honored, topped up with forced processes; only a
+    scheduling strategy proposes one.
     """
 
     kind: str = "distributed"
     fairness_bound: int = 8
     rng_seed: int = 0
-    hostile: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in DAEMON_KINDS:
@@ -407,12 +406,7 @@ def run(
             stop_reason = "max_steps"
             break
         t += 1
-        proposal = None
-        if daemon.hostile:
-            proposal = adversary.propose_activation(config, topo, t)
-            if proposal is not None:
-                proposal = frozenset(proposal)
-        activated = sched.pick(t, proposal)
+        activated = sched.pick(t, adversary.propose_activation(config, topo, t))
         byz_writes = {pid: adversary.act(config, topo, pid) for pid in sorted(activated & topo.byzantine)}
         actions, after = kernel.step(config, activated, byz_writes)
         configs.append(after)
@@ -672,17 +666,24 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     def reg(r) -> RegisterValue:
         return RegisterValue(bool(r[0]), r[1])
 
+    def index(value, count: int, what: str):  # a process id or register slot; a negative one would count from the end
+        if not 0 <= value < count:
+            raise ValueError(f"{what} {value!r} outside 0..{count - 1}")
+        return value
+
     init = Configuration(tuple(ProcessState(*s) for s in records[1]["states"]), tuple(map(reg, records[1]["registers"])))
     configs, steps = [init], []
-    for rec in step_recs:
+    for i, rec in enumerate(step_recs, 1):
         registers = list(configs[-1].registers)
         for slot, val in rec["reg_diff"].items():
-            registers[int(slot)] = reg(val)
+            registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val)
         configs.append(Configuration(tuple(ProcessState(*s) for s in rec["states"]), tuple(registers)))
         byz_writes = {
-            int(pid): None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
+            index(int(pid), topo.n, f"step {i}: byz process"):
+            None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
             for pid, w in rec["byz"].items()
         }
         actions = {int(p): a for p, a in rec["actions"].items()}
-        steps.append(Step(frozenset(rec["activated"]), actions, byz_writes))
+        activated = frozenset(index(v, topo.n, f"step {i}: activated process") for v in rec["activated"])
+        steps.append(Step(activated, actions, byz_writes))
     return ExecutionTrace(init, configs, steps, end["round_ends"], end["stop_reason"]), topo, meta["protocol"]

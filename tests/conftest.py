@@ -68,14 +68,12 @@ def random_to_topology(n, f, seed, prefer_internal=False):
 
 def quick_run(topo, protocol, adversary_name="silent", adversary_params=None, *,
               init=None, init_seed=0, daemon_seed=0, adversary_seed=0,
-              max_steps=2000, fairness=None, kind="distributed", hostile=False,
-              predicate=None):
+              max_steps=2000, fairness=None, kind="distributed", predicate=None):
     adv = make_adversary(adversary_name, adversary_params or {}, adversary_seed, topo, protocol)
     daemon = Daemon(
         kind=kind,
         fairness_bound=fairness if fairness is not None else 2 * topo.n,
         rng_seed=daemon_seed,
-        hostile=hostile,
     )
     if init is None:
         init = arbitrary_configuration(topo, protocol, init_seed)

@@ -43,13 +43,12 @@ def _audit(trace, topo, protocol, fairness_bound):
 
 
 def _run(topo, protocol, adversary_name, params, seeds, max_steps, predicate=None,
-         kind="distributed", hostile=False, fairness=None, init=None):
+         kind="distributed", fairness=None, init=None):
     adv = make_adversary(adversary_name, params, seeds + 3, topo, protocol)
     daemon = Daemon(
         kind=kind,
         fairness_bound=fairness if fairness is not None else 2 * topo.n,
         rng_seed=seeds + 1,
-        hostile=hostile,
     )
     if init is None:
         init = arbitrary_configuration(topo, protocol, seeds + 2)
@@ -128,7 +127,7 @@ def test_criterion_3_construction_disruption_bounds():
             adv_params = {"level_bound": bound}
             trace = _run(
                 topo, SS_ST, "max-damage", adv_params, seeds=17, max_steps=2000,
-                kind="central", hostile=True, fairness=100_000, init=oracle.best_anchor,
+                kind="central", fairness=100_000, init=oracle.best_anchor,
             )
             rep = _report(trace, topo, SS_ST, 0,
                           {"st_disruptions": (t_limit, "max"), "st_changes": (k_limit, "max")})
@@ -237,7 +236,7 @@ def test_criterion_5_orientation_single_byzantine():
         if oracle.worst_disruptions:
             trace = _run(
                 topo, SS_TO, "max-damage", {"level_bound": 3}, seeds=23, max_steps=2000,
-                kind="central", hostile=True, fairness=100_000, init=oracle.best_anchor,
+                kind="central", fairness=100_000, init=oracle.best_anchor,
             )
             rep = _report(trace, topo, SS_TO, 0,
                           {"to_disruptions": (topo.degree(z), "max"), "to_changes": (1, "max")})

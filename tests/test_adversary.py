@@ -112,7 +112,7 @@ def test_max_damage_reproduces_oracle_worst_case():
     t = st_topology(3, byz=(2,), seed=1)
     oracle = analysis.brute_force_verify(t, SS_ST, "worst-disruptions", level_bound=3)
     adv = make_adversary("max-damage", {"level_bound": 3}, 0, t, SS_ST)
-    daemon = Daemon(kind="central", fairness_bound=100_000, rng_seed=2, hostile=True)
+    daemon = Daemon(kind="central", fairness_bound=100_000, rng_seed=2)
     trace = run(t, SS_ST, adv, daemon, oracle.best_anchor, StopCondition(max_steps=500))
     report = analysis.verify_containment(trace, t, SS_ST, 0, {})
     assert report.t_observed == oracle.worst_disruptions

@@ -113,7 +113,7 @@ def test_single_flip_yields_one_record_with_counts():
     from strongstab.engine import Daemon, StopCondition, run
 
     adv = make_adversary("max-damage", {"level_bound": 3}, 0, t, SS_ST)
-    daemon = Daemon(kind="central", fairness_bound=100_000, rng_seed=1, hostile=True)
+    daemon = Daemon(kind="central", fairness_bound=100_000, rng_seed=1)
     trace = run(t, SS_ST, adv, daemon, oracle.best_anchor, StopCondition(max_steps=100))
     scan = find_disruptions(trace, t, 0, SS_ST)
     assert len(scan.records) == oracle.worst_disruptions == 1

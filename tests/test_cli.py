@@ -14,8 +14,9 @@ from strongstab.cli import (
     SWEEP_KEYS,
     Scenario,
     ScenarioError,
-    _setup,
+    _players,
     _summarize,
+    _topology,
     bound_limits,
     load_scenario,
     main,
@@ -25,7 +26,7 @@ from strongstab.cli import (
     resolve_named_init,
     write_config_file,
 )
-from strongstab.engine import arbitrary_configuration
+from strongstab.engine import arbitrary_configuration, read_trace
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
 from strongstab.topology import InputError, build_topology, load_topology, random_tree_edges
 
@@ -57,7 +58,7 @@ def test_scenario_parsing_defaults_and_params(tmp_path):
     p = _basic_scenario(tmp_path, adversary="oscillate period=3 cycles=2")
     sc = load_scenario(str(p))
     assert sc.protocol == "ss-st"
-    assert sc.daemon_kind == "distributed" and not sc.hostile
+    assert sc.daemon_kind == "distributed"
     assert sc.adversary == "oscillate"
     assert sc.adversary_params == {"period": "3", "cycles": "2"}
     assert sc.bounds == ["st_disruptions", "st_changes"]
@@ -74,15 +75,6 @@ def test_scenario_errors():
         parse_scenario_text("topology t\nprotocol ss-st\nadversary oscillate period", Path("."))
     with pytest.raises(ScenarioError, match="duplicate"):
         parse_scenario_text("topology a\ntopology b\nprotocol ss-st", Path("."))
-
-
-def test_env_seed_overrides_master(tmp_path, monkeypatch):
-    p = _basic_scenario(tmp_path)
-    sc = load_scenario(str(p))
-    monkeypatch.setenv("STRONGSTAB_SEED", "77")
-    assert sc.resolved_seeds()["daemon"] == 77001
-    monkeypatch.delenv("STRONGSTAB_SEED")
-    assert sc.resolved_seeds()["daemon"] == 1001
 
 
 def test_bound_limit_formulas():
@@ -172,7 +164,7 @@ def test_every_checked_in_input_parses():
     named = set()
     for path in sorted((REPO / "scenarios").glob("*.scn")):
         sc = load_scenario(str(path))
-        _setup(sc)  # loads the scenario's topology and named init file
+        _players(sc, _topology(sc))  # loads the scenario's topology and named init file
         if sc.init_mode == "named":
             named.add(resolve_named_init(sc.init_arg, sc.base_dir).name)
     assert named == {p.name for p in (REPO / "src" / "strongstab" / "corpus").glob("*.init")}
@@ -212,13 +204,13 @@ def test_run_exit_one_on_violated_bound(tmp_path):
     scn = _basic_scenario(
         tmp_path,
         adversary="chain-replay",
-        bounds=None,
+        bounds="min_disruptions",
         protocol="ss-to",
         max_steps="1500",
     )
     _write(tmp_path, "p3.topo", "n 3\nbyz 0 2\nedge 0 1\nedge 1 2\n")
     scn.write_text(scn.read_text() + "\nexpect_min_disruptions 100000\n")
-    rc = main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o"), "--expect-unbounded"])
+    rc = main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")])
     assert rc == 1  # requires an absurd number of disruptions: fails
 
 
@@ -230,12 +222,18 @@ def test_expect_unbounded_demo_passes(tmp_path):
             str(REPO / "scenarios" / "to_chain5_replay.scn"),
             "--out",
             str(tmp_path / "demo"),
-            "--expect-unbounded",
         ]
     )
     assert rc == 0
     report = (tmp_path / "demo" / "report.txt").read_text()
     assert "bound min_disruptions" in report
+
+
+@pytest.mark.parametrize("path", sorted((REPO / "scenarios").glob("*.scn")), ids=lambda p: p.stem)
+def test_checked_in_scenario_passes_and_replays(tmp_path, capsys, path):
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert main(["replay", str(tmp_path / "o" / "trace.jsonl")]) == 0
+    assert "replay ok" in capsys.readouterr().out
 
 
 def test_named_init_scenario_runs(tmp_path):
@@ -275,8 +273,8 @@ _BAD_ADVERSARY_PARAMETERS = [
     ("chain-replay reversals=-1", "chain-replay parameter reversals"),
 ]
 
-# the setting under which max-damage plays its game: a hostile central daemon from a legitimate start
-_MAX_DAMAGE = {"daemon": "central", "hostile": "true", "fairness_bound": "100", "init": "legitimate"}
+# the setting under which max-damage plays its game: a central daemon from a legitimate start
+_MAX_DAMAGE = {"daemon": "central", "fairness_bound": "100", "init": "legitimate"}
 
 # input files a scenario below can name; each holds one error on the named line
 _BAD_INPUTS = {
@@ -294,7 +292,7 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize(
     "over, where",
     [
-        pytest.param({"seed_init": "abc"}, None, id="non-integer-seed"),
+        pytest.param({"seed": "abc"}, None, id="non-integer-seed"),
         pytest.param({"max_steps": "many"}, None, id="non-integer-max-steps"),
         pytest.param({"fairness_bound": "x"}, None, id="non-integer-fairness-bound"),
         pytest.param({"radius": "-1"}, None, id="negative-radius"),
@@ -320,10 +318,8 @@ _BAD_INPUTS = {
         pytest.param({"init": "legitimate\ninit arbitrary"}, "scenario line 8", id="repeated-init"),
         pytest.param({"topology": "latin1.topo"}, "{tmp}/latin1.topo", id="topology-file-not-utf8"),
         pytest.param({"init": "named latin1.init"}, "{tmp}/latin1.init", id="init-file-not-utf8"),
-        pytest.param({"STRONGSTAB_SEED": "x"}, "STRONGSTAB_SEED", id="non-integer-seed-variable"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage radius=-1"}, None, id="max-damage-negative-radius"),
         pytest.param({**_MAX_DAMAGE, "adversary": "max-damage level_bound=-1"}, None, id="max-damage-negative-level-bound"),
-        pytest.param({**_MAX_DAMAGE, "hostile": "false", "adversary": "max-damage"}, None, id="max-damage-not-hostile"),
         pytest.param({**_MAX_DAMAGE, "daemon": "distributed", "adversary": "max-damage"}, None, id="max-damage-distributed"),
         pytest.param(
             {**_MAX_DAMAGE, "init": "arbitrary", "adversary": "max-damage", "topology": str(REPO / "topologies" / "path3_st.topo")},
@@ -333,18 +329,26 @@ _BAD_INPUTS = {
     ]
     + [pytest.param({"adversary": spec}, f"adversary {names}", id=spec) for spec, names in _BAD_ADVERSARY_PARAMETERS],
 )
-def test_scenario_input_errors_exit_two(tmp_path, capsys, monkeypatch, over, where):
+def test_scenario_input_errors_exit_two(tmp_path, capsys, over, where):
     _write(tmp_path, "p3_to.topo", "n 3\nbyz 2\nedge 0 1\nedge 1 2\n")
     for name, text in _BAD_INPUTS.items():
         (tmp_path / name).write_bytes(text.encode("latin-1"))
-    for key, value in over.items():
-        if key.isupper():  # an environment variable, not a scenario key
-            monkeypatch.setenv(key, value)
-    scn = _basic_scenario(tmp_path, **{key: value for key, value in over.items() if not key.isupper()})
+    scn = _basic_scenario(tmp_path, **over)
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert where is None or f"error: {where.format(tmp=tmp_path)}: " in err, err
+
+
+def test_max_damage_plays_the_oracle_worst_case_under_a_central_daemon(tmp_path):
+    # seed 4 draws a legitimate start from which one disruption can be forced
+    topo = str(REPO / "topologies" / "path3_st.topo")
+    scn = _basic_scenario(tmp_path, **_MAX_DAMAGE, adversary="max-damage", topology=topo, seed="4")
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
+    trace, topo, _ = read_trace(str(tmp_path / "o" / "trace.jsonl"))
+    worst, _ = analysis.best_disruption_play(topo, SS_ST, trace.initial, 3)
+    assert worst == 1
+    assert f"disruptions {worst}\n" in (tmp_path / "o" / "report.txt").read_text(encoding="utf-8")
 
 
 def test_legitimate_kinds_accepted_per_protocol(tmp_path):
@@ -422,17 +426,6 @@ def test_replay_subcommand(tmp_path, capsys):
     rc = main(["replay", str(tmp_path / "o" / "trace.jsonl")])
     assert rc == 0
     assert "replay ok" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("value", ["yes", "ture", "1"])
-def test_hostile_takes_only_true_or_false(tmp_path, capsys, value):
-    scn = _basic_scenario(tmp_path, hostile=value)
-    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "hostile" in err, err
-    for value in ("true", "false"):
-        sc = load_scenario(str(_basic_scenario(tmp_path, hostile=value)))
-        assert sc.hostile is (value == "true")
 
 
 _SWEEP = {
@@ -533,6 +526,14 @@ def test_sweep_summary_ranks_fail_over_inconclusive_over_pass():
 
 
 _FAKEROOT = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+_INFLATION = (REPO / "results" / "inflation" / "trace.jsonl").read_text(encoding="utf-8").splitlines()
+
+
+def _edited(lines, i, edit):
+    """The trace text of `lines` with record `i` changed in place by `edit`."""
+    rec = json.loads(lines[i])
+    edit(rec)
+    return "\n".join(lines[:i] + [json.dumps(rec)] + lines[i + 1 :]) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -552,6 +553,20 @@ _FAKEROOT = (REPO / "results" / "fakeroot" / "trace.jsonl").read_text(encoding="
         pytest.param("\n".join(_FAKEROOT[:-1]) + "\n", id="no-end-record"),
         pytest.param("\n".join(_FAKEROOT[:-2] + [_FAKEROOT[-1], _FAKEROOT[-2]]) + "\n", id="end-not-last"),
         pytest.param("\n".join(_FAKEROOT + [_FAKEROOT[-1]]) + "\n", id="end-repeated"),
+        # a negative id would index from the end of a list: step 2 writes the last register
+        # slot, step 5 activates the last process, and step 2's Byzantine writer is the last one
+        pytest.param(
+            _edited(_FAKEROOT, 3, lambda rec: rec["reg_diff"].update({"-1": rec["reg_diff"].pop("9")})),
+            id="negative-register-slot",
+        ),
+        pytest.param(
+            _edited(_INFLATION, 6, lambda rec: rec.update(activated=[-1 if v == 7 else v for v in rec["activated"]])),
+            id="negative-activated-id",
+        ),
+        pytest.param(
+            _edited(_FAKEROOT, 3, lambda rec: rec.update(byz={"-1": rec["byz"]["5"]})),
+            id="negative-byz-id",
+        ),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):

@@ -193,7 +193,7 @@ def test_hostile_daemon_honors_proposals_but_tops_up_fairness():
 
     t = st_topology(4, byz=(3,), edges=path_edges(4), seed=1)
     adv = Grabby({}, 0, t, SS_ST)
-    daemon = Daemon(kind="distributed", fairness_bound=3, rng_seed=2, hostile=True)
+    daemon = Daemon(kind="distributed", fairness_bound=3, rng_seed=2)
     init = arbitrary_configuration(t, SS_ST, 5)
     trace = run(t, SS_ST, adv, daemon, init, StopCondition(max_steps=30))
     check_fairness(trace, t.correct, 3)
@@ -336,20 +336,18 @@ def _picks(scheduler, proposals):
     n=st.integers(2, 8),
     byz=st.sets(st.integers(0, 7)) | st.just(frozenset(range(8))),
     kind=st.sampled_from(["central", "distributed"]),
-    hostile=st.booleans(),
     bound=st.sampled_from(["1", "2", "n"]),
     seed=st.integers(0, 10**6),
 )
-def test_scheduler_picks_what_the_full_scan_picks(n, byz, kind, hostile, bound, seed):
+def test_scheduler_picks_what_the_full_scan_picks(n, byz, kind, bound, seed):
     # `byz` may cover every process, and then the correct set is empty
     topo = build_topology(path_edges(n), byzantine=byz & set(range(n)))
-    daemon = Daemon(kind=kind, fairness_bound=n if bound == "n" else int(bound), rng_seed=seed, hostile=hostile)
+    daemon = Daemon(kind=kind, fairness_bound=n if bound == "n" else int(bound), rng_seed=seed)
     rng = random.Random(seed)
-    proposals = [None] * 60
-    if hostile:  # what an adversary may propose: a set, nothing, or no wish at all
-        size = 1 if kind == "central" else n
-        wishes = lambda: [None, frozenset(), frozenset(rng.sample(range(n), rng.randint(1, size)))]
-        proposals = [rng.choice(wishes()) for _ in proposals]
+    # what an adversary may propose: a set, nothing, or no wish at all
+    size = 1 if kind == "central" else n
+    wishes = lambda: [None, frozenset(), frozenset(rng.sample(range(n), rng.randint(1, size)))]
+    proposals = [rng.choice(wishes()) for _ in range(60)]
     assert _picks(_Scheduler(daemon, topo), proposals) == _picks(_RefScheduler(daemon, topo), proposals)
 
 
