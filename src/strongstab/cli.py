@@ -55,6 +55,7 @@ from .topology import (
     random_connected_graph_edges,
     random_tree_edges,
     read_text,
+    validate_mode,
 )
 
 PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
@@ -234,20 +235,18 @@ def _players(sc: Scenario, topo: Topology):
         daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"])
         adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
         adversary.check_daemon(daemon)
+        if sc.init_mode == "arbitrary":
+            init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
+        elif sc.init_mode == "legitimate":  # the protocol refuses a kind it does not know
+            init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
+        elif sc.init_mode == "named":
+            if not sc.init_arg:
+                raise ScenarioError("init named needs a file name")
+            init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
+        else:
+            raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
     except (EngineError, ValueError) as exc:
         raise ScenarioError(str(exc)) from None
-    if sc.init_mode == "arbitrary":
-        init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
-    elif sc.init_mode == "legitimate":
-        if sc.init_arg is not None and sc.init_arg not in protocol.legitimate_kinds:
-            raise ScenarioError(f"protocol {protocol.name} has no legitimate kind {sc.init_arg!r}")
-        init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
-    elif sc.init_mode == "named":
-        if not sc.init_arg:
-            raise ScenarioError("init named needs a file name")
-        init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
-    else:
-        raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
     return protocol, daemon, adversary, init
 
 
@@ -461,6 +460,7 @@ def cmd_replay(args) -> int:
         trace, topo, protocol_name = read_trace(args.trace)
         protocol = PROTOCOLS.get(protocol_name)
         if protocol is not None:
+            validate_mode(topo, protocol.name)
             check_replay(trace, topo, protocol)
             rounds = round_boundaries(trace, topo.correct)
             if trace.round_ends != rounds:

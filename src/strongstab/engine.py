@@ -120,15 +120,16 @@ class Protocol:
 
     - `name`, `o_variables` (the fields whose changes are disruptions),
       `prnt_min` (lowest prnt in the state domain), `reads_parent_bit`
-      (whether it reads in-registers' parent bits), `bounds` (the `Bound`
-      records of its theorems) and `legitimate_kinds` (the subsets
-      `legitimate_configuration` draws from besides its default);
+      (whether it reads in-registers' parent bits) and `bounds` (the
+      `Bound` records of its theorems);
     - `actions`, each role's guarded actions in priority order, each
       guarded by its own paper predicate: `fire` takes the first whose
       guard holds, so no guard repeats the negations of those before it;
       `spec`, the per-process specification; `legitimate_set`, the bounded
       legitimate set the oracle converges to and anchors in; `fast_stable`,
-      a sufficient stability test; and `legitimate_configuration`;
+      a sufficient test for stability beyond quiescence (the search settles
+      a quiescent configuration at once); and `legitimate_configuration`,
+      which refuses a kind it does not know with ValueError;
     - `sweep_placement` where the default does not fit.
     """
 
@@ -137,7 +138,6 @@ class Protocol:
     prnt_min: int = 0
     reads_parent_bit: bool = True
     bounds: tuple[Bound, ...] = ()
-    legitimate_kinds: tuple[str, ...] = ()
 
     def role_of(self, topo: Topology, pid: int) -> str:
         return "root" if topo.root == pid else "node"
@@ -679,11 +679,14 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val)
         configs.append(Configuration(tuple(ProcessState(*s) for s in rec["states"]), tuple(registers)))
         byz_writes = {
-            index(int(pid), topo.n, f"step {i}: byz process"):
-            None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
+            int(pid): None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
             for pid, w in rec["byz"].items()
         }
         actions = {int(p): a for p, a in rec["actions"].items()}
         activated = frozenset(index(v, topo.n, f"step {i}: activated process") for v in rec["activated"])
+        owners = {"actions": (actions, activated - topo.byzantine), "byz": (byz_writes, activated & topo.byzantine)}
+        for what, (recorded, expected) in owners.items():
+            if recorded.keys() != expected:
+                raise ValueError(f"step {i}: {what} names {sorted(recorded)}, not the activated {sorted(expected)}")
         steps.append(Step(activated, actions, byz_writes))
     return ExecutionTrace(init, configs, steps, end["round_ends"], end["stop_reason"]), topo, meta["protocol"]

@@ -18,6 +18,7 @@ from .engine import (
     Bound,
     Configuration,
     GuardedAction,
+    Kernel,
     LocalEffect,
     LocalView,
     ProcessState,
@@ -72,37 +73,6 @@ def spec_st(v: int, config: Configuration, topo: Topology) -> bool:
     if parent in topo.byzantine:
         return True
     return st.level == config.states[parent].level + 1
-
-
-def in_lc(config: Configuration, topo: Topology) -> bool:
-    """Membership in the legitimate set: the quiescent configurations.
-
-    Root at (0, 0); every correct non-root has a valid parent and a level
-    one above what that parent shows it (the parent's own level for correct
-    parents, the advertised register for Byzantine ones, which is all a
-    child can ever see); and every correct process's out-registers agree
-    with its state. Equivalent to "no correct process enabled".
-    """
-    if topo.root is None:
-        raise TopologyError("legitimate set is defined for rooted topologies")
-    for v in sorted(topo.correct):
-        st = config.states[v]
-        if v == topo.root:
-            if st != (0, 0):
-                return False
-        else:
-            if not 1 <= st.prnt <= topo.degree(v):
-                return False
-            parent = topo.neighbor_order[v][st.prnt - 1]
-            if parent in topo.byzantine:
-                shown = config.registers[topo.in_slot[v][st.prnt - 1]].level
-            else:
-                shown = config.states[parent].level
-            if st.level != shown + 1:
-                return False
-        if registers_stale(st, config.registers[topo.register_access[v][2]]):
-            return False
-    return True
 
 
 def legitimate_configuration(topo: Topology, seed: int) -> Configuration:
@@ -167,9 +137,10 @@ class SpanningTreeProtocol(Protocol):
     spec = staticmethod(spec_st)
 
     def legitimate_set(self, topo: Topology, level_bound: int) -> Iterator[Configuration]:
-        # the parents and the Byzantine registers force every level; `in_lc` turns away parent cycles
+        # the parents and the Byzantine registers force every level; quiescence turns away parent cycles
         if topo.root is None:
             raise TopologyError("legitimate set is defined for rooted topologies")
+        quiescent = Kernel(topo, self).quiescent
         nodes = sorted(topo.correct - {topo.root})
         for write in byzantine_writes(topo, self, level_bound):
             for prnts in itertools.product(*(range(1, topo.degree(v) + 1) for v in nodes)):
@@ -179,11 +150,8 @@ class SpanningTreeProtocol(Protocol):
                         shown = write.get(topo.in_slot[v][p - 1]) or states[topo.neighbor_order[v][p - 1]]
                         states[v] = ProcessState(p, shown.level + 1)
                 cfg = Configuration(tuple(states), consistent_registers(topo, states, write))
-                if max(state.level for state in states) <= level_bound and in_lc(cfg, topo):
+                if max(state.level for state in states) <= level_bound and quiescent(cfg):
                     yield cfg
-
-    def fast_stable(self, config: Configuration, topo: Topology) -> bool:
-        return topo.root is not None and in_lc(config, topo)
 
     def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
         if kind is not None:

@@ -19,7 +19,6 @@ from .engine import (
     Bound,
     BoundInputs,
     Configuration,
-    ExecutionTrace,
     GuardedAction,
     LocalEffect,
     LocalView,
@@ -85,27 +84,6 @@ def spec_to(v: int, config: Configuration, topo: Topology) -> bool:
     return True
 
 
-def _registers_consistent(config: Configuration, topo: Topology, who) -> bool:
-    for v in who:
-        degree, _, out = topo.register_access[v]
-        st = config.states[v]
-        if not 1 <= st.prnt <= degree or registers_stale(st, config.registers[out]):
-            return False
-    return True
-
-
-def in_lc0(config: Configuration, topo: Topology) -> bool:
-    """Fault-free legitimate set: spec everywhere, one shared level, and
-    out-registers in sync (the quiescent configurations)."""
-    if topo.byzantine:
-        raise TopologyError("lc0 is a fault-free notion")
-    if not _registers_consistent(config, topo, range(topo.n)):
-        return False
-    if len({config.states[v].level for v in range(topo.n)}) != 1:
-        return False
-    return all(spec_to(v, config, topo) for v in range(topo.n))
-
-
 def _single_byz(topo: Topology) -> int:
     if len(topo.byzantine) != 1:
         raise TopologyError("lc1/lc2 need exactly one Byzantine process")
@@ -132,19 +110,17 @@ def _in_lc(config: Configuration, topo: Topology, c2_ok: bool) -> bool:
     branch C1 (its root y points at z, levels non-increasing away from z)
     or, where `c2_ok`, C2 (one level throughout, rooted inside)."""
     z = _single_byz(topo)
-    correct = sorted(topo.correct)
-    if not _registers_consistent(config, topo, correct) or not all(spec_to(v, config, topo) for v in correct):
-        return False
-    states = config.states
+    states, registers = config.states, config.registers
+    for v in sorted(topo.correct):
+        degree, _, out = topo.register_access[v]
+        synced = 1 <= states[v].prnt <= degree and not registers_stale(states[v], registers[out])
+        if not (synced and spec_to(v, config, topo)):
+            return False
     for y, edges in _branches(topo):
         c1 = _parent(config, topo, y) == z and all(states[u].level >= states[v].level for u, v in edges)
         if not (c1 or (c2_ok and all(states[u].level == states[v].level for u, v in edges))):
             return False
     return True
-
-
-def in_lc1(config: Configuration, topo: Topology) -> bool:
-    return _in_lc(config, topo, c2_ok=True)
 
 
 def in_lc2(config: Configuration, topo: Topology) -> bool:
@@ -220,15 +196,6 @@ def _branch_states(topo: Topology, z: int, y: int, edges, levels: range) -> list
     return c1 + [_orient_toward(topo, link, members, level) for link in edges for level in levels]
 
 
-def check_level_monotonic(trace: ExecutionTrace, topo: Topology) -> None:
-    """A correct process's level never decreases, at any step of any run."""
-    for i in range(len(trace.steps)):
-        before, after = trace.configs[i], trace.configs[i + 1]
-        for v in topo.correct:
-            if after.states[v].level < before.states[v].level:
-                raise AssertionError(f"level of {v} decreased at step {i + 1}")
-
-
 def _byzantine_degree(m: BoundInputs) -> int:
     """Δ_z, the degree of the one Byzantine process z."""
     if len(m.topo.byzantine) != 1:
@@ -246,7 +213,6 @@ class TreeOrientationProtocol(Protocol):
         Bound("to_changes", "changes", lambda m: 1, swept=lambda f: f != 0),
         Bound("to_rounds", "rounds", lambda m: 2 * m.d + 2, swept=lambda f: f == 0),
     )
-    legitimate_kinds = LEGITIMATE_KINDS
 
     # in the paper's priority order: an action fires only where no earlier guard holds
     _actions = (
@@ -279,8 +245,7 @@ class TreeOrientationProtocol(Protocol):
                 yield Configuration(ordered, tuple(registers))
 
     def fast_stable(self, config: Configuration, topo: Topology) -> bool:
-        if not topo.byzantine:
-            return in_lc0(config, topo)
+        # the one closed form beyond quiescence: levels in LC2 may still rise, but no parent changes
         return len(topo.byzantine) == 1 and in_lc2(config, topo)
 
     def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:

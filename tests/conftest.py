@@ -15,6 +15,7 @@ from strongstab.engine import (
     run,
 )
 from strongstab.adversary import make_adversary
+from strongstab.tree_orientation import _in_lc
 from strongstab.topology import (
     build_topology,
     random_connected_graph_edges,
@@ -79,6 +80,21 @@ def quick_run(topo, protocol, adversary_name="silent", adversary_params=None, *,
         init = arbitrary_configuration(topo, protocol, init_seed)
     trace = run(topo, protocol, adv, daemon, init, StopCondition(max_steps=max_steps, predicate=predicate))
     return trace, daemon
+
+
+def in_lc1(config, topo):
+    """ss-to's LC1: registers in sync and the spec at every correct process,
+    and every branch of the one Byzantine process z C1 or C2."""
+    return _in_lc(config, topo, c2_ok=True)
+
+
+def check_level_monotonic(trace, topo):
+    """A correct process's level never decreases, at any step of any run."""
+    for i in range(len(trace.steps)):
+        before, after = trace.configs[i], trace.configs[i + 1]
+        for v in topo.correct:
+            if after.states[v].level < before.states[v].level:
+                raise AssertionError(f"level of {v} decreased at step {i + 1}")
 
 
 def local_view(topo, config, v):

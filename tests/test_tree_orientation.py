@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fired_label, quick_run, random_to_topology, to_topology
+from conftest import check_level_monotonic, fired_label, in_lc1, quick_run, random_to_topology, to_topology
 
 from strongstab.engine import (
     Configuration,
@@ -14,11 +14,8 @@ from strongstab.engine import (
 )
 from strongstab.tree_orientation import (
     SS_TO,
-    check_level_monotonic,
     ga1,
     ga2,
-    in_lc0,
-    in_lc1,
     in_lc2,
     legitimate_configuration,
     pred1,
@@ -207,8 +204,8 @@ def test_lc1_and_lc2_need_exactly_one_byzantine_process(byz):
 def test_lc0_generator_members_are_quiescent(n, seed):
     t = random_to_topology(n, 0, seed)
     cfg = legitimate_configuration(t, seed, kind="lc0")
-    assert in_lc0(cfg, t)
     assert Kernel(t, SS_TO).quiescent(cfg)
+    assert len({state.level for state in cfg.states}) == 1  # LC0 is flat
 
 
 @settings(max_examples=30, deadline=None)
