@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import analysis
 from .engine import ByzWrite, Configuration, Daemon, Kernel, ProcessState, Protocol, RegisterValue
-from .topology import Topology, TopologyError
+from .topology import InputError, Topology, TopologyError
 
 
 class Adversary:
@@ -34,13 +34,13 @@ class Adversary:
             except ValueError:
                 valid = False
             if not valid:
-                raise ValueError(f"adversary {self.name} parameter {key}: needs an integer >= {least}, got {value!r}")
+                raise InputError(f"adversary {self.name} parameter {key}: needs an integer >= {least}, got {value!r}")
             setattr(self, key, None if value is None else int(value))
 
     def check_daemon(self, daemon: Daemon) -> None:
-        """ValueError when the strategy schedules but `daemon` is not central."""
+        """InputError when the strategy schedules but `daemon` is not central."""
         if self.schedules and daemon.kind != "central":
-            raise ValueError(f"adversary {self.name} needs a central daemon (daemon central)")
+            raise InputError(f"adversary {self.name} needs a central daemon (daemon central)")
 
     def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[ByzWrite]:
         raise NotImplementedError
@@ -240,8 +240,8 @@ def make_adversary(name: str, params: dict, seed: int, topo: Topology, protocol:
     try:
         cls = STRATEGIES[name]
     except KeyError:
-        raise ValueError(f"unknown adversary {name!r}; known: {sorted(STRATEGIES)}") from None
+        raise InputError(f"unknown adversary {name!r}; known: {sorted(STRATEGIES)}") from None
     unknown = sorted(set(params) - set(cls.accepts))
     if unknown:
-        raise ValueError(f"adversary {name} has no parameter {unknown[0]!r}; it takes: {' '.join(cls.accepts) or 'none'}")
+        raise InputError(f"adversary {name} has no parameter {unknown[0]!r}; it takes: {' '.join(cls.accepts) or 'none'}")
     return cls(params, seed, topo, protocol)

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter, ne
-from typing import Optional
+from typing import Iterator, Optional
 
 from .engine import (
     ByzWrite,
@@ -336,7 +336,8 @@ def brute_force_verify(
 
     'converges-to' (fault-free only): from every configuration in the
     bounded domain, every maximal activation sequence of single processes
-    ends disabled inside the protocol's legitimate set.
+    ends disabled inside the protocol's legitimate set. The walk stops at
+    the first start that fails, its `counterexample`.
 
     'worst-disruptions': treat the Byzantine writes as game moves over the
     bounded register domain and compute, over all legitimate stable starting
@@ -361,70 +362,65 @@ def _level_cap(topo: Topology, level_bound: int) -> int:
 
 
 def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
+    """A depth-first walk from each start in enumeration order, to the first cycle (an unfair
+    schedule could spin in it forever) or configuration disabled outside the legitimate set."""
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    kernel, level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
-
-    per_state = math.prod(len(protocol.state_domain(topo.degree(v), level_bound)) for v in range(topo.n))
-    total = per_state * (2 * (level_bound + 1)) ** topo.num_registers
+    total = math.prod(map(len, _domain_choices(topo, protocol, level_bound)))
     if total > state_cap:
         raise OracleCapError(f"{total} initial configurations exceed cap {state_cap}")
+    kernel, level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
     legitimate = set(protocol.legitimate_set(topo, level_cap))
+    # every maximal single-process sequence from a converged configuration ends disabled inside `legitimate`
+    converged: set[Configuration] = set()
+    on_path: set[Configuration] = set()  # the walk's current path, or the failing one once it stops
 
-    memo: dict[Configuration, bool] = {}
-    cycle_nodes: set[Configuration] = set()
-    result = OracleResult(prop="converges-to", converges=True)
-
-    def converges_from(start: Configuration) -> bool:
-        # iterative DFS; a cycle counts as divergence (an unfair schedule
-        # could spin in it forever, and the protocols under test are
-        # cycle-free when fault-free, so hitting one is itself a finding)
-        stack = [(start, None)]
-        on_stack: set[Configuration] = set()
-        while stack:
-            cfg, children = stack.pop()
-            if children is None:
-                if cfg in memo:
-                    continue
-                if cfg in on_stack:
-                    result.diverged_by_cycle = True
-                    cycle_nodes.add(cfg)
-                    continue
-                succs = []
-                for _, effect, nxt in kernel.moves(cfg):
-                    if effect.state.level > level_cap:
-                        raise OracleCapError("level escaped the bounded domain")
-                    succs.append(nxt)
-                if not succs:
-                    memo[cfg] = cfg in legitimate
-                    continue
-                on_stack.add(cfg)
-                stack.append((cfg, succs))
-                for nxt in succs:
-                    stack.append((nxt, None))
+    def walk(start: Configuration) -> Optional[bool]:
+        """None when `start` converges; else whether the walk's first failure is a cycle."""
+        stack = []  # the path in order, each configuration with its successors not yet walked
+        cfg = start
+        while True:
+            moves = list(kernel.moves(cfg))
+            if any(effect.state.level > level_cap for _, effect, _ in moves):
+                raise OracleCapError("level escaped the bounded domain")
+            on_path.add(cfg)
+            if not moves and cfg not in legitimate:
+                return False
+            stack.append((cfg, (nxt for _, _, nxt in moves)))
+            while stack:  # to the next successor not yet converged of the deepest configuration on the path
+                top, rest = stack[-1]
+                cfg = next(rest, None)
+                if cfg is None:
+                    stack.pop()
+                    on_path.remove(top)
+                    converged.add(top)
+                elif cfg not in converged:
+                    if cfg in on_path:
+                        return True
+                    break
             else:
-                on_stack.discard(cfg)
-                memo[cfg] = cfg not in cycle_nodes and all(
-                    memo.get(nxt, False) for nxt in children
-                )
-        return memo[start]
+                return None
 
-    for cfg in _enumerate_domain(topo, protocol, level_bound):
-        result.states_explored += 1
-        if not converges_from(cfg):
-            result.converges = False
-            result.counterexample = cfg
+    result = OracleResult(prop="converges-to", converges=True)
+    for start in _enumerate_domain(topo, protocol, level_bound):
+        if start not in converged and (cycle := walk(start)) is not None:
+            result.converges, result.counterexample, result.diverged_by_cycle = False, start, cycle
             break
-    result.states_explored = max(result.states_explored, len(memo))
+    result.states_explored = len(converged) + len(on_path)
     return result
 
 
-def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int):
-    """Every configuration with in-domain states and registers."""
-    state_choices = [protocol.state_domain(topo.degree(v), level_bound) for v in range(topo.n)]
-    reg_choices = [RegisterValue(b, l) for b in (False, True) for l in range(level_bound + 1)]
-    for states in itertools.product(*state_choices):
-        for regs in itertools.product(reg_choices, repeat=topo.num_registers):
+def _domain_choices(topo: Topology, protocol: Protocol, level_bound: int) -> list[list]:
+    """Each process's in-domain states, then each register's in-domain values."""
+    registers = [RegisterValue(b, l) for b in (False, True) for l in range(level_bound + 1)]
+    return [protocol.state_domain(topo.degree(v), level_bound) for v in range(topo.n)] + [registers] * topo.num_registers
+
+
+def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int) -> Iterator[Configuration]:
+    """Every configuration with in-domain states and registers: the product of `_domain_choices`."""
+    choices = _domain_choices(topo, protocol, level_bound)
+    for states in itertools.product(*choices[: topo.n]):
+        for regs in itertools.product(*choices[topo.n :]):
             yield Configuration(states, regs)
 
 

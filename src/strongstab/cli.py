@@ -59,8 +59,6 @@ from .topology import (
 )
 
 PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
-# every protocol's bounds by name; the names do not clash
-BOUNDS = {bound.name: bound for protocol in PROTOCOLS.values() for bound in protocol.bounds}
 
 # the exit code of a report's or a sweep's verdict
 EXIT_CODES = {"pass": 0, "FAIL": 1, "inconclusive": 3}
@@ -203,19 +201,19 @@ def resolve_named_init(name: str, base_dir: Path) -> Path:
 # bound limits
 
 def bound_limits(names: list[str], topo: Topology, sc: Scenario) -> dict[str, tuple[int, str]]:
-    """(limit, kind) per named bound on `topo`: a protocol bound's formula
-    as an upper limit, or the scenario's `expect_min_disruptions` as the
-    lower limit of `min_disruptions`."""
-    inputs = BoundInputs.of(topo)
-    out: dict[str, tuple[int, str]] = {}
-    for name in names:
-        if name == analysis.MIN_DISRUPTIONS:
-            out[name] = (sc.expect_min_disruptions, "min")
-        elif name in BOUNDS:
-            out[name] = (BOUNDS[name].limit(inputs), "max")
-        else:
-            raise ScenarioError(f"unknown bound name {name!r}")
-    return out
+    """(limit, kind) per named bound on `topo`: a bound of the scenario's
+    protocol as an upper limit, or the scenario's `expect_min_disruptions`
+    as the lower limit of `min_disruptions`."""
+    protocol, inputs = PROTOCOLS[sc.protocol], BoundInputs.of(topo)
+    formulas = {bound.name: bound.limit for bound in protocol.bounds}
+    unknown = set(names) - set(formulas) - {analysis.MIN_DISRUPTIONS}
+    if unknown:
+        raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(unknown))}")
+    # a formula may refuse a topology (`to_disruptions` needs one Byzantine process), so only named ones run
+    return {
+        name: (sc.expect_min_disruptions, "min") if name == analysis.MIN_DISRUPTIONS else (formulas[name](inputs), "max")
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -231,31 +229,25 @@ def _players(sc: Scenario, topo: Topology):
     protocol = PROTOCOLS[sc.protocol]
     seeds = sc.resolved_seeds()
     fairness = sc.fairness_bound if sc.fairness_bound is not None else 2 * topo.n
-    try:
-        daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"])
-        adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
-        adversary.check_daemon(daemon)
-        if sc.init_mode == "arbitrary":
-            init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
-        elif sc.init_mode == "legitimate":  # the protocol refuses a kind it does not know
-            init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
-        elif sc.init_mode == "named":
-            if not sc.init_arg:
-                raise ScenarioError("init named needs a file name")
-            init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
-        else:
-            raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
-    except (EngineError, ValueError) as exc:
-        raise ScenarioError(str(exc)) from None
+    daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"])
+    adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
+    adversary.check_daemon(daemon)
+    if sc.init_mode == "arbitrary":
+        init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
+    elif sc.init_mode == "legitimate":  # the protocol refuses a kind it does not know
+        init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
+    elif sc.init_mode == "named":
+        if not sc.init_arg:
+            raise ScenarioError("init named needs a file name")
+        init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
+    else:
+        raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
     return protocol, daemon, adversary, init
 
 
 def _verify(sc: Scenario, topo: Topology):
     """Run `sc` on `topo`: the trace and its containment report on the scenario's bounds."""
     protocol, daemon, adversary, init = _players(sc, topo)
-    foreign = set(sc.bounds) - {b.name for b in protocol.bounds} - {analysis.MIN_DISRUPTIONS}
-    if foreign:
-        raise ScenarioError(f"not {protocol.name} bounds: {' '.join(sorted(foreign))}")
     limits = bound_limits(sc.bounds, topo, sc)
     trace = run(topo, protocol, adversary, daemon, init, StopCondition(max_steps=sc.max_steps))
     return trace, analysis.verify_containment(trace, topo, protocol, sc.radius, limits)
@@ -465,6 +457,8 @@ def cmd_replay(args) -> int:
             rounds = round_boundaries(trace, topo.correct)
             if trace.round_ends != rounds:
                 raise EngineError(f"recorded round_ends differ from the {len(rounds)} rounds the steps complete")
+            if trace.stop_reason == "quiescent" and not engine_mod.Kernel(topo, protocol).quiescent(trace.configs[-1]):
+                raise EngineError("trace stops quiescent, but a correct process is enabled in its last configuration")
     except EngineError as exc:
         print(f"replay FAILED: {exc}")
         return 1

@@ -28,7 +28,7 @@ from functools import cached_property
 from operator import attrgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .topology import Topology, build_topology, correct_metrics, read_text
+from .topology import InputError, Topology, build_topology, correct_metrics, read_text
 
 
 class EngineError(RuntimeError):
@@ -129,7 +129,7 @@ class Protocol:
       legitimate set the oracle converges to and anchors in; `fast_stable`,
       a sufficient test for stability beyond quiescence (the search settles
       a quiescent configuration at once); and `legitimate_configuration`,
-      which refuses a kind it does not know with ValueError;
+      which refuses a kind it does not know with InputError;
     - `sweep_placement` where the default does not fit.
     """
 
@@ -202,6 +202,7 @@ class ExecutionTrace:
 
 
 DAEMON_KINDS = ("distributed", "central")
+STOP_REASONS = ("quiescent", "max_steps", "predicate")  # why `run` stopped, as a trace's end record says
 
 
 @dataclass
@@ -219,9 +220,9 @@ class Daemon:
 
     def __post_init__(self) -> None:
         if self.kind not in DAEMON_KINDS:
-            raise EngineError(f"unknown daemon kind {self.kind!r}")
+            raise InputError(f"unknown daemon kind {self.kind!r}")
         if self.fairness_bound < 1:
-            raise EngineError("fairness bound must be positive")
+            raise InputError("fairness bound must be positive")
 
 
 @dataclass
@@ -392,7 +393,6 @@ def run(
     steps: list[Step] = []
     sched = _Scheduler(daemon, topo)
     kernel = Kernel(topo, protocol)
-    stop_reason = "max_steps"
     t = 0
     while True:
         config = configs[-1]
@@ -659,9 +659,13 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     topo = build_topology(
         [tuple(e) for e in meta["edges"]], root=meta["root"], byzantine=meta["byz"], neighbor_order=meta["neighbor_order"]
     )
+    if meta["n"] != topo.n:
+        raise ValueError(f"meta record says n={meta['n']!r} but the edges span {topo.n} processes")
     *step_recs, end = records[2:] or [{}]
     if end.get("type") != "end" or any(rec["type"] == "end" for rec in step_recs):
         raise ValueError("trace file needs exactly one end record, as its last line")
+    if end["stop_reason"] not in STOP_REASONS:
+        raise ValueError(f"stop_reason {end['stop_reason']!r} is not one of {', '.join(STOP_REASONS)}")
 
     def reg(r) -> RegisterValue:
         return RegisterValue(bool(r[0]), r[1])
@@ -671,13 +675,18 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             raise ValueError(f"{what} {value!r} outside 0..{count - 1}")
         return value
 
-    init = Configuration(tuple(ProcessState(*s) for s in records[1]["states"]), tuple(map(reg, records[1]["registers"])))
+    def configuration(what: str, states, registers) -> Configuration:
+        if len(states) != topo.n or len(registers) != topo.num_registers:
+            raise ValueError(f"{what} has {len(states)} states and {len(registers)} registers, not {topo.n} and {topo.num_registers}")
+        return Configuration(tuple(ProcessState(*s) for s in states), tuple(registers))
+
+    init = configuration("init", records[1]["states"], list(map(reg, records[1]["registers"])))
     configs, steps = [init], []
     for i, rec in enumerate(step_recs, 1):
         registers = list(configs[-1].registers)
         for slot, val in rec["reg_diff"].items():
             registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val)
-        configs.append(Configuration(tuple(ProcessState(*s) for s in rec["states"]), tuple(registers)))
+        configs.append(configuration(f"step {i}", rec["states"], registers))
         byz_writes = {
             int(pid): None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
             for pid, w in rec["byz"].items()

@@ -29,7 +29,7 @@ from .engine import (
     registers_stale,
 )
 from .engine import out_of_sync as pred2, resync as ga2  # the paper's names for the register-sync rule
-from .topology import Topology, TopologyError
+from .topology import InputError, Topology, TopologyError
 
 
 def next_after(k: int, degree: int) -> int:
@@ -155,7 +155,7 @@ class SpanningTreeProtocol(Protocol):
 
     def legitimate_configuration(self, topo: Topology, seed: int, kind: Optional[str] = None) -> Configuration:
         if kind is not None:
-            raise ValueError(f"{self.name} has no legitimate kind {kind!r}")
+            raise InputError(f"{self.name} has no legitimate kind {kind!r}")
         return legitimate_configuration(topo, seed)
 
     def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:

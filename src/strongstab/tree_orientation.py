@@ -138,7 +138,7 @@ def legitimate_configuration(topo: Topology, seed: int, kind: str = "auto") -> C
     at random.
     """
     if kind not in LEGITIMATE_KINDS:
-        raise ValueError(f"unknown legitimate kind {kind!r}; known: {', '.join(LEGITIMATE_KINDS)}")
+        raise InputError(f"unknown legitimate kind {kind!r}; known: {', '.join(LEGITIMATE_KINDS)}")
     rng = random.Random(seed)
     if kind == "auto":
         kind = "lc0" if not topo.byzantine else "lc2"

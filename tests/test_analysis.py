@@ -255,6 +255,109 @@ def test_oracle_convergence_fails_when_disabled_outside_lc0():
     assert first not in set(SS_TO.legitimate_set(t, analysis._level_cap(t, 1)))
 
 
+def _flip_shown(view):
+    level = 1 - view.state.level
+    return LocalEffect(view.state._replace(level=level), tuple(r._replace(level=level) for r in view.out_regs))
+
+
+class _StuckAndCycle(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with one action: a process whose in-registers all show
+    level 0 flips its level and shows it, unless it is a leaf at level 1. On the 3-path its registers
+    keep parent bit false, so no reached configuration is legitimate; from the first configuration,
+    process 0's move leads to a stuck one and process 1's move and back is a cycle."""
+
+    _actions = (
+        GuardedAction(
+            "FLIP",
+            lambda view: all(r.level == 0 for r in view.in_regs) and (view.degree == 2 or view.state.level == 0),
+            _flip_shown,
+        ),
+    )
+
+
+# --- the convergence walk against the post-order search ----------------------
+#
+# The reference below is the earlier convergence query: a post-order DFS that
+# memoizes True and False verdicts, marks every cycle it meets and so walks all
+# of a failing start's reachable configurations before it stops.
+
+def _ref_oracle_converges(topo, protocol, level_bound):
+    kernel, level_cap = Kernel(topo, protocol), analysis._level_cap(topo, level_bound)
+    legitimate = set(protocol.legitimate_set(topo, level_cap))
+    memo, cycle_nodes = {}, set()
+    result = analysis.OracleResult(prop="converges-to", converges=True)
+
+    def converges_from(start):
+        stack, on_stack = [(start, None)], set()
+        while stack:
+            cfg, children = stack.pop()
+            if children is None:
+                if cfg in memo:
+                    continue
+                if cfg in on_stack:
+                    result.diverged_by_cycle = True
+                    cycle_nodes.add(cfg)
+                    continue
+                succs = []
+                for _, effect, nxt in kernel.moves(cfg):
+                    if effect.state.level > level_cap:
+                        raise OracleCapError("level escaped the bounded domain")
+                    succs.append(nxt)
+                if not succs:
+                    memo[cfg] = cfg in legitimate
+                    continue
+                on_stack.add(cfg)
+                stack.append((cfg, succs))
+                stack.extend((nxt, None) for nxt in succs)
+            else:
+                on_stack.discard(cfg)
+                memo[cfg] = cfg not in cycle_nodes and all(memo.get(nxt, False) for nxt in children)
+        return memo[start]
+
+    for cfg in analysis._enumerate_domain(topo, protocol, level_bound):
+        result.states_explored += 1
+        if not converges_from(cfg):
+            result.converges, result.counterexample = False, cfg
+            break
+    result.states_explored = max(result.states_explored, len(memo))
+    return result
+
+
+# ss-st on the 3-path at level bound 2 (419 904 starts, some 8 s a query) is left out for time
+@pytest.mark.parametrize(
+    "protocol,root,n,level_bound",
+    [
+        pytest.param(protocol, root, n, lb, id=f"{protocol.name}-path{n}-lb{lb}")
+        for protocol, root, n, lb in [(SS_TO, None, n, lb) for n in (2, 3) for lb in (1, 2)]
+        + [(SS_ST, 0, 2, 1), (SS_ST, 0, 2, 2), (SS_ST, 0, 3, 1)]
+    ],
+)
+def test_convergence_walk_matches_post_order_search(protocol, root, n, level_bound):
+    for topo in _every_neighbor_order(path_edges(n), root=root, mode=protocol.name):
+        got = brute_force_verify(topo, protocol, "converges-to", level_bound)
+        want = _ref_oracle_converges(topo, protocol, level_bound)
+        fields = ("converges", "counterexample", "states_explored")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields], topo.neighbor_order
+        assert got.converges
+
+
+@pytest.mark.parametrize("toy,n", [(_Toggle, 2), (_Idle, 2), (_StuckAndCycle, 3)])
+def test_convergence_walk_matches_post_order_search_on_toys(toy, n):
+    topo = to_topology(n)
+    got = brute_force_verify(topo, toy(), "converges-to", level_bound=1)
+    want = _ref_oracle_converges(topo, toy(), 1)
+    assert (got.converges, got.counterexample) == (want.converges, want.counterexample) == (False, next(analysis._enumerate_domain(topo, SS_TO, 1)))
+
+
+def test_convergence_walk_reports_its_first_failure():
+    # the walk takes process 0's move first and meets the stuck configuration before the
+    # cycle, which the post-order search, walking everything the start reaches, also marks
+    topo = to_topology(3)
+    got = brute_force_verify(topo, _StuckAndCycle(), "converges-to", level_bound=1)
+    assert not got.diverged_by_cycle and _ref_oracle_converges(topo, _StuckAndCycle(), 1).diverged_by_cycle
+    assert got.states_explored == 3  # the start, process 0's move, then process 2's: stuck
+
+
 def test_oracle_worst_disruptions_three_node_construction():
     # golden values minted by this oracle: one deception is the exact worst
     # case on the 3-path with a Byzantine leaf, within bounds f*D^d=2, D^d=2

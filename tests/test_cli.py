@@ -86,11 +86,11 @@ def test_bound_limit_formulas():
     assert limits["st_changes"] == (2**2, "max")
     assert limits["st_rounds"] == (4 * 3 * 2**2, "max")
     tz = build_topology([(0, 1), (1, 2)], byzantine=[1], mode="ss-to")
-    limits = bound_limits(["to_disruptions", "to_changes"], tz, sc)
+    limits = bound_limits(["to_disruptions", "to_changes"], tz, Scenario(topology_path="-", protocol="ss-to"))
     assert limits["to_disruptions"] == (2, "max")
     assert limits["to_changes"] == (1, "max")
-    with pytest.raises(ScenarioError, match="unknown bound"):
-        bound_limits(["nope"], t, sc)
+    with pytest.raises(ScenarioError, match="not ss-st bounds: nope to_changes"):
+        bound_limits(["to_changes", "nope", "st_changes"], t, sc)
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -574,6 +574,11 @@ def _edited(lines, i, edit):
         ),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["byz"].update({"5": None})), id="byz-write-of-non-activated-process"),
         pytest.param(_edited(_INFLATION, 0, lambda rec: rec.update(root=3)), id="topology-unfit-for-protocol"),
+        pytest.param(_edited(_FAKEROOT, 0, lambda rec: rec.update(n=99)), id="meta-n-not-the-edges-processes"),
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["states"].pop()), id="init-states-short"),
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["registers"].append([0, 1])), id="init-registers-long"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["states"].pop()), id="step-states-short"),
+        pytest.param(_edited(_FAKEROOT, len(_FAKEROOT) - 1, lambda rec: rec.update(stop_reason="banana")), id="unknown-stop-reason"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
@@ -592,6 +597,16 @@ def test_replay_recomputes_the_recorded_round_ends(tmp_path, capsys):
     path.write_text("\n".join(lines[:-1] + [json.dumps({**end, "round_ends": list(range(1, 13))})]) + "\n")
     assert main(["replay", str(path)]) == 1
     assert capsys.readouterr().out == "replay FAILED: recorded round_ends differ from the 3 rounds the steps complete\n"
+
+
+def test_replay_rechecks_a_quiescent_stop(tmp_path, capsys):
+    # the level-inflation run stops at its step budget with correct processes still enabled
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_edited(_INFLATION, len(_INFLATION) - 1, lambda rec: rec.update(stop_reason="quiescent")))
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "replay FAILED: trace stops quiescent, but a correct process is enabled in its last configuration\n"
+    )
 
 
 def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):
@@ -631,8 +646,8 @@ def small_trace(tmp_path_factory):
 @given(garbage=st.booleans(), data=st.data())
 def test_replay_of_garbage_exits_one_or_two(tmp_path, small_trace, garbage, data):
     """Random JSON records, or a real trace with values replaced or keys
-    dropped; a mutation may leave the trace valid (it may drop the unused
-    `n`, say), so a mutated trace may also replay with 0."""
+    dropped; a mutation may leave the trace valid (it may drop a step's
+    unread `i`, say), so a mutated trace may also replay with 0."""
     records = data.draw(st.lists(_JSON, max_size=4)) if garbage else [json.loads(line) for line in small_trace.splitlines()]
     for _ in range(0 if garbage else data.draw(st.integers(1, 3))):
         *parent, key = data.draw(st.sampled_from(list(_json_paths(records))))
