@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
@@ -16,15 +17,30 @@ RESULTS = ROOT / "results"
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
-def cli(*args: str) -> bool:
-    """Run one command; True when it failed, whatever its nonzero exit code."""
+def cli(*args: str, keep: Optional[Path] = None) -> bool:
+    """Run one command, and write its stdout to `keep` as well when given;
+    True when it failed, whatever its nonzero exit code."""
     cmd = [sys.executable, "-m", "strongstab.cli", *args]
-    print("+", " ".join(args))
-    return subprocess.run(cmd, cwd=ROOT, env=ENV).returncode != 0
+    print("+", " ".join(args), flush=True)
+    proc = subprocess.run(cmd, cwd=ROOT, env=ENV, stdout=subprocess.PIPE if keep else None, text=True)
+    if keep:
+        sys.stdout.write(proc.stdout)
+        keep.write_text(proc.stdout)
+    return proc.returncode != 0
+
+
+def oracle(topology: str, protocol: str, prop: str, level_bound: int) -> bool:
+    """One oracle query; its stdout goes to results/oracle/<topology>-<property>-lb<k>.txt,
+    so the diff of results/ shows any number that changes."""
+    return cli(
+        "oracle", "--topology", f"topologies/{topology}.topo", "--protocol", protocol,
+        "--property", prop, "--level-bound", str(level_bound),
+        keep=RESULTS / "oracle" / f"{topology}-{prop}-lb{level_bound}.txt",
+    )
 
 
 def main() -> int:
-    RESULTS.mkdir(exist_ok=True)
+    (RESULTS / "oracle").mkdir(parents=True, exist_ok=True)
     failures = 0
 
     failures += cli("sweep", "--spec", "sweeps/to_fault_free.sweep", "--out", str(RESULTS / "to_ff"))
@@ -35,35 +51,14 @@ def main() -> int:
     # it is 0 <= Delta_z = 3, on the 8-tree, whose Byzantine process is interior with
     # three differently shaped branches, it is 2 <= Delta_z = 3, and the fault-free 7-tree
     # has no disruption at all
-    failures += cli(
-        "oracle", "--topology", "topologies/path3_st.topo", "--protocol", "ss-st",
-        "--property", "worst-disruptions", "--level-bound", "3",
-    )
-    failures += cli(
-        "oracle", "--topology", "topologies/path5_to.topo", "--protocol", "ss-to",
-        "--property", "worst-disruptions", "--level-bound", "3",
-    )
-    failures += cli(
-        "oracle", "--topology", "topologies/star4_to.topo", "--protocol", "ss-to",
-        "--property", "worst-disruptions", "--level-bound", "3",
-    )
-    failures += cli(
-        "oracle", "--topology", "topologies/tree8_to.topo", "--protocol", "ss-to",
-        "--property", "worst-disruptions", "--level-bound", "1",
-    )
-    failures += cli(
-        "oracle", "--topology", "topologies/tree7_ff.topo", "--protocol", "ss-to",
-        "--property", "worst-disruptions", "--level-bound", "3",
-    )
+    failures += oracle("path3_st", "ss-st", "worst-disruptions", 3)
+    failures += oracle("path5_to", "ss-to", "worst-disruptions", 3)
+    failures += oracle("star4_to", "ss-to", "worst-disruptions", 3)
+    failures += oracle("tree8_to", "ss-to", "worst-disruptions", 1)
+    failures += oracle("tree7_ff", "ss-to", "worst-disruptions", 3)
     # from every configuration of the bounded domain, both protocols converge fault-free on the 3-path
-    failures += cli(
-        "oracle", "--topology", "topologies/path3_ff.topo", "--protocol", "ss-to",
-        "--property", "converges-to", "--level-bound", "2",
-    )
-    failures += cli(
-        "oracle", "--topology", "topologies/path3_ff_st.topo", "--protocol", "ss-st",
-        "--property", "converges-to", "--level-bound", "1",
-    )
+    failures += oracle("path3_ff", "ss-to", "converges-to", 2)
+    failures += oracle("path3_ff_st", "ss-st", "converges-to", 1)
 
     failures += cli(
         "run", "--scenario", "scenarios/st_fakeroot_path6.scn", "--out", str(RESULTS / "fakeroot")

@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import itemgetter, ne
+from operator import itemgetter, mul, ne
 from typing import Iterator, Optional
 
 from .engine import (
@@ -31,6 +31,7 @@ from .engine import (
     Kernel,
     Protocol,
     RegisterValue,
+    apply_effects,
 )
 from .topology import InputError, Topology, distance_to_byzantine
 
@@ -366,45 +367,43 @@ def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
     schedule could spin in it forever) or configuration disabled outside the legitimate set."""
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    total = math.prod(map(len, _domain_choices(topo, protocol, level_bound)))
-    if total > state_cap:
-        raise OracleCapError(f"{total} initial configurations exceed cap {state_cap}")
-    kernel, level_cap = Kernel(topo, protocol), _level_cap(topo, level_bound)
-    legitimate = set(protocol.legitimate_set(topo, level_cap))
-    # every maximal single-process sequence from a converged configuration ends disabled inside `legitimate`
-    converged: set[Configuration] = set()
-    on_path: set[Configuration] = set()  # the walk's current path, or the failing one once it stops
+    coding = _Coding(topo, protocol, Kernel(topo, protocol), level_bound)
+    if coding.domain_size > state_cap:
+        raise OracleCapError(f"{coding.domain_size} initial configurations exceed cap {state_cap}")
+    legitimate = set(map(coding.encode, protocol.legitimate_set(topo, coding.level_cap)))
+    moves, digits = coding.moves, coding.digits
+    # every maximal single-process sequence from a converged code ends disabled inside `legitimate`
+    converged: set[int] = set()
+    on_path: set[int] = set()  # the walk's current path, or the failing one once it stops
 
-    def walk(start: Configuration) -> Optional[bool]:
+    def walk(start: int) -> Optional[bool]:
         """None when `start` converges; else whether the walk's first failure is a cycle."""
-        stack = []  # the path in order, each configuration with its successors not yet walked
-        cfg = start
+        stack = []  # the path in order, each code with its successors not yet walked
+        code = start
         while True:
-            moves = list(kernel.moves(cfg))
-            if any(effect.state.level > level_cap for _, effect, _ in moves):
-                raise OracleCapError("level escaped the bounded domain")
-            on_path.add(cfg)
-            if not moves and cfg not in legitimate:
+            nexts = [code + delta for _, delta, _ in moves(code, digits(code))]
+            on_path.add(code)
+            if not nexts and code not in legitimate:
                 return False
-            stack.append((cfg, (nxt for _, _, nxt in moves)))
-            while stack:  # to the next successor not yet converged of the deepest configuration on the path
+            stack.append((code, iter(nexts)))
+            while stack:  # to the next successor not yet converged of the deepest code on the path
                 top, rest = stack[-1]
-                cfg = next(rest, None)
-                if cfg is None:
+                code = next(rest, None)
+                if code is None:
                     stack.pop()
                     on_path.remove(top)
                     converged.add(top)
-                elif cfg not in converged:
-                    if cfg in on_path:
+                elif code not in converged:
+                    if code in on_path:
                         return True
                     break
             else:
                 return None
 
     result = OracleResult(prop="converges-to", converges=True)
-    for start in _enumerate_domain(topo, protocol, level_bound):
+    for start in coding.starts():
         if start not in converged and (cycle := walk(start)) is not None:
-            result.converges, result.counterexample, result.diverged_by_cycle = False, start, cycle
+            result.converges, result.counterexample, result.diverged_by_cycle = False, coding.decode(start), cycle
             break
     result.states_explored = len(converged) + len(on_path)
     return result
@@ -416,31 +415,107 @@ def _domain_choices(topo: Topology, protocol: Protocol, level_bound: int) -> lis
     return [protocol.state_domain(topo.degree(v), level_bound) for v in range(topo.n)] + [registers] * topo.num_registers
 
 
-def _enumerate_domain(topo: Topology, protocol: Protocol, level_bound: int) -> Iterator[Configuration]:
-    """Every configuration with in-domain states and registers: the product of `_domain_choices`."""
-    choices = _domain_choices(topo, protocol, level_bound)
-    for states in itertools.product(*choices[: topo.n]):
-        for regs in itertools.product(*choices[topo.n :]):
-            yield Configuration(states, regs)
+_ESCAPED = "level escaped the bounded domain"
+
+
+class _Coding:
+    """A mixed-radix integer code for the configurations an oracle query reaches.
+
+    Position i < n is process i's state and position n + s is register slot s;
+    position 0 is the least significant digit. A position's alphabet is its
+    `_domain_choices` values at `level_bound`, then the values the level cap
+    adds, then any other value the `anchors` hold there.
+
+    A correct move adds a delta to the code. The delta depends only on the
+    mover's view, so it is memoized per (process, view digits); a miss decodes
+    the configuration and asks `Kernel.fire`, and refuses a move whose level
+    passes the level cap or whose effect falls outside the alphabet.
+    """
+
+    def __init__(self, topo: Topology, protocol: Protocol, kernel: Kernel, level_bound: int, anchors=()):
+        self.topo, self.protocol, self.kernel = topo, protocol, kernel
+        self.level_cap = _level_cap(topo, level_bound)
+        inner, wide = _domain_choices(topo, protocol, level_bound), _domain_choices(topo, protocol, self.level_cap)
+        held = [c.states + c.registers for c in anchors]
+        self.alphabets = [
+            list(dict.fromkeys([*inner[i], *wide[i], *(values[i] for values in held)])) for i in range(len(inner))
+        ]
+        self.index = [{value: d for d, value in enumerate(alphabet)} for alphabet in self.alphabets]
+        self.radices = [len(alphabet) for alphabet in self.alphabets]
+        self.weights = list(itertools.accumulate(self.radices[:-1], mul, initial=1))
+        self._inner = [len(choices) for choices in inner]
+        self.domain_size = math.prod(self._inner)
+        n = topo.n
+        self._views = [
+            (v, itemgetter(v, *(n + s for s in topo.in_slot[v]), *(n + s for s in topo.out_slot[v])), {})
+            for v in sorted(topo.correct)
+        ]
+
+    def starts(self) -> Iterator[int]:
+        """The code of every in-domain configuration, in the product order of `_domain_choices`."""
+        columns = [range(0, k * w, w) for k, w in zip(self._inner, self.weights)]
+        return map(sum, itertools.product(*columns))
+
+    def encode(self, config: Configuration) -> int:
+        """The code of `config`; KeyError when a value is outside its position's alphabet."""
+        return sum(map(mul, self.weights, map(dict.__getitem__, self.index, config.states + config.registers)))
+
+    def digits(self, code: int) -> list[int]:
+        out = []
+        for radix in self.radices:
+            code, digit = divmod(code, radix)
+            out.append(digit)
+        return out
+
+    def decode(self, code: int) -> Configuration:
+        values = list(map(list.__getitem__, self.alphabets, self.digits(code)))
+        return Configuration(tuple(values[: self.topo.n]), tuple(values[self.topo.n :]))
+
+    def moves(self, code: int, digits: list[int]) -> list[tuple[int, int, bool]]:
+        """(v, delta, whether v's O-variable changes) per correct v whose action fires when v
+        moves alone from `code`, whose digits are `digits`, in id order."""
+        out = []
+        for v, view, memo in self._views:
+            key = view(digits)
+            move = memo.get(key, memo)
+            if move is memo:
+                move = memo[key] = self._move(v, code)
+            if move is not None:
+                out.append(move)
+        return out
+
+    def _move(self, v: int, code: int) -> Optional[tuple[int, int, bool]]:
+        config = self.decode(code)
+        fired = self.kernel.fire(config, v)
+        if fired is None:
+            return None
+        effect = fired[1]
+        if effect.state.level > self.level_cap:
+            raise OracleCapError(_ESCAPED)
+        try:
+            delta = self.encode(apply_effects(config, self.topo, [(v, effect)])) - code
+        except KeyError:
+            raise OracleCapError(_ESCAPED) from None
+        return v, delta, self.protocol.o_changed(config.states[v], effect.state)
 
 
 # --- worst-case disruption game ---------------------------------------------
 
 class _Game:
-    """Reachable game graph over (configuration, dirty-flag) nodes.
+    """Reachable game graph over (configuration code, dirty-flag) nodes.
 
     Node i is `nodes[i]`; `edges[i]` holds one (target, weight, changed)
     triple per move, in `_successors` order. Weight 1 marks a move into an
     anchor reached dirty (a disruption completes); changed is the watched
-    process whose O-variable the move changes, or None. `seen` maps a
-    configuration to [is anchor, clean node, dirty node], so a successor
-    costs one hash. Edges keep no moves: `move` replays the source's
-    successors to recover one. Byzantine writes keep the Byzantine state
-    (nobody reads it), which keeps the graph small.
+    process whose O-variable the move changes, or None. `seen` maps a code
+    to [is anchor, clean node, dirty node], so a successor costs one hash.
+    Edges keep no moves: `move` replays the source's successors to recover
+    one. Byzantine writes keep the Byzantine state (nobody reads it), which
+    keeps the graph small.
 
     A Byzantine move writes one out-register: deg·(|domain| − 1) edges, not
     the |domain|^deg − 1 combined writes. The values stay the same:
-    - single writes are combined writes;
+    - single writes are combined writes, which may keep a register's value;
     - a combined write is a chain of single writes whose intermediate
       configurations, each one combined write from the source, are nodes;
     - a chain never weighs less. Byzantine moves change no O-variable, so
@@ -450,32 +525,46 @@ class _Game:
       the same moves, and d can add at most that one disruption.
     """
 
-    def __init__(self, topo, protocol, level_bound, radius, state_cap):
-        self.topo, self.protocol, self.level_bound, self.state_cap = topo, protocol, level_bound, state_cap
+    def __init__(self, topo, protocol, level_bound, radius, state_cap, anchors=()):
+        self.topo, self.state_cap = topo, state_cap
         self.checker = StabilityChecker(topo, protocol, radius)
         self.watch = self.checker.watch
-        self.kernel, self.level_cap = self.checker.kernel, _level_cap(topo, level_bound)
-        self.seen: dict[Configuration, list] = {}
-        self.nodes: list[tuple[Configuration, bool]] = []
+        self.coding = coding = _Coding(topo, protocol, self.checker.kernel, level_bound, anchors)
+        self.seen: dict[int, list] = {}
+        self.nodes: list[tuple[int, bool]] = []
         self.edges: list[Optional[list]] = []
+        # per Byzantine out-register, in writer and slot order: (writer, its index among the
+        # writer's out-registers, position, per current digit the (delta, value) of each write)
+        self.byz_writes = []
+        for b in sorted(topo.byzantine):
+            for i, slot in enumerate(topo.out_slot[b]):
+                pos = topo.n + slot
+                alphabet, index, weight = coding.alphabets[pos], coding.index[pos], coding.weights[pos]
+                writes = [
+                    [((index[value] - d) * weight, value) for value in protocol.register_domain(level_bound, current) if value != current]
+                    for d, current in enumerate(alphabet)
+                ]
+                self.byz_writes.append((b, i, pos, writes))
 
-    def entry(self, cfg: Configuration) -> list:
-        entry = self.seen.get(cfg)
+    def entry(self, code: int, cfg: Optional[Configuration] = None) -> list:
+        """`seen`'s entry for `code`, made on its first lookup by the anchor test of its
+        configuration (`cfg` when given, else decoded)."""
+        entry = self.seen.get(code)
         if entry is None:
-            entry = self.seen[cfg] = [self.checker.anchor(cfg), None, None]
+            entry = self.seen[code] = [self.checker.anchor(self.coding.decode(code) if cfg is None else cfg), None, None]
         return entry
 
-    def _node(self, entry: list, cfg: Configuration, dirty: bool) -> int:
+    def _node(self, entry: list, code: int, dirty: bool) -> int:
         nid = entry[1 + dirty]
         if nid is None:
             nid = entry[1 + dirty] = len(self.nodes)
             if nid > self.state_cap:
                 raise OracleCapError(f"game graph exceeds {self.state_cap} nodes")
-            self.nodes.append((cfg, dirty))
+            self.nodes.append((code, dirty))
             self.edges.append(None)
         return nid
 
-    def expand(self, starts: list[Configuration]) -> list[int]:
+    def expand(self, starts: list[int]) -> list[int]:
         start_ids = [self._node(self.entry(c), c, False) for c in starts]
         edges, stack = self.edges, list(start_ids)
         while stack:
@@ -493,8 +582,8 @@ class _Game:
     def _edges(self, nid: int):
         """(mover, register write or None, target, weight, changed) per move
         from node `nid`; reached targets get ids."""
-        cfg, dirty = self.nodes[nid]
-        for pid, write, nxt, changed in self._successors(cfg):
+        code, dirty = self.nodes[nid]
+        for pid, write, nxt, changed in self._successors(code):
             entry = self.seen.get(nxt) or self.entry(nxt)
             d2 = dirty or changed is not None
             weight = 0
@@ -503,30 +592,25 @@ class _Game:
             tid = entry[1 + d2]
             yield pid, write, self._node(entry, nxt, d2) if tid is None else tid, weight, changed
 
-    def _successors(self, cfg: Configuration):
-        """Correct moves, then every Byzantine write of one out-register to
-        another value of its bounded domain, spliced into the register tuple;
-        OracleCapError when a correct move writes a level past the level cap."""
-        protocol, watch = self.protocol, self.watch
-        for v, effect, nxt in self.kernel.moves(cfg):
-            if effect.state.level > self.level_cap:
-                raise OracleCapError("level escaped the bounded domain")
-            changed = v in watch and protocol.o_changed(cfg.states[v], effect.state)
-            yield v, None, nxt, v if changed else None
-        states, regs = cfg
-        for b in sorted(self.topo.byzantine):
-            out = self.topo.register_access[b][2]
-            own, head, tail = regs[out], regs[: out.start], regs[out.stop :]
-            for i, current in enumerate(own):
-                for value in protocol.register_domain(self.level_bound, current):
-                    if value != current:
-                        write = own[:i] + (value,) + own[i + 1 :]
-                        yield b, write, Configuration(states, head + write + tail), None
+    def _successors(self, code: int):
+        """(mover, write, next code, changed) per move: the correct moves, then every Byzantine
+        write of one out-register to another value of its bounded domain, as (index, value);
+        OracleCapError when a correct move leaves the coded domain."""
+        watch, digits = self.watch, self.coding.digits(code)
+        for v, delta, o_changed in self.coding.moves(code, digits):
+            yield v, None, code + delta, v if o_changed and v in watch else None
+        for b, i, pos, writes in self.byz_writes:
+            for delta, value in writes[digits[pos]]:
+                yield b, (i, value), code + delta, None
 
     def move(self, nid: int, tid: int, weight: int) -> tuple:
         """The move of the first edge from `nid` to `tid` with `weight`."""
         pid, write = next((p, wr) for p, wr, t, w, _ in self._edges(nid) if (t, w) == (tid, weight))
-        return pid, None if write is None else ByzWrite(self.nodes[nid][0].states[pid], write)
+        if write is None:
+            return pid, None
+        cfg, (i, value) = self.coding.decode(self.nodes[nid][0]), write
+        own = cfg.registers[self.topo.register_access[pid][2]]
+        return pid, ByzWrite(cfg.states[pid], own[:i] + (value,) + own[i + 1 :])
 
     def sccs(self) -> list[int]:
         """Each node's strongly connected component, by iterative Tarjan,
@@ -600,17 +684,21 @@ class _Game:
 def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> OracleResult:
     """The worst-disruptions game from `anchors`, or from every legitimate
     stable configuration of the bounded domain when none are given."""
-    game = _Game(topo, protocol, level_bound, radius, state_cap)
-    if anchors is None:
+    supplied = anchors is not None
+    if not supplied:
         members = list(itertools.islice(protocol.legitimate_set(topo, level_bound), state_cap + 1))
         if len(members) > state_cap:
             raise OracleCapError(f"legitimate configurations exceed cap {state_cap}")
-        anchor_list = [c for c in sorted(members) if game.entry(c)[0]]
-    else:
-        anchor_list = list(anchors)
-        for c in anchor_list:
-            if not game.entry(c)[0]:
-                raise InputError("supplied start is not legitimate and stable")
+        anchors = sorted(members)
+    # the members' values are in the domain already; a supplied start's may not be
+    game = _Game(topo, protocol, level_bound, radius, state_cap, anchors if supplied else ())
+    anchor_list = []
+    for c in anchors:
+        code = game.coding.encode(c)
+        if game.entry(code, c)[0]:
+            anchor_list.append(code)
+        elif supplied:
+            raise InputError("supplied start is not legitimate and stable")
     result = OracleResult(prop="worst-disruptions", anchors=len(anchor_list))
     start_ids = game.expand(anchor_list)
     if game.checker.saw_unknown:
@@ -628,7 +716,7 @@ def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> Or
     best = max(value[comp[s]] for s in start_ids)
     result.worst_disruptions = best
     best_start = next(s for s in start_ids if value[comp[s]] == best)
-    result.best_anchor = game.nodes[best_start][0]
+    result.best_anchor = game.coding.decode(game.nodes[best_start][0])
     result.best_play = _extract_play(game, comp, value, best_start)
 
     worst_k = 0

@@ -13,9 +13,12 @@ topology beyond the local degree. That is what keeps protocols anonymous.
 
 One step kernel serves every caller: each run, audit pass, stability search
 and oracle query owns a `Kernel`, which fires correct processes memoized per
-(role, local view). A configuration advances only through `Kernel.step` (runs
-and replays) and `Kernel.moves` (single-process moves, for the stability
-search and the oracle); they alone write effects, through `apply_effects`.
+(role, local view). Guards are evaluated only in `Kernel.fire`, and effects
+are written only through `apply_effects`. A configuration advances through
+`Kernel.step` (runs and replays) and `Kernel.moves` (single-process moves, for
+the stability search). The oracle walks integer codes of configurations
+instead: the first time a process meets a view, it fires it through the
+kernel and keeps the move as a code delta (`analysis._Coding`).
 """
 
 from __future__ import annotations
@@ -235,7 +238,7 @@ class Kernel:
     """The step kernel of one run, audit pass, stability search or oracle query.
     Guards read only the local view and the role picks the actions, so `memo[role]`
     maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life.
-    `step` and `moves` are the only writers of effects."""
+    `step` and `moves` advance configurations; the oracle's coded moves call `fire`."""
 
     def __init__(self, topo: Topology, protocol: Protocol):
         self.topo = topo
@@ -667,8 +670,17 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     if end["stop_reason"] not in STOP_REASONS:
         raise ValueError(f"stop_reason {end['stop_reason']!r} is not one of {', '.join(STOP_REASONS)}")
 
-    def reg(r) -> RegisterValue:
-        return RegisterValue(bool(r[0]), r[1])
+    def pair(value, what: str, bit: bool) -> list:  # a state [int, int] or, with `bit`, a register [0|1, int]
+        if not (type(value) is list and len(value) == 2 and all(type(x) is int for x in value)) or bit and value[0] not in (0, 1):
+            raise ValueError(f"{what} {value!r} is not [{'0|1' if bit else 'int'}, int]")
+        return value
+
+    def reg(r, what: str) -> RegisterValue:
+        prnt, level = pair(r, what, True)
+        return RegisterValue(bool(prnt), level)
+
+    def state(s, what: str) -> ProcessState:
+        return ProcessState(*pair(s, what, False))
 
     def index(value, count: int, what: str):  # a process id or register slot; a negative one would count from the end
         if not 0 <= value < count:
@@ -678,17 +690,21 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     def configuration(what: str, states, registers) -> Configuration:
         if len(states) != topo.n or len(registers) != topo.num_registers:
             raise ValueError(f"{what} has {len(states)} states and {len(registers)} registers, not {topo.n} and {topo.num_registers}")
-        return Configuration(tuple(ProcessState(*s) for s in states), tuple(registers))
+        return Configuration(tuple(state(s, f"{what} state") for s in states), tuple(registers))
 
-    init = configuration("init", records[1]["states"], list(map(reg, records[1]["registers"])))
+    init = configuration("init", records[1]["states"], [reg(r, "init register") for r in records[1]["registers"]])
     configs, steps = [init], []
     for i, rec in enumerate(step_recs, 1):
+        if type(rec.get("i")) is not int or rec["i"] != i:
+            raise ValueError(f"step record {i} says i={rec.get('i')!r}")
         registers = list(configs[-1].registers)
         for slot, val in rec["reg_diff"].items():
-            registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val)
+            registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val, f"step {i}: register")
         configs.append(configuration(f"step {i}", rec["states"], registers))
         byz_writes = {
-            int(pid): None if w is None else ByzWrite(ProcessState(*w["state"]), tuple(map(reg, w["out"])))
+            int(pid): None if w is None else ByzWrite(
+                state(w["state"], f"step {i}: Byzantine state"), tuple(reg(r, f"step {i}: Byzantine register") for r in w["out"])
+            )
             for pid, w in rec["byz"].items()
         }
         actions = {int(p): a for p, a in rec["actions"].items()}

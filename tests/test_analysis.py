@@ -1,3 +1,4 @@
+import graphlib
 import itertools
 import math
 
@@ -223,6 +224,15 @@ def test_oracle_two_node_orientation_converges_everywhere():
     assert result.states_explored == 2500  # 25 state pairs x 100 register pairs
 
 
+def _enumerate_domain(topo, protocol, level_bound):
+    """Every configuration with in-domain states and registers, in the product order of
+    `_domain_choices`: the reference the oracle's coded starts are checked against."""
+    choices = analysis._domain_choices(topo, protocol, level_bound)
+    for states in itertools.product(*choices[: topo.n]):
+        for regs in itertools.product(*choices[topo.n :]):
+            yield Configuration(states, regs)
+
+
 def _flip(view):
     return LocalEffect(view.state._replace(level=1 - view.state.level), view.out_regs)
 
@@ -243,13 +253,13 @@ def test_oracle_convergence_fails_on_a_cycle():
     t = to_topology(2)
     result = brute_force_verify(t, _Toggle(), "converges-to", level_bound=1)
     assert result.converges is False and result.diverged_by_cycle
-    assert result.counterexample == next(analysis._enumerate_domain(t, SS_TO, 1))
+    assert result.counterexample == next(_enumerate_domain(t, SS_TO, 1))
 
 
 def test_oracle_convergence_fails_when_disabled_outside_lc0():
     t = to_topology(2)
     result = brute_force_verify(t, _Idle(), "converges-to", level_bound=1)
-    first = next(analysis._enumerate_domain(t, SS_TO, 1))
+    first = next(_enumerate_domain(t, SS_TO, 1))
     assert result.converges is False and not result.diverged_by_cycle
     assert result.counterexample == first
     assert first not in set(SS_TO.legitimate_set(t, analysis._level_cap(t, 1)))
@@ -314,7 +324,7 @@ def _ref_oracle_converges(topo, protocol, level_bound):
                 memo[cfg] = cfg not in cycle_nodes and all(memo.get(nxt, False) for nxt in children)
         return memo[start]
 
-    for cfg in analysis._enumerate_domain(topo, protocol, level_bound):
+    for cfg in _enumerate_domain(topo, protocol, level_bound):
         result.states_explored += 1
         if not converges_from(cfg):
             result.converges, result.counterexample = False, cfg
@@ -346,7 +356,7 @@ def test_convergence_walk_matches_post_order_search_on_toys(toy, n):
     topo = to_topology(n)
     got = brute_force_verify(topo, toy(), "converges-to", level_bound=1)
     want = _ref_oracle_converges(topo, toy(), 1)
-    assert (got.converges, got.counterexample) == (want.converges, want.counterexample) == (False, next(analysis._enumerate_domain(topo, SS_TO, 1)))
+    assert (got.converges, got.counterexample) == (want.converges, want.counterexample) == (False, next(_enumerate_domain(topo, SS_TO, 1)))
 
 
 def test_convergence_walk_reports_its_first_failure():
@@ -510,7 +520,7 @@ def test_level_cap_set_decides_convergence_like_the_predicate():
         in_set = _membership(protocol, topo)
         kernel, level_cap = Kernel(topo, protocol), analysis._level_cap(topo, 1)
         legitimate = set(protocol.legitimate_set(topo, level_cap))
-        reached = set(analysis._enumerate_domain(topo, protocol, 1))
+        reached = set(_enumerate_domain(topo, protocol, 1))
         stack, terminal = list(reached), 0
         while stack:
             cfg = stack.pop()
@@ -531,12 +541,17 @@ def test_level_cap_set_decides_convergence_like_the_predicate():
 #
 # The reference below is the earlier game: every edge keeps its move and a
 # frozenset of changed processes, a Byzantine move writes any combination of
-# its out-registers through `apply_effects`, correct moves come from
+# its out-registers (each kept or set to a value of its domain) through
+# `apply_effects`, correct moves come from
 # `ref_fire` (no memo), nodes are keyed by (configuration, dirty) tuples, and the
 # longest paths scan every edge per weight function.
 
 def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
-    per_edge = [protocol.register_domain(level_bound, cfg.registers[slot]) for slot in topo.out_slot[b]]
+    # a register may also keep its value, which a supplied start may hold outside the write domain
+    per_edge = [
+        dict.fromkeys([*protocol.register_domain(level_bound, cfg.registers[slot]), cfg.registers[slot]])
+        for slot in topo.out_slot[b]
+    ]
     for combo in itertools.product(*per_edge):
         yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
 
@@ -700,9 +715,10 @@ def _ref_extract_play(game, comp, value, start):
     return play
 
 
-def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000):
+def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000, anchors=None):
     game = _RefGame(topo, protocol, level_bound, 0, state_cap)
-    anchors = [c for c in sorted(protocol.legitimate_set(topo, level_bound)) if game.is_anchor(c)]
+    if anchors is None:
+        anchors = [c for c in sorted(protocol.legitimate_set(topo, level_bound)) if game.is_anchor(c)]
     result = analysis.OracleResult(prop="worst-disruptions", anchors=len(anchors))
     start_ids = game.expand([(c, False) for c in anchors])
     comp, comp_count = game.sccs()
@@ -784,7 +800,7 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
             topo = build_topology(path_edges(3), root=root, neighbor_order=order, mode=protocol.name)
             assert brute_force_verify(topo, protocol, "converges-to", 1).converges
             queried = made[-1][0]
-            for cfg in analysis._enumerate_domain(topo, protocol, 1):
+            for cfg in _enumerate_domain(topo, protocol, 1):
                 assert [(v, nxt) for v, _, nxt in queried.moves(cfg)] == _fresh_moves(topo, protocol, cfg), cfg
         (first, empty_first), (second, empty_second) = made
         assert empty_first == empty_second == 0
@@ -801,7 +817,8 @@ def test_compact_game_state_cap():
     with pytest.raises(OracleCapError, match="exceeds 49 nodes"):
         brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=49)
     game = analysis._Game(topo, SS_ST, 3, 0, 20)
-    anchors = [c for c in sorted(SS_ST.legitimate_set(topo, 3)) if game.entry(c)[0]]
+    codes = map(game.coding.encode, sorted(SS_ST.legitimate_set(topo, 3)))
+    anchors = [code for code in codes if game.entry(code)[0]]
     with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
         game.expand(anchors)
 
@@ -831,3 +848,191 @@ def test_condensed_longest_matches_edge_scan(adjacency):
         assert game.longest(lambda w, ch: int(ch == p)) == ref.longest(
             comp, game.comp_count, lambda w, ch: 1 if p in ch else 0
         )
+
+
+# --- the coded oracle against configurations ----------------------------------
+#
+# The oracle walks integer codes; `_Coding` maps them to configurations. The
+# references below are configurations built by `Kernel.moves`, `Kernel.step`
+# and the register splicing the game did before it walked codes.
+
+_PATH3_DOMAINS = [pytest.param(SS_TO, None, 2, id="ss-to-lb2"), pytest.param(SS_ST, 0, 1, id="ss-st-lb1")]
+
+
+def _coding(topo, protocol, level_bound, anchors=()):
+    return analysis._Coding(topo, protocol, Kernel(topo, protocol), level_bound, anchors)
+
+
+@pytest.mark.parametrize("protocol,root,level_bound", _PATH3_DOMAINS)
+def test_coding_round_trips_the_path3_domains(protocol, root, level_bound):
+    # the domains of the path3 convergence queries: the starts decode, in order, to the product
+    # of `_domain_choices`, and each configuration encodes back to its start
+    topo = build_topology(path_edges(3), root=root, mode=protocol.name)
+    coding = _coding(topo, protocol, level_bound)
+    starts = list(coding.starts())
+    domain = list(_enumerate_domain(topo, protocol, level_bound))
+    assert len(starts) == len(set(starts)) == len(domain) == coding.domain_size
+    assert list(map(coding.decode, starts)) == domain
+    assert list(map(coding.encode, domain)) == starts
+    assert 0 <= min(starts) and max(starts) < math.prod(coding.radices)
+
+
+@st.composite
+def _coded_instances(draw):
+    """A random fault-free tree (ss-to) or connected graph (ss-st) on 2-5 processes, a level
+    bound of 0-2, an anchor to widen the alphabets by, with levels past the level cap and
+    parents past the degree, and a code drawn digit by digit."""
+    n, seed, level_bound = draw(st.integers(2, 5)), draw(st.integers(0, 10_000)), draw(st.integers(0, 2))
+    protocol = draw(st.sampled_from([SS_TO, SS_ST]))
+    topo = random_to_topology(n, 0, seed) if protocol is SS_TO else random_st_topology(n, 0, seed)
+    high = analysis._level_cap(topo, level_bound) + 3
+    anchor = Configuration(
+        tuple(ProcessState(draw(st.integers(0, topo.degree(v) + 1)), draw(st.integers(0, high))) for v in range(topo.n)),
+        tuple(RegisterValue(draw(st.booleans()), draw(st.integers(0, high))) for _ in range(topo.num_registers)),
+    )
+    coding = _coding(topo, protocol, level_bound, [anchor])
+    digits = [draw(st.integers(0, radix - 1)) for radix in coding.radices]
+    return coding, topo, protocol, level_bound, anchor, sum(map(math.prod, zip(digits, coding.weights))), digits
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_coded_instances())
+def test_coding_round_trips_random_topologies(instance):
+    coding, topo, protocol, level_bound, anchor, code, digits = instance
+    assert coding.digits(code) == digits
+    assert coding.encode(coding.decode(code)) == code
+    assert coding.decode(coding.encode(anchor)) == anchor
+    # each alphabet starts with the in-domain values, in order, then the level cap's
+    for alphabet, inner, wide in zip(
+        coding.alphabets,
+        analysis._domain_choices(topo, protocol, level_bound),
+        analysis._domain_choices(topo, protocol, coding.level_cap),
+    ):
+        assert alphabet[: len(inner)] == inner and set(alphabet[: len(wide)]) == set(wide)
+
+
+@pytest.mark.parametrize("protocol,root", [pytest.param(SS_TO, None, id="ss-to"), pytest.param(SS_ST, 0, id="ss-st")])
+def test_coded_moves_match_kernel_moves(protocol, root):
+    # move for move, every configuration of the path3 domains at level bound 1, in both neighbor
+    # orders: the mover, its successor and whether its O-variable changes
+    for topo in _every_neighbor_order(path_edges(3), root=root, mode=protocol.name):
+        coding, kernel = _coding(topo, protocol, 1), Kernel(topo, protocol)
+        for code in coding.starts():
+            cfg = coding.decode(code)
+            got = [(v, coding.decode(code + delta), changed) for v, delta, changed in coding.moves(code, coding.digits(code))]
+            want = [(v, nxt, protocol.o_changed(cfg.states[v], effect.state)) for v, effect, nxt in kernel.moves(cfg)]
+            assert got == want, cfg
+
+
+def _spliced_successors(topo, protocol, kernel, watch, level_bound, cfg):
+    """The game's moves as configurations: correct moves, then each Byzantine write of one
+    out-register to another value of its domain, spliced into the register tuple."""
+    for v, effect, nxt in kernel.moves(cfg):
+        yield v, nxt, v if v in watch and protocol.o_changed(cfg.states[v], effect.state) else None
+    states, regs = cfg
+    for b in sorted(topo.byzantine):
+        out = topo.register_access[b][2]
+        own, head, tail = regs[out], regs[: out.start], regs[out.stop :]
+        for i, current in enumerate(own):
+            for value in protocol.register_domain(level_bound, current):
+                if value != current:
+                    yield b, Configuration(states, head + own[:i] + (value,) + own[i + 1 :] + tail), None
+
+
+@pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
+def test_coded_game_successors_match_spliced_configurations(protocol, kwargs, edges, level_bound):
+    topo = build_topology(edges, **kwargs)
+    game = analysis._Game(topo, protocol, level_bound, 0, 500_000)
+    coding = game.coding
+    game.expand([code for code in map(coding.encode, sorted(protocol.legitimate_set(topo, level_bound))) if game.entry(code)[0]])
+    kernel = Kernel(topo, protocol)
+    for code in {code for code, _ in game.nodes}:
+        got = [(pid, coding.decode(nxt), changed) for pid, _, nxt, changed in game._successors(code)]
+        assert got == list(_spliced_successors(topo, protocol, kernel, game.watch, level_bound, coding.decode(code)))
+
+
+def _climb(view):
+    level = view.state.level + 1
+    return LocalEffect(view.state._replace(level=level), tuple(r._replace(level=level) for r in view.out_regs))
+
+
+def _stray(view):
+    return LocalEffect(view.state._replace(prnt=view.degree + 1), view.out_regs)
+
+
+class _Climb(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with one always-enabled action that raises a level by one."""
+
+    _actions = (GuardedAction("UP", lambda view: True, _climb),)
+
+
+class _Stray(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with one always-enabled action that points past the last neighbor."""
+
+    _actions = (GuardedAction("STRAY", lambda view: True, _stray),)
+
+
+def test_coded_moves_refuse_to_leave_the_domain():
+    # a level past the level cap, and a state no alphabet holds, end a query with one message
+    for toy in (_Climb(), _Stray()):
+        with pytest.raises(OracleCapError, match="^level escaped the bounded domain$"):
+            brute_force_verify(to_topology(2), toy, "converges-to", level_bound=1)
+    # ss-st on a correct 5-path whose every non-root process also neighbors the Byzantine hub
+    hub = [(0, 1), (1, 2), (2, 3), (3, 4), (5, 1), (5, 2), (5, 3), (5, 4)]
+    topo = build_topology(hub, root=0, byzantine=[5], mode="ss-st")
+    with pytest.raises(OracleCapError, match="^level escaped the bounded domain$"):
+        brute_force_verify(topo, SS_ST, "worst-disruptions", level_bound=1)
+
+
+def test_max_damage_anchor_above_the_level_bound():
+    # max-damage hands the game a run's start, whose levels pass the level bound: the
+    # alphabets take its values, and the game answers as the move-storing one from that start
+    level_bound = 1
+    to_topo = to_topology(byz=(1,), edges=path_edges(4), seed=3)
+    st_topo = st_topology(byz=(2,), edges=[(0, 1), (1, 2), (2, 3), (0, 3)], seed=4)
+    # the seeds draw starts from which the game forces one and two disruptions
+    for protocol, topo, anchor in [(SS_TO, to_topo, to_legit(to_topo, 25, "lc1")), (SS_ST, st_topo, st_legit(st_topo, 9))]:
+        assert max(s.level for s in anchor.states) > level_bound
+        worst, play = analysis.best_disruption_play(topo, protocol, anchor, level_bound)
+        want = _ref_oracle_worst(topo, protocol, level_bound, anchors=[anchor])
+        assert worst == want.worst_disruptions == (1 if protocol is SS_TO else 2) and not want.unbounded
+        _assert_single_register_writes(topo, protocol, anchor, play)
+        got = analysis._oracle_worst(topo, protocol, level_bound, 0, 500_000, [anchor])
+        assert (got.anchors, got.worst_per_process, got.best_anchor) == (1, want.worst_per_process, anchor)
+
+
+def _converges_under(topo, protocol, level_bound, successors):
+    """Whether every maximal sequence of `successors` from each in-domain configuration
+    ends disabled inside the level-cap legitimate set, with no cycle on the way."""
+    level_cap = analysis._level_cap(topo, level_bound)
+    legitimate = set(protocol.legitimate_set(topo, level_cap))
+    graph, stack = {}, list(_enumerate_domain(topo, protocol, level_bound))
+    while stack:
+        cfg = stack.pop()
+        if cfg not in graph:
+            graph[cfg] = successors(cfg)
+            assert all(s.level <= level_cap for nxt in graph[cfg] for s in nxt.states)
+            stack.extend(graph[cfg])
+    if any(not nexts and cfg not in legitimate for cfg, nexts in graph.items()):
+        return False
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("protocol,root", [pytest.param(SS_TO, None, id="ss-to"), pytest.param(SS_ST, 0, id="ss-st")])
+def test_single_moves_decide_convergence_like_simultaneous_moves(protocol, root):
+    # the oracle expands one process at a time, while the distributed daemon also fires sets
+    # of processes at once: on the path3 domains at level bound 1, every nonempty set of
+    # enabled processes moving through `Kernel.step` converges exactly when single moves do
+    for topo in _every_neighbor_order(path_edges(3), root=root, mode=protocol.name):
+        kernel = Kernel(topo, protocol)
+
+        def simultaneous(cfg):
+            enabled = [v for v in kernel.correct if kernel.fire(cfg, v)]
+            sets = itertools.chain.from_iterable(itertools.combinations(enabled, k) for k in range(1, len(enabled) + 1))
+            return [kernel.step(cfg, moving, {})[1] for moving in sets]
+
+        assert brute_force_verify(topo, protocol, "converges-to", 1).converges is _converges_under(topo, protocol, 1, simultaneous)

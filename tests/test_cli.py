@@ -579,6 +579,17 @@ def _edited(lines, i, edit):
         pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["registers"].append([0, 1])), id="init-registers-long"),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["states"].pop()), id="step-states-short"),
         pytest.param(_edited(_FAKEROOT, len(_FAKEROOT) - 1, lambda rec: rec.update(stop_reason="banana")), id="unknown-stop-reason"),
+        # a register is [0|1, int], a state [int, int], and step record k says "i": k
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["registers"][0].append(7)), id="init-register-of-three"),
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["registers"][0].__setitem__(0, "yes")), id="init-register-bit-not-an-int"),
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["registers"][0].__setitem__(0, 2)), id="init-register-bit-not-0-or-1"),
+        pytest.param(_edited(_FAKEROOT, 1, lambda rec: rec["states"][1].__setitem__(1, 9.5)), id="init-state-level-not-an-int"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["reg_diff"]["1"].append(99)), id="reg-diff-register-of-three"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["states"][0].pop()), id="step-state-of-one"),
+        pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"]["out"][0].__setitem__(1, True)), id="byz-register-level-a-bool"),
+        pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"].update(state=[0])), id="byz-state-of-one"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.update(i=99)), id="step-i-not-its-position"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.pop("i")), id="step-without-i"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
