@@ -2,41 +2,77 @@
 """Drive the headline experiments end to end and leave their artifacts in
 ./results: the fault-free round-bound sweep, the Byzantine construction
 sweep, the exact worst-case and convergence oracles on the small instances,
-and the two-Byzantine chain demonstration where disruptions never stop accruing.
+one oracle worst-case play, and the two-Byzantine chain demonstration where
+disruptions never stop accruing.
 """
 
+import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 RESULTS = ROOT / "results"
 # the package runs from this checkout's source tree, installed or not
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
+# The headline oracle queries: each one's stdout also goes to
+# results/oracle/<topology>-<property>-lb<k>.txt, and a nonzero exit fails the script.
+# The two-Byzantine chain has no bounded worst case, so only the paths, the star and
+# the trees are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star
+# it is 0 <= Delta_z = 3, on the 8-tree, whose Byzantine process is interior with
+# three differently shaped branches, it is 2 <= Delta_z = 3, and the fault-free 7-tree
+# has no disruption at all. From every configuration of the bounded domain, both
+# protocols converge fault-free on the 3-path.
+HEADLINE = {
+    ("path3_st", "ss-st", "worst-disruptions", 3),
+    ("path5_to", "ss-to", "worst-disruptions", 3),
+    ("star4_to", "ss-to", "worst-disruptions", 3),
+    ("tree8_to", "ss-to", "worst-disruptions", 1),
+    ("tree7_ff", "ss-to", "worst-disruptions", 3),
+    ("path3_ff", "ss-to", "converges-to", 2),
+    ("path3_ff_st", "ss-st", "converges-to", 1),
+}
+# about 40 s alone on 2 CPUs, more than the other 131 queries of the matrix together
+SLOW = ("tree8_to", "ss-to", "worst-disruptions", 2)
 
-def cli(*args: str, keep: Optional[Path] = None) -> bool:
-    """Run one command, and write its stdout to `keep` as well when given;
-    True when it failed, whatever its nonzero exit code."""
-    cmd = [sys.executable, "-m", "strongstab.cli", *args]
+
+def cli(*args: str) -> bool:
+    """Run one command; True when it failed, whatever its nonzero exit code."""
     print("+", " ".join(args), flush=True)
-    proc = subprocess.run(cmd, cwd=ROOT, env=ENV, stdout=subprocess.PIPE if keep else None, text=True)
-    if keep:
-        sys.stdout.write(proc.stdout)
-        keep.write_text(proc.stdout)
-    return proc.returncode != 0
+    return subprocess.run([sys.executable, "-m", "strongstab.cli", *args], cwd=ROOT, env=ENV).returncode != 0
 
 
-def oracle(topology: str, protocol: str, prop: str, level_bound: int) -> bool:
-    """One oracle query; its stdout goes to results/oracle/<topology>-<property>-lb<k>.txt,
-    so the diff of results/ shows any number that changes."""
-    return cli(
-        "oracle", "--topology", f"topologies/{topology}.topo", "--protocol", protocol,
-        "--property", prop, "--level-bound", str(level_bound),
-        keep=RESULTS / "oracle" / f"{topology}-{prop}-lb{level_bound}.txt",
+def oracle_matrix() -> int:
+    """Every oracle query on topologies/*.topo x protocol x property x level bounds 1-3 but
+    `SLOW`, with its exit code, stdout and stderr, into results/oracle/matrix.txt, so the
+    diff of results/ shows any oracle output that changes; the number of failed headline queries."""
+    failures, entries = 0, []
+    queries = itertools.product(
+        sorted(path.stem for path in (ROOT / "topologies").glob("*.topo")),
+        ("ss-to", "ss-st"), ("converges-to", "worst-disruptions"), (1, 2, 3),
     )
+    print("+ oracle matrix", flush=True)
+    for query in queries:
+        if query == SLOW:
+            continue
+        topology, protocol, prop, level_bound = query
+        args = [
+            "oracle", "--topology", f"topologies/{topology}.topo", "--protocol", protocol,
+            "--property", prop, "--level-bound", str(level_bound),
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongstab.cli", *args], cwd=ROOT, env=ENV, capture_output=True, text=True
+        )
+        entries.append(f"+ {' '.join(args)}\nexit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+        if query in HEADLINE:
+            print("+", " ".join(args), flush=True)
+            sys.stdout.write(proc.stdout)
+            (RESULTS / "oracle" / f"{topology}-{prop}-lb{level_bound}.txt").write_text(proc.stdout)
+            failures += proc.returncode != 0
+    (RESULTS / "oracle" / "matrix.txt").write_text("".join(entries))
+    return failures
 
 
 def main() -> int:
@@ -45,20 +81,7 @@ def main() -> int:
 
     failures += cli("sweep", "--spec", "sweeps/to_fault_free.sweep", "--out", str(RESULTS / "to_ff"))
     failures += cli("sweep", "--spec", "sweeps/st_byzantine_mix.sweep", "--out", str(RESULTS / "st_mix"))
-
-    # the two-Byzantine chain has no bounded worst case, so only the paths, the star and
-    # the trees are queried; on the 5-path the worst case meets Delta_z = 2, on the 4-star
-    # it is 0 <= Delta_z = 3, on the 8-tree, whose Byzantine process is interior with
-    # three differently shaped branches, it is 2 <= Delta_z = 3, and the fault-free 7-tree
-    # has no disruption at all
-    failures += oracle("path3_st", "ss-st", "worst-disruptions", 3)
-    failures += oracle("path5_to", "ss-to", "worst-disruptions", 3)
-    failures += oracle("star4_to", "ss-to", "worst-disruptions", 3)
-    failures += oracle("tree8_to", "ss-to", "worst-disruptions", 1)
-    failures += oracle("tree7_ff", "ss-to", "worst-disruptions", 3)
-    # from every configuration of the bounded domain, both protocols converge fault-free on the 3-path
-    failures += oracle("path3_ff", "ss-to", "converges-to", 2)
-    failures += oracle("path3_ff_st", "ss-st", "converges-to", 1)
+    failures += oracle_matrix()
 
     failures += cli(
         "run", "--scenario", "scenarios/st_fakeroot_path6.scn", "--out", str(RESULTS / "fakeroot")
@@ -66,6 +89,8 @@ def main() -> int:
     failures += cli(
         "run", "--scenario", "scenarios/to_inflation_tree8.scn", "--out", str(RESULTS / "inflation")
     )
+    # the game's worst play from an LC1 start on the 5-path, so the replay of every trace audits one
+    failures += cli("run", "--scenario", "scenarios/to_max_damage_path5.scn", "--out", str(RESULTS / "max_damage"))
     # the demonstration is expected to blow through any fixed disruption count (its `bounds min_disruptions`)
     failures += cli("run", "--scenario", "scenarios/to_chain5_replay.scn", "--out", str(RESULTS / "chain5"))
 

@@ -36,6 +36,12 @@ from .engine import (
 from .topology import InputError, Topology, distance_to_byzantine
 
 
+# the most initial or legitimate configurations, and game nodes, an oracle query takes on
+STATE_CAP = 500_000
+# the most configurations one stability search visits before it answers unknown
+STABILITY_BUDGET = 20_000
+
+
 class OracleCapError(RuntimeError):
     """The exhaustive search exceeded its size limits or met a stability
     verdict it could not settle."""
@@ -60,10 +66,9 @@ class StabilityChecker:
     silence, memoized per configuration. The protocol's fast stability test
     short-circuits the search. `watch` is the c-correct set."""
 
-    def __init__(self, topo: Topology, protocol: Protocol, radius: int, budget: int = 20000):
+    def __init__(self, topo: Topology, protocol: Protocol, radius: int):
         self.topo = topo
         self.protocol = protocol
-        self.budget = budget
         self.watch = c_correct_set(topo, radius)
         self.kernel = Kernel(topo, protocol)
         self._cache: dict[Configuration, Stability] = {}
@@ -98,7 +103,7 @@ class StabilityChecker:
                 if v in watch and o_changed(cfg.states[v], effect.state):
                     return Stability.UNSTABLE
                 if nxt not in seen:
-                    if len(seen) > self.budget:
+                    if len(seen) > STABILITY_BUDGET:
                         return Stability.UNKNOWN
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -330,9 +335,7 @@ class OracleResult:
     best_play: Optional[list] = None
 
 
-def brute_force_verify(
-    topo: Topology, protocol: Protocol, prop: str, level_bound: int, state_cap: int = 500_000
-) -> OracleResult:
+def brute_force_verify(topo: Topology, protocol: Protocol, prop: str, level_bound: int) -> OracleResult:
     """Exact small-instance verdicts by full exploration.
 
     'converges-to' (fault-free only): from every configuration in the
@@ -347,13 +350,13 @@ def brute_force_verify(
     achieving the disruption maximum.
 
     OracleCapError: more initial or legitimate configurations than
-    `state_cap`, a larger game graph, or a stability search out of budget.
+    `STATE_CAP`, a larger game graph, or a stability search out of budget.
     InputError: no anchor within `level_bound`, so there is no worst case.
     """
     if prop == "converges-to":
-        return _oracle_converges(topo, protocol, level_bound, state_cap)
+        return _oracle_converges(topo, protocol, level_bound)
     if prop == "worst-disruptions":
-        return _oracle_worst(topo, protocol, level_bound, 0, state_cap, None)
+        return _oracle_worst(topo, protocol, level_bound, 0, None)
     raise ValueError(f"unknown oracle property {prop!r}")
 
 
@@ -362,14 +365,14 @@ def _level_cap(topo: Topology, level_bound: int) -> int:
     return level_bound + 2 * topo.n + 2
 
 
-def _oracle_converges(topo, protocol, level_bound, state_cap) -> OracleResult:
+def _oracle_converges(topo, protocol, level_bound) -> OracleResult:
     """A depth-first walk from each start in enumeration order, to the first cycle (an unfair
     schedule could spin in it forever) or configuration disabled outside the legitimate set."""
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
     coding = _Coding(topo, protocol, Kernel(topo, protocol), level_bound)
-    if coding.domain_size > state_cap:
-        raise OracleCapError(f"{coding.domain_size} initial configurations exceed cap {state_cap}")
+    if coding.domain_size > STATE_CAP:
+        raise OracleCapError(f"{coding.domain_size} initial configurations exceed cap {STATE_CAP}")
     legitimate = set(map(coding.encode, protocol.legitimate_set(topo, coding.level_cap)))
     moves, digits = coding.moves, coding.digits
     # every maximal single-process sequence from a converged code ends disabled inside `legitimate`
@@ -502,16 +505,19 @@ class _Coding:
 # --- worst-case disruption game ---------------------------------------------
 
 class _Game:
-    """Reachable game graph over (configuration code, dirty-flag) nodes.
+    """Reachable game graph over (configuration code, dirty-flag) nodes, built
+    and valued by one walk, `solve`.
 
     Node i is `nodes[i]`; `edges[i]` holds one (target, weight, changed)
     triple per move, in `_successors` order. Weight 1 marks a move into an
     anchor reached dirty (a disruption completes); changed is the watched
-    process whose O-variable the move changes, or None. `seen` maps a code
-    to [is anchor, clean node, dirty node], so a successor costs one hash.
-    Edges keep no moves: `move` replays the source's successors to recover
-    one. Byzantine writes keep the Byzantine state (nobody reads it), which
-    keeps the graph small.
+    process whose O-variable the move changes, or None. Each strongly
+    connected component's value vector holds the most disruptions, then the
+    most changes of each watched process, that a play from it can score.
+    `seen` maps a code to [is anchor, clean node, dirty node], so a successor
+    costs one hash. Edges keep no moves: `move` replays the source's
+    successors to recover one. Byzantine writes keep the Byzantine state
+    (nobody reads it), which keeps the graph small.
 
     A Byzantine move writes one out-register: deg·(|domain| − 1) edges, not
     the |domain|^deg − 1 combined writes. The values stay the same:
@@ -525,8 +531,8 @@ class _Game:
       the same moves, and d can add at most that one disruption.
     """
 
-    def __init__(self, topo, protocol, level_bound, radius, state_cap, anchors=()):
-        self.topo, self.state_cap = topo, state_cap
+    def __init__(self, topo, protocol, level_bound, radius, anchors=()):
+        self.topo = topo
         self.checker = StabilityChecker(topo, protocol, radius)
         self.watch = self.checker.watch
         self.coding = coding = _Coding(topo, protocol, self.checker.kernel, level_bound, anchors)
@@ -558,26 +564,11 @@ class _Game:
         nid = entry[1 + dirty]
         if nid is None:
             nid = entry[1 + dirty] = len(self.nodes)
-            if nid > self.state_cap:
-                raise OracleCapError(f"game graph exceeds {self.state_cap} nodes")
+            if nid > STATE_CAP:
+                raise OracleCapError(f"game graph exceeds {STATE_CAP} nodes")
             self.nodes.append((code, dirty))
             self.edges.append(None)
         return nid
-
-    def expand(self, starts: list[int]) -> list[int]:
-        start_ids = [self._node(self.entry(c), c, False) for c in starts]
-        edges, stack = self.edges, list(start_ids)
-        while stack:
-            nid = stack.pop()
-            if edges[nid] is not None:
-                continue
-            out = []
-            for _, _, tid, weight, changed in self._edges(nid):
-                out.append((tid, weight, changed))
-                if edges[tid] is None:
-                    stack.append(tid)
-            edges[nid] = out
-        return start_ids
 
     def _edges(self, nid: int):
         """(mover, register write or None, target, weight, changed) per move
@@ -612,28 +603,61 @@ class _Game:
         own = cfg.registers[self.topo.register_access[pid][2]]
         return pid, ByzWrite(cfg.states[pid], own[:i] + (value,) + own[i + 1 :])
 
-    def sccs(self) -> list[int]:
-        """Each node's strongly connected component, by iterative Tarjan,
-        which numbers components in reverse topological order."""
-        n = len(self.nodes)
-        comp, num, low = [-1] * n, [-1] * n, [0] * n
-        stack, counter, self.comp_count = [], 0, 0
-        target = itemgetter(0)
-        for root in range(n):
+    def solve(self, start_ids: list[int]) -> None:
+        """Make the edges of the nodes reachable from `start_ids`, each the first
+        time it is visited, and value them, in one iterative Tarjan walk from
+        each start in order.
+
+        Tarjan closes components in reverse topological order, so a closing
+        component's successors are valued already. `comp` holds each node's
+        component, and `values` each component's vector: (worst disruptions,
+        then worst changes of each watched process in id order), each the
+        best over its distinct out-labels of the label's weight plus the
+        target's entry. A label inside a component sets `unbounded_disruptions`
+        when it weighs 1 and `unbounded_changes` when it changes a process;
+        those entries of the vectors then mean nothing.
+        """
+        edges, target, order = self.edges, itemgetter(0), itertools.count()
+        column = {p: k for k, p in enumerate(sorted(self.watch), 1)}
+        self.comp, self.values = comp, values = [-1] * len(edges), []
+        self.unbounded_disruptions = self.unbounded_changes = False
+        num, low, stack, work = comp.copy(), comp.copy(), [], []
+
+        def enter(nid: int) -> None:
+            num[nid] = low[nid] = next(order)
+            stack.append(nid)
+            out = edges[nid] = [(tid, weight, changed) for _, _, tid, weight, changed in self._edges(nid)]
+            for per_node in (comp, num, low):  # the targets just numbered
+                per_node += [-1] * (len(edges) - len(per_node))
+            work.append((nid, map(target, out)))
+
+        def close(root: int) -> None:
+            c, members = len(values), []
+            while comp[root] == -1:  # the root is the component's deepest node on the stack
+                members.append(stack.pop())
+                comp[members[-1]] = c
+            value = (0,) * (len(column) + 1)
+            for tc, weight, changed in {(comp[tid], w, ch) for nid in members for tid, w, ch in edges[nid]}:
+                if tc == c:  # a label inside the component
+                    self.unbounded_disruptions |= weight == 1
+                    self.unbounded_changes |= changed is not None
+                    continue
+                cand = list(values[tc])
+                cand[0] += weight
+                if changed is not None:
+                    cand[column[changed]] += 1
+                value = tuple(map(max, value, cand))
+            values.append(value)
+
+        for root in start_ids:
             if num[root] != -1:
                 continue
-            num[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            work = [(root, map(target, self.edges[root]))]
+            enter(root)
             while work:
                 v, out = work[-1]
                 for w in out:
                     if num[w] == -1:
-                        num[w] = low[w] = counter
-                        counter += 1
-                        stack.append(w)
-                        work.append((w, map(target, self.edges[w])))
+                        enter(w)
                         break
                     if comp[w] == -1 and num[w] < low[v]:  # w is still on the stack
                         low[v] = num[w]
@@ -642,91 +666,47 @@ class _Game:
                     if work and low[v] < low[work[-1][0]]:
                         low[work[-1][0]] = low[v]
                     if low[v] == num[v]:
-                        while comp[v] == -1:
-                            comp[stack.pop()] = self.comp_count
-                        self.comp_count += 1
-        return comp
-
-    def condense(self) -> list[int]:
-        """Each node's component, after building the condensed DAG: per component,
-        its distinct (target component, weight, changed) labels out and (weight, changed) in."""
-        comp = self.sccs()
-        self.cross = [set() for _ in range(self.comp_count)]
-        self.inner = [set() for _ in range(self.comp_count)]
-        for nid, out in enumerate(self.edges):
-            c = comp[nid]
-            for tid, weight, changed in out:
-                tc = comp[tid]
-                if tc == c:
-                    self.inner[c].add((weight, changed))
-                else:
-                    self.cross[c].add((tc, weight, changed))
-        return comp
-
-    def longest(self, weight_of) -> tuple[Optional[list[int]], bool]:
-        """Max path value per component of the condensed DAG; None,True when
-        a positive cycle exists.
-
-        Tarjan numbers components in reverse topological order, so a single
-        pass in component order sees successors first.
-        """
-        if any(weight_of(w, ch) > 0 for labels in self.inner for w, ch in labels):
-            return None, True
-        value = [0] * self.comp_count
-        for c, labels in enumerate(self.cross):
-            for tc, w, ch in labels:
-                cand = weight_of(w, ch) + value[tc]
-                if cand > value[c]:
-                    value[c] = cand
-        return value, False
+                        close(v)
 
 
-def _oracle_worst(topo, protocol, level_bound, radius, state_cap, anchors) -> OracleResult:
+def _oracle_worst(topo, protocol, level_bound, radius, anchors) -> OracleResult:
     """The worst-disruptions game from `anchors`, or from every legitimate
     stable configuration of the bounded domain when none are given."""
     supplied = anchors is not None
     if not supplied:
-        members = list(itertools.islice(protocol.legitimate_set(topo, level_bound), state_cap + 1))
-        if len(members) > state_cap:
-            raise OracleCapError(f"legitimate configurations exceed cap {state_cap}")
+        members = list(itertools.islice(protocol.legitimate_set(topo, level_bound), STATE_CAP + 1))
+        if len(members) > STATE_CAP:
+            raise OracleCapError(f"legitimate configurations exceed cap {STATE_CAP}")
         anchors = sorted(members)
     # the members' values are in the domain already; a supplied start's may not be
-    game = _Game(topo, protocol, level_bound, radius, state_cap, anchors if supplied else ())
-    anchor_list = []
+    game = _Game(topo, protocol, level_bound, radius, anchors if supplied else ())
+    start_ids = []
     for c in anchors:
         code = game.coding.encode(c)
-        if game.entry(code, c)[0]:
-            anchor_list.append(code)
+        if (entry := game.entry(code, c))[0]:
+            start_ids.append(game._node(entry, code, False))
         elif supplied:
             raise InputError("supplied start is not legitimate and stable")
-    result = OracleResult(prop="worst-disruptions", anchors=len(anchor_list))
-    start_ids = game.expand(anchor_list)
+    result = OracleResult(prop="worst-disruptions", anchors=len(start_ids))
+    game.solve(start_ids)
     if game.checker.saw_unknown:
         raise OracleCapError("a stability search exhausted its budget, so the anchors are not exact")
-    if not anchor_list:
+    if not start_ids:
         raise InputError(f"no legitimate stable configuration has levels within level bound {level_bound}")
-
-    comp = game.condense()
     result.states_explored = len(game.nodes)
-
-    value, unbounded = game.longest(lambda w, ch: w)
-    if unbounded:
+    if game.unbounded_disruptions:
         result.unbounded = True
         return result
-    best = max(value[comp[s]] for s in start_ids)
+    worst = [game.values[game.comp[s]] for s in start_ids]
+    best = max(value[0] for value in worst)
     result.worst_disruptions = best
-    best_start = next(s for s in start_ids if value[comp[s]] == best)
+    best_start = next(s for s, value in zip(start_ids, worst) if value[0] == best)
     result.best_anchor = game.coding.decode(game.nodes[best_start][0])
-    result.best_play = _extract_play(game, comp, value, best_start)
-
-    worst_k = 0
-    for p in sorted(game.watch):
-        val_p, unb = game.longest(lambda w, ch, p=p: int(ch == p))
-        if unb:
-            result.unbounded = True
-            return result
-        worst_k = max(worst_k, max(val_p[comp[s]] for s in start_ids))
-    result.worst_per_process = worst_k
+    result.best_play = _extract_play(game, game.comp, [value[0] for value in game.values], best_start)
+    if game.unbounded_changes:
+        result.unbounded = True
+        return result
+    result.worst_per_process = max(max(value[1:], default=0) for value in worst)
     return result
 
 
@@ -766,7 +746,7 @@ def best_disruption_play(
     topo: Topology, protocol: Protocol, anchor: Configuration, level_bound: int, radius: int = 0
 ) -> tuple[int, list]:
     """Exact worst disruption count from one anchor and a play achieving it."""
-    result = _oracle_worst(topo, protocol, level_bound, radius, 500_000, [anchor])
+    result = _oracle_worst(topo, protocol, level_bound, radius, [anchor])
     if result.unbounded:
         raise OracleCapError("disruption count is unbounded from this start")
     return result.worst_disruptions, result.best_play or []

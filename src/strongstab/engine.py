@@ -652,6 +652,13 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
         fh.write(_dumps(tail) + "\n")
 
 
+def _plain_ints(value, depth: int) -> bool:
+    """Whether `value` is an int, bools excluded, or `depth` lists deep holds only such ints."""
+    if depth == 0:
+        return type(value) is int
+    return type(value) is list and all(_plain_ints(x, depth - 1) for x in value)
+
+
 def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     """Rebuild a trace and its topology from a trace file: a meta record, an
     init record, one record per step and one end record, in that order."""
@@ -659,6 +666,10 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     meta = records[0] if records else {}
     if meta.get("type") != "meta":
         raise ValueError("trace file missing meta record")
+    # each meta value that names processes, with how many lists deep its ints sit
+    for name, depth in (("n", 0), ("root", 0), ("byz", 1), ("edges", 2), ("neighbor_order", 2)):
+        if not (name == "root" and meta[name] is None or _plain_ints(meta[name], depth)):
+            raise ValueError(f"meta {name} {meta[name]!r} holds something other than plain ints")
     topo = build_topology(
         [tuple(e) for e in meta["edges"]], root=meta["root"], byzantine=meta["byz"], neighbor_order=meta["neighbor_order"]
     )
@@ -669,9 +680,11 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
         raise ValueError("trace file needs exactly one end record, as its last line")
     if end["stop_reason"] not in STOP_REASONS:
         raise ValueError(f"stop_reason {end['stop_reason']!r} is not one of {', '.join(STOP_REASONS)}")
+    if not _plain_ints(end["round_ends"], 1):
+        raise ValueError(f"round_ends {end['round_ends']!r} is not a list of ints")
 
     def pair(value, what: str, bit: bool) -> list:  # a state [int, int] or, with `bit`, a register [0|1, int]
-        if not (type(value) is list and len(value) == 2 and all(type(x) is int for x in value)) or bit and value[0] not in (0, 1):
+        if not (_plain_ints(value, 1) and len(value) == 2) or bit and value[0] not in (0, 1):
             raise ValueError(f"{what} {value!r} is not [{'0|1' if bit else 'int'}, int]")
         return value
 
@@ -682,10 +695,11 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
     def state(s, what: str) -> ProcessState:
         return ProcessState(*pair(s, what, False))
 
-    def index(value, count: int, what: str):  # a process id or register slot; a negative one would count from the end
-        if not 0 <= value < count:
-            raise ValueError(f"{what} {value!r} outside 0..{count - 1}")
-        return value
+    def index(value, count: int, what: str) -> int:  # a process id or register slot, or as an object key its decimal
+        number = int(value) if type(value) is str else value  # a negative one would count from the end
+        if type(number) is not int or str(number) != str(value) or not 0 <= number < count:
+            raise ValueError(f"{what} {value!r} is not an int in 0..{count - 1}")
+        return number
 
     def configuration(what: str, states, registers) -> Configuration:
         if len(states) != topo.n or len(registers) != topo.num_registers:
@@ -699,15 +713,15 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             raise ValueError(f"step record {i} says i={rec.get('i')!r}")
         registers = list(configs[-1].registers)
         for slot, val in rec["reg_diff"].items():
-            registers[index(int(slot), topo.num_registers, f"step {i}: register slot")] = reg(val, f"step {i}: register")
+            registers[index(slot, topo.num_registers, f"step {i}: register slot")] = reg(val, f"step {i}: register")
         configs.append(configuration(f"step {i}", rec["states"], registers))
         byz_writes = {
-            int(pid): None if w is None else ByzWrite(
+            index(pid, topo.n, f"step {i}: Byzantine id"): None if w is None else ByzWrite(
                 state(w["state"], f"step {i}: Byzantine state"), tuple(reg(r, f"step {i}: Byzantine register") for r in w["out"])
             )
             for pid, w in rec["byz"].items()
         }
-        actions = {int(p): a for p, a in rec["actions"].items()}
+        actions = {index(p, topo.n, f"step {i}: acting id"): a for p, a in rec["actions"].items()}
         activated = frozenset(index(v, topo.n, f"step {i}: activated process") for v in rec["activated"])
         owners = {"actions": (actions, activated - topo.byzantine), "byz": (byz_writes, activated & topo.byzantine)}
         for what, (recorded, expected) in owners.items():

@@ -11,6 +11,7 @@ Protocol string name: ``ss-to``. O-variable: prnt only; level is internal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Iterator, Optional
@@ -90,7 +91,8 @@ def _single_byz(topo: Topology) -> int:
     return next(iter(topo.byzantine))
 
 
-def _branches(topo: Topology) -> list[tuple[int, list[tuple[int, int]]]]:
+@functools.lru_cache(maxsize=1)  # topologies hash by identity, and an LC test asks once per configuration
+def _branches(topo: Topology) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The subtrees of the tree minus its one Byzantine process z, ordered by
     their smallest process id. Each is (y, edges): y is z's neighbor in it,
     and each edge (u, v) has u one hop nearer z, in breadth-first order from y."""
@@ -102,7 +104,7 @@ def _branches(topo: Topology) -> list[tuple[int, list[tuple[int, int]]]]:
             walk.extend((v, w) for w in topo.neighbor_order[v] if w != u)
         walks.append(walk)
     walks.sort(key=lambda walk: min(v for _, v in walk))
-    return [(walk[0][1], walk[1:]) for walk in walks]
+    return tuple((walk[0][1], tuple(walk[1:])) for walk in walks)
 
 
 def _in_lc(config: Configuration, topo: Topology, c2_ok: bool) -> bool:

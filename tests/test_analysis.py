@@ -102,12 +102,13 @@ def test_stability_fast_path_and_one_step_search():
     assert StabilityChecker(t0, SS_TO, 0).check(cfg) is Stability.UNSTABLE
 
 
-def test_stability_budget_exhaustion_reports_unknown():
+def test_stability_budget_exhaustion_reports_unknown(monkeypatch):
     t = st_topology(6, byz=(5,), edges=path_edges(6), seed=2)
     from strongstab.engine import arbitrary_configuration
 
     cfg = arbitrary_configuration(t, SS_ST, 3)
-    checker = StabilityChecker(t, SS_ST, 0, budget=0)
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)
+    checker = StabilityChecker(t, SS_ST, 0)
     verdict = checker.check(cfg)
     assert verdict in (Stability.UNKNOWN, Stability.UNSTABLE)
 
@@ -386,14 +387,15 @@ def test_oracle_worst_disruptions_three_node_orientation():
     assert result.worst_per_process <= 1
 
 
-def test_oracle_caps():
+def test_oracle_caps(monkeypatch):
     # a 5-path with a middle Byzantine process has 12 544 LC1 configurations at level bound 3
+    monkeypatch.setattr(analysis, "STATE_CAP", 100)
     t5 = build_topology(path_edges(5), byzantine=[2], mode="ss-to")
     with pytest.raises(OracleCapError, match="legitimate configurations exceed cap 100"):
-        brute_force_verify(t5, SS_TO, "worst-disruptions", level_bound=3, state_cap=100)
+        brute_force_verify(t5, SS_TO, "worst-disruptions", level_bound=3)
     t = st_topology(3)
     with pytest.raises(OracleCapError):
-        brute_force_verify(t, SS_ST, "converges-to", level_bound=6, state_cap=100)
+        brute_force_verify(t, SS_ST, "converges-to", level_bound=6)
 
 
 @pytest.mark.parametrize(
@@ -414,11 +416,7 @@ def test_oracle_five_processes(protocol, kwargs, edges, level_bound, worst):
 
 def test_oracle_refuses_unknown_stability(monkeypatch):
     # a budget-0 search cannot settle the LC1 anchors of a 4-path with an inner Byzantine process
-    class BudgetZero(StabilityChecker):
-        def __init__(self, topo, protocol, radius, budget=0):
-            super().__init__(topo, protocol, radius, 0)
-
-    monkeypatch.setattr(analysis, "StabilityChecker", BudgetZero)
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)
     t = to_topology(byz=(1,), edges=path_edges(4))
     with pytest.raises(OracleCapError, match="budget"):
         brute_force_verify(t, SS_TO, "worst-disruptions", level_bound=1)
@@ -808,19 +806,28 @@ def test_move_memo_matches_fresh_fire(monkeypatch):
         assert first.keys() == second.keys() and all(first[role] and first[role] is not second[role] for role in first)
 
 
-def test_compact_game_state_cap():
+def _start_ids(game, configs):
+    """The clean node of each anchor among `configs`, in order."""
+    codes = map(game.coding.encode, configs)
+    return [game._node(entry, code, False) for code in codes if (entry := game.entry(code))[0]]
+
+
+def test_compact_game_state_cap(monkeypatch):
     # the query's 49 legitimate configurations are refused past a cap of 20;
     # below the cap, the game graph itself stops at it
     topo = build_topology([(0, 1), (1, 2), (2, 3), (0, 3)], root=0, byzantine=[2], mode="ss-st")
+    monkeypatch.setattr(analysis, "STATE_CAP", 20)
     with pytest.raises(OracleCapError, match="legitimate configurations exceed cap 20"):
-        brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=20)
+        brute_force_verify(topo, SS_ST, "worst-disruptions", 3)
+    monkeypatch.setattr(analysis, "STATE_CAP", 49)
     with pytest.raises(OracleCapError, match="exceeds 49 nodes"):
-        brute_force_verify(topo, SS_ST, "worst-disruptions", 3, state_cap=49)
-    game = analysis._Game(topo, SS_ST, 3, 0, 20)
-    codes = map(game.coding.encode, sorted(SS_ST.legitimate_set(topo, 3)))
-    anchors = [code for code in codes if game.entry(code)[0]]
+        brute_force_verify(topo, SS_ST, "worst-disruptions", 3)
+    # from at most 20 starts, which fit under a cap of 20, the walk that builds the graph meets it
+    monkeypatch.setattr(analysis, "STATE_CAP", 20)
+    game = analysis._Game(topo, SS_ST, 3, 0)
+    start_ids = _start_ids(game, sorted(SS_ST.legitimate_set(topo, 3))[:20])
     with pytest.raises(OracleCapError, match="exceeds 20 nodes"):
-        game.expand(anchors)
+        game.solve(start_ids)
 
 
 _edge_lists = st.lists(
@@ -833,21 +840,28 @@ _edge_lists = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(adjacency=_edge_lists)
 def test_condensed_longest_matches_edge_scan(adjacency):
-    # random graphs, positive cycles included, on the SCC and longest-path steps alone
+    # random graphs, positive cycles included, on the walk that values the game alone: from
+    # every node in id order, `solve` numbers components as the reference Tarjan does, and each
+    # entry of each value vector, and each unbounded flag, is the reference's longest path
     n = len(adjacency)
     edges = [[(t % n, w, ch) for t, w, ch in out] for out in adjacency]
     game = analysis._Game.__new__(analysis._Game)
-    game.nodes, game.edges = [None] * n, edges
-    comp = game.condense()
+    game.nodes, game.edges, game.watch = [None] * n, [None] * n, {0, 1}
+    game._edges = lambda nid: ((None, None, t, w, ch) for t, w, ch in edges[nid])
+    game.solve(list(range(n)))
+    assert game.edges == edges
     ref = _RefGame.__new__(_RefGame)
     ref.nodes = game.nodes
     ref.edges = [[(t, w, frozenset() if ch is None else frozenset([ch]), None) for t, w, ch in out] for out in edges]
-    assert (comp, game.comp_count) == ref.sccs()
-    assert game.longest(lambda w, ch: w) == ref.longest(comp, game.comp_count, lambda w, ch: w)
-    for p in (0, 1):
-        assert game.longest(lambda w, ch: int(ch == p)) == ref.longest(
-            comp, game.comp_count, lambda w, ch: 1 if p in ch else 0
-        )
+    comp, comp_count = ref.sccs()
+    assert game.comp == comp and len(game.values) == comp_count
+    weights = [lambda w, ch: w] + [lambda w, ch, p=p: 1 if p in ch else 0 for p in (0, 1)]
+    longest = [ref.longest(comp, comp_count, weight_of) for weight_of in weights]
+    assert game.unbounded_disruptions == longest[0][1]
+    assert game.unbounded_changes == (longest[1][1] or longest[2][1])
+    for k, (value, unbounded) in enumerate(longest):
+        if not unbounded:
+            assert [vector[k] for vector in game.values] == value
 
 
 # --- the coded oracle against configurations ----------------------------------
@@ -942,9 +956,9 @@ def _spliced_successors(topo, protocol, kernel, watch, level_bound, cfg):
 @pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
 def test_coded_game_successors_match_spliced_configurations(protocol, kwargs, edges, level_bound):
     topo = build_topology(edges, **kwargs)
-    game = analysis._Game(topo, protocol, level_bound, 0, 500_000)
+    game = analysis._Game(topo, protocol, level_bound, 0)
     coding = game.coding
-    game.expand([code for code in map(coding.encode, sorted(protocol.legitimate_set(topo, level_bound))) if game.entry(code)[0]])
+    game.solve(_start_ids(game, sorted(protocol.legitimate_set(topo, level_bound))))
     kernel = Kernel(topo, protocol)
     for code in {code for code, _ in game.nodes}:
         got = [(pid, coding.decode(nxt), changed) for pid, _, nxt, changed in game._successors(code)]
@@ -997,7 +1011,7 @@ def test_max_damage_anchor_above_the_level_bound():
         want = _ref_oracle_worst(topo, protocol, level_bound, anchors=[anchor])
         assert worst == want.worst_disruptions == (1 if protocol is SS_TO else 2) and not want.unbounded
         _assert_single_register_writes(topo, protocol, anchor, play)
-        got = analysis._oracle_worst(topo, protocol, level_bound, 0, 500_000, [anchor])
+        got = analysis._oracle_worst(topo, protocol, level_bound, 0, [anchor])
         assert (got.anchors, got.worst_per_process, got.best_anchor) == (1, want.worst_per_process, anchor)
 
 

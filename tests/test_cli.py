@@ -488,15 +488,8 @@ def test_sweep_jobs_below_one_exit_two(tmp_path, capsys, jobs):
     assert not (tmp_path / "sw").exists()
 
 
-class _BudgetZero(analysis.StabilityChecker):
-    """A stability search that gives up before its first expansion."""
-
-    def __init__(self, topo, protocol, radius, budget=0):
-        super().__init__(topo, protocol, radius, 0)
-
-
 def test_budget_exhausted_run_is_inconclusive(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "StabilityChecker", _BudgetZero)
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)  # each search gives up before its first expansion
     rc = main(["run", "--scenario", str(REPO / "scenarios" / "to_ff_tree7.scn"), "--out", str(tmp_path / "o")])
     out = capsys.readouterr().out
     assert "stability_unknown_seen true\n" in out and out.endswith("result inconclusive\n"), out
@@ -505,7 +498,7 @@ def test_budget_exhausted_run_is_inconclusive(tmp_path, capsys, monkeypatch):
 
 
 def test_budget_exhausted_sweep_is_inconclusive(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(analysis, "StabilityChecker", _BudgetZero)
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)  # each search gives up before its first expansion
     over = {**_SWEEP, "n": "7", "replications": "2"}
     spec = _write(tmp_path, "ff.sweep", "\n".join(f"{k} {v}" for k, v in over.items()))
     assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "sw")]) == 3
@@ -590,6 +583,14 @@ def _edited(lines, i, edit):
         pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"].update(state=[0])), id="byz-state-of-one"),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.update(i=99)), id="step-i-not-its-position"),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.pop("i")), id="step-without-i"),
+        # ids, slots, round ends and the meta topology are plain ints, and a slot key is canonical decimal
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.update(activated=[True, 4])), id="activated-id-a-bool"),
+        pytest.param(
+            _edited(_FAKEROOT, len(_FAKEROOT) - 1, lambda rec: rec.update(round_ends=[float(r) for r in rec["round_ends"]])),
+            id="round-ends-floats",
+        ),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["reg_diff"].update({" 1": rec["reg_diff"].pop("1")})), id="register-slot-key-padded"),
+        pytest.param(_edited(_FAKEROOT, 0, lambda rec: rec.update(root=0.0)), id="meta-root-a-float"),
     ],
 )
 def test_replay_input_errors_exit_two(tmp_path, capsys, text):
