@@ -10,9 +10,10 @@ reaches a legitimate stable configuration reports no disruptions and a
 
 Stability ("no c-correct process will ever change an O-variable while the
 Byzantine processes stay silent") is decided by exhaustive search over
-correct-process activations with the Byzantine state frozen, with a budget;
-a blown budget is reported as unknown, which the disruption scan treats as
-not stable and the oracle refuses.
+correct-process activations with the Byzantine state frozen. Runs search
+configurations with a budget; a blown budget is reported as unknown, which
+the disruption scan treats as not stable. The oracle walks the coded moves
+of its bounded domain exactly, with no budget.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from .topology import InputError, Topology, distance_to_byzantine
 
 # the most initial or legitimate configurations, and game nodes, an oracle query takes on
 STATE_CAP = 500_000
-# the most configurations one stability search visits before it answers unknown
+# the most configurations one stability search of a run visits before it answers unknown
 STABILITY_BUDGET = 20_000
 
 
 class OracleCapError(RuntimeError):
-    """The exhaustive search exceeded its size limits or met a stability
-    verdict it could not settle."""
+    """The exhaustive search exceeded its size limits, or a move left its
+    bounded domain."""
 
 
 def c_correct_set(topo: Topology, c: int) -> frozenset[int]:
@@ -62,9 +63,10 @@ class Stability(Enum):
 
 
 class StabilityChecker:
-    """Budgeted reachability search for O-variable changes under Byzantine
-    silence, memoized per configuration. The protocol's fast stability test
-    short-circuits the search. `watch` is the c-correct set."""
+    """The runs' stability test: a budgeted reachability search for O-variable
+    changes under Byzantine silence, memoized per configuration. The
+    protocol's fast stability test short-circuits the search. `watch` is the
+    c-correct set. The oracle decides stability with `_Game.stable` instead."""
 
     def __init__(self, topo: Topology, protocol: Protocol, radius: int):
         self.topo = topo
@@ -350,7 +352,7 @@ def brute_force_verify(topo: Topology, protocol: Protocol, prop: str, level_boun
     achieving the disruption maximum.
 
     OracleCapError: more initial or legitimate configurations than
-    `STATE_CAP`, a larger game graph, or a stability search out of budget.
+    `STATE_CAP`, a larger game graph, or a move past the level cap.
     InputError: no anchor within `level_bound`, so there is no worst case.
     """
     if prop == "converges-to":
@@ -370,7 +372,7 @@ def _oracle_converges(topo, protocol, level_bound) -> OracleResult:
     schedule could spin in it forever) or configuration disabled outside the legitimate set."""
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
-    coding = _Coding(topo, protocol, Kernel(topo, protocol), level_bound)
+    coding = _Coding(topo, protocol, level_bound)
     if coding.domain_size > STATE_CAP:
         raise OracleCapError(f"{coding.domain_size} initial configurations exceed cap {STATE_CAP}")
     legitimate = set(map(coding.encode, protocol.legitimate_set(topo, coding.level_cap)))
@@ -435,8 +437,8 @@ class _Coding:
     passes the level cap or whose effect falls outside the alphabet.
     """
 
-    def __init__(self, topo: Topology, protocol: Protocol, kernel: Kernel, level_bound: int, anchors=()):
-        self.topo, self.protocol, self.kernel = topo, protocol, kernel
+    def __init__(self, topo: Topology, protocol: Protocol, level_bound: int, anchors=()):
+        self.topo, self.protocol, self.kernel = topo, protocol, Kernel(topo, protocol)
         self.level_cap = _level_cap(topo, level_bound)
         inner, wide = _domain_choices(topo, protocol, level_bound), _domain_choices(topo, protocol, self.level_cap)
         held = [c.states + c.registers for c in anchors]
@@ -515,9 +517,10 @@ class _Game:
     connected component's value vector holds the most disruptions, then the
     most changes of each watched process, that a play from it can score.
     `seen` maps a code to [is anchor, clean node, dirty node], so a successor
-    costs one hash. Edges keep no moves: `move` replays the source's
-    successors to recover one. Byzantine writes keep the Byzantine state
-    (nobody reads it), which keeps the graph small.
+    costs one hash; a code is an anchor when the spec holds at every watched
+    process and `stable` holds. Edges keep no moves: `move` replays the
+    source's successors to recover one. Byzantine writes keep the Byzantine
+    state (nobody reads it), which keeps the graph small.
 
     A Byzantine move writes one out-register: deg·(|domain| − 1) edges, not
     the |domain|^deg − 1 combined writes. The values stay the same:
@@ -532,11 +535,11 @@ class _Game:
     """
 
     def __init__(self, topo, protocol, level_bound, radius, anchors=()):
-        self.topo = topo
-        self.checker = StabilityChecker(topo, protocol, radius)
-        self.watch = self.checker.watch
-        self.coding = coding = _Coding(topo, protocol, self.checker.kernel, level_bound, anchors)
+        self.topo, self.spec = topo, protocol.spec
+        self.watch = c_correct_set(topo, radius)
+        self.coding = coding = _Coding(topo, protocol, level_bound, anchors)
         self.seen: dict[int, list] = {}
+        self.stable_codes: set[int] = set()
         self.nodes: list[tuple[int, bool]] = []
         self.edges: list[Optional[list]] = []
         # per Byzantine out-register, in writer and slot order: (writer, its index among the
@@ -557,8 +560,32 @@ class _Game:
         configuration (`cfg` when given, else decoded)."""
         entry = self.seen.get(code)
         if entry is None:
-            entry = self.seen[code] = [self.checker.anchor(self.coding.decode(code) if cfg is None else cfg), None, None]
+            cfg = self.coding.decode(code) if cfg is None else cfg
+            anchor = all(self.spec(v, cfg, self.topo) for v in self.watch) and self.stable(code)
+            entry = self.seen[code] = [anchor, None, None]
         return entry
+
+    def stable(self, code: int) -> bool:
+        """Whether no sequence of correct moves from `code` changes a watched O-variable:
+        a depth-first walk that stops at the first such move. When it finds none, every
+        code it visited is stable and joins `stable_codes`, which later walks skip. A
+        correct move from a game node is a game move, so the walk stays in the game's
+        bounded domain: it needs no budget, and a move past the level cap raises the
+        game's own OracleCapError."""
+        stable_codes, digits = self.stable_codes, self.coding.digits
+        if code in stable_codes:
+            return True
+        visited, stack = {code}, [code]
+        while stack:
+            cur = stack.pop()
+            for _, nxt, changed in self._correct_moves(cur, digits(cur)):
+                if changed is not None:
+                    return False
+                if nxt not in visited and nxt not in stable_codes:
+                    visited.add(nxt)
+                    stack.append(nxt)
+        stable_codes |= visited
+        return True
 
     def _node(self, entry: list, code: int, dirty: bool) -> int:
         nid = entry[1 + dirty]
@@ -583,13 +610,20 @@ class _Game:
             tid = entry[1 + d2]
             yield pid, write, self._node(entry, nxt, d2) if tid is None else tid, weight, changed
 
+    def _correct_moves(self, code: int, digits: list[int]):
+        """(mover, next code, changed) per correct move from `code`, whose digits are `digits`:
+        changed is the mover when it is watched and its O-variable changes, else None;
+        OracleCapError when the move leaves the coded domain."""
+        watch = self.watch
+        for v, delta, o_changed in self.coding.moves(code, digits):
+            yield v, code + delta, v if o_changed and v in watch else None
+
     def _successors(self, code: int):
         """(mover, write, next code, changed) per move: the correct moves, then every Byzantine
-        write of one out-register to another value of its bounded domain, as (index, value);
-        OracleCapError when a correct move leaves the coded domain."""
-        watch, digits = self.watch, self.coding.digits(code)
-        for v, delta, o_changed in self.coding.moves(code, digits):
-            yield v, None, code + delta, v if o_changed and v in watch else None
+        write of one out-register to another value of its bounded domain, as (index, value)."""
+        digits = self.coding.digits(code)
+        for v, nxt, changed in self._correct_moves(code, digits):
+            yield v, None, nxt, changed
         for b, i, pos, writes in self.byz_writes:
             for delta, value in writes[digits[pos]]:
                 yield b, (i, value), code + delta, None
@@ -687,12 +721,10 @@ def _oracle_worst(topo, protocol, level_bound, radius, anchors) -> OracleResult:
             start_ids.append(game._node(entry, code, False))
         elif supplied:
             raise InputError("supplied start is not legitimate and stable")
-    result = OracleResult(prop="worst-disruptions", anchors=len(start_ids))
-    game.solve(start_ids)
-    if game.checker.saw_unknown:
-        raise OracleCapError("a stability search exhausted its budget, so the anchors are not exact")
     if not start_ids:
         raise InputError(f"no legitimate stable configuration has levels within level bound {level_bound}")
+    result = OracleResult(prop="worst-disruptions", anchors=len(start_ids))
+    game.solve(start_ids)
     result.states_explored = len(game.nodes)
     if game.unbounded_disruptions:
         result.unbounded = True
@@ -721,8 +753,7 @@ def _extract_play(game: _Game, comp, value, start: int) -> list:
         prev = {nid: None}
         queue = [nid]
         hop = None
-        while queue and hop is None:
-            cur = queue.pop(0)
+        for cur in queue:  # the loop also reads the nodes appended while it runs
             for tid, w, _ in game.edges[cur]:
                 if w == 1 and value[comp[tid]] == remaining - 1:
                     hop = (cur, tid, 1)
@@ -730,6 +761,8 @@ def _extract_play(game: _Game, comp, value, start: int) -> list:
                 if w == 0 and value[comp[tid]] == remaining and tid not in prev:
                     prev[tid] = cur
                     queue.append(tid)
+            if hop is not None:
+                break
         if hop is None:
             raise OracleCapError("play extraction failed")  # cannot happen on a sound DP
         hops = [hop]

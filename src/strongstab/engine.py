@@ -130,8 +130,9 @@ class Protocol:
       guard holds, so no guard repeats the negations of those before it;
       `spec`, the per-process specification; `legitimate_set`, the bounded
       legitimate set the oracle converges to and anchors in; `fast_stable`,
-      a sufficient test for stability beyond quiescence (the search settles
-      a quiescent configuration at once); and `legitimate_configuration`,
+      a sufficient test for stability beyond quiescence, read only by the
+      runs' budgeted stability search (which settles a quiescent
+      configuration at once); and `legitimate_configuration`,
       which refuses a kind it does not know with InputError;
     - `sweep_placement` where the default does not fit.
     """

@@ -414,12 +414,17 @@ def test_oracle_five_processes(protocol, kwargs, edges, level_bound, worst):
     assert (result.worst_disruptions, result.worst_per_process) == worst and not result.unbounded
 
 
-def test_oracle_refuses_unknown_stability(monkeypatch):
-    # a budget-0 search cannot settle the LC1 anchors of a 4-path with an inner Byzantine process
-    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)
+def test_oracle_answer_ignores_the_stability_budget(monkeypatch):
+    # a budget-0 search cannot settle the LC1 anchors of a 4-path with an inner Byzantine
+    # process; the oracle decides stability without a budget, so its answer stays the same
     t = to_topology(byz=(1,), edges=path_edges(4))
-    with pytest.raises(OracleCapError, match="budget"):
-        brute_force_verify(t, SS_TO, "worst-disruptions", level_bound=1)
+    want = brute_force_verify(t, SS_TO, "worst-disruptions", level_bound=1)
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", 0)
+    checker = StabilityChecker(t, SS_TO, 0)
+    assert any(checker.check(cfg) is Stability.UNKNOWN for cfg in SS_TO.legitimate_set(t, 1))
+    got = brute_force_verify(t, SS_TO, "worst-disruptions", level_bound=1)
+    for name in (*_GAME_FIELDS, "best_anchor", "best_play"):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 # --- fast paths against the exhaustive ones, on small instances --------------
@@ -873,16 +878,12 @@ def test_condensed_longest_matches_edge_scan(adjacency):
 _PATH3_DOMAINS = [pytest.param(SS_TO, None, 2, id="ss-to-lb2"), pytest.param(SS_ST, 0, 1, id="ss-st-lb1")]
 
 
-def _coding(topo, protocol, level_bound, anchors=()):
-    return analysis._Coding(topo, protocol, Kernel(topo, protocol), level_bound, anchors)
-
-
 @pytest.mark.parametrize("protocol,root,level_bound", _PATH3_DOMAINS)
 def test_coding_round_trips_the_path3_domains(protocol, root, level_bound):
     # the domains of the path3 convergence queries: the starts decode, in order, to the product
     # of `_domain_choices`, and each configuration encodes back to its start
     topo = build_topology(path_edges(3), root=root, mode=protocol.name)
-    coding = _coding(topo, protocol, level_bound)
+    coding = analysis._Coding(topo, protocol, level_bound)
     starts = list(coding.starts())
     domain = list(_enumerate_domain(topo, protocol, level_bound))
     assert len(starts) == len(set(starts)) == len(domain) == coding.domain_size
@@ -904,7 +905,7 @@ def _coded_instances(draw):
         tuple(ProcessState(draw(st.integers(0, topo.degree(v) + 1)), draw(st.integers(0, high))) for v in range(topo.n)),
         tuple(RegisterValue(draw(st.booleans()), draw(st.integers(0, high))) for _ in range(topo.num_registers)),
     )
-    coding = _coding(topo, protocol, level_bound, [anchor])
+    coding = analysis._Coding(topo, protocol, level_bound, [anchor])
     digits = [draw(st.integers(0, radix - 1)) for radix in coding.radices]
     return coding, topo, protocol, level_bound, anchor, sum(map(math.prod, zip(digits, coding.weights))), digits
 
@@ -930,7 +931,7 @@ def test_coded_moves_match_kernel_moves(protocol, root):
     # move for move, every configuration of the path3 domains at level bound 1, in both neighbor
     # orders: the mover, its successor and whether its O-variable changes
     for topo in _every_neighbor_order(path_edges(3), root=root, mode=protocol.name):
-        coding, kernel = _coding(topo, protocol, 1), Kernel(topo, protocol)
+        coding, kernel = analysis._Coding(topo, protocol, 1), Kernel(topo, protocol)
         for code in coding.starts():
             cfg = coding.decode(code)
             got = [(v, coding.decode(code + delta), changed) for v, delta, changed in coding.moves(code, coding.digits(code))]
@@ -963,6 +964,19 @@ def test_coded_game_successors_match_spliced_configurations(protocol, kwargs, ed
     for code in {code for code, _ in game.nodes}:
         got = [(pid, coding.decode(nxt), changed) for pid, _, nxt, changed in game._successors(code)]
         assert got == list(_spliced_successors(topo, protocol, kernel, game.watch, level_bound, coding.decode(code)))
+
+
+@pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
+def test_coded_stability_matches_the_budgeted_search(protocol, kwargs, edges, level_bound):
+    # on every node code of the solved game, in node order (so later walks meet codes earlier
+    # ones found stable): the oracle's walk against the runs' search, never out of budget here
+    topo = build_topology(edges, **kwargs)
+    game = analysis._Game(topo, protocol, level_bound, 0)
+    game.solve(_start_ids(game, sorted(protocol.legitimate_set(topo, level_bound))))
+    checker = StabilityChecker(topo, protocol, 0)
+    want = {code: checker._search(game.coding.decode(code)) for code, _ in game.nodes}
+    assert Stability.UNKNOWN not in want.values()
+    assert {code: game.stable(code) for code in want} == {code: v is Stability.STABLE for code, v in want.items()}
 
 
 def _climb(view):
