@@ -369,14 +369,16 @@ def _level_cap(topo: Topology, level_bound: int) -> int:
 
 def _oracle_converges(topo, protocol, level_bound) -> OracleResult:
     """A depth-first walk from each start in enumeration order, to the first cycle (an unfair
-    schedule could spin in it forever) or configuration disabled outside the legitimate set."""
+    schedule could spin in it forever) or configuration disabled outside the legitimate set.
+    A code settles at once, without joining the path, when it is disabled inside the
+    legitimate set or every one of its successors has converged already."""
     if topo.byzantine:
         raise OracleCapError("convergence oracle supports fault-free instances only")
     coding = _Coding(topo, protocol, level_bound)
     if coding.domain_size > STATE_CAP:
         raise OracleCapError(f"{coding.domain_size} initial configurations exceed cap {STATE_CAP}")
     legitimate = set(map(coding.encode, protocol.legitimate_set(topo, coding.level_cap)))
-    moves, digits = coding.moves, coding.digits
+    moves = coding.moves
     # every maximal single-process sequence from a converged code ends disabled inside `legitimate`
     converged: set[int] = set()
     on_path: set[int] = set()  # the walk's current path, or the failing one once it stops
@@ -386,11 +388,16 @@ def _oracle_converges(topo, protocol, level_bound) -> OracleResult:
         stack = []  # the path in order, each code with its successors not yet walked
         code = start
         while True:
-            nexts = [code + delta for _, delta, _ in moves(code, digits(code))]
-            on_path.add(code)
-            if not nexts and code not in legitimate:
+            found = moves(code)
+            if not found and code not in legitimate:
+                on_path.add(code)
                 return False
-            stack.append((code, iter(nexts)))
+            nexts = [nxt for _, delta, _ in found if (nxt := code + delta) not in converged]
+            if nexts:
+                on_path.add(code)
+                stack.append((code, iter(nexts)))
+            else:
+                converged.add(code)
             while stack:  # to the next successor not yet converged of the deepest code on the path
                 top, rest = stack[-1]
                 code = next(rest, None)
@@ -424,15 +431,18 @@ _ESCAPED = "level escaped the bounded domain"
 
 
 class _Coding:
-    """A mixed-radix integer code for the configurations an oracle query reaches.
+    """An integer code for the configurations an oracle query reaches, laid out in bit fields.
 
     Position i < n is process i's state and position n + s is register slot s;
-    position 0 is the least significant digit. A position's alphabet is its
+    position 0 holds the lowest bits. A position's alphabet is its
     `_domain_choices` values at `level_bound`, then the values the level cap
-    adds, then any other value the `anchors` hold there.
+    adds, then any other value the `anchors` hold there. Position i stores
+    the index of its value in `(radix_i - 1).bit_length()` bits from
+    `shifts[i]`; `weights[i]` is `1 << shifts[i]`.
 
     A correct move adds a delta to the code. The delta depends only on the
-    mover's view, so it is memoized per (process, view digits); a miss decodes
+    mover's view, its state field and its in- and out-register fields, so it
+    is memoized per process on the code masked to that view; a miss decodes
     the configuration and asks `Kernel.fire`, and refuses a move whose level
     passes the level cap or whose effect falls outside the alphabet.
     """
@@ -447,12 +457,16 @@ class _Coding:
         ]
         self.index = [{value: d for d, value in enumerate(alphabet)} for alphabet in self.alphabets]
         self.radices = [len(alphabet) for alphabet in self.alphabets]
-        self.weights = list(itertools.accumulate(self.radices[:-1], mul, initial=1))
+        bits = [(radix - 1).bit_length() for radix in self.radices]
+        self.masks = [(1 << b) - 1 for b in bits]
+        self.shifts = list(itertools.accumulate(bits[:-1], initial=0))
+        self.weights = [1 << shift for shift in self.shifts]
         self._inner = [len(choices) for choices in inner]
         self.domain_size = math.prod(self._inner)
+        fields = list(map(mul, self.masks, self.weights))
         n = topo.n
         self._views = [
-            (v, itemgetter(v, *(n + s for s in topo.in_slot[v]), *(n + s for s in topo.out_slot[v])), {})
+            (v, fields[v] + sum(fields[n + s] for s in topo.in_slot[v] + topo.out_slot[v]), {})
             for v in sorted(topo.correct)
         ]
 
@@ -466,22 +480,18 @@ class _Coding:
         return sum(map(mul, self.weights, map(dict.__getitem__, self.index, config.states + config.registers)))
 
     def digits(self, code: int) -> list[int]:
-        out = []
-        for radix in self.radices:
-            code, digit = divmod(code, radix)
-            out.append(digit)
-        return out
+        return [(code >> shift) & mask for shift, mask in zip(self.shifts, self.masks)]
 
     def decode(self, code: int) -> Configuration:
         values = list(map(list.__getitem__, self.alphabets, self.digits(code)))
         return Configuration(tuple(values[: self.topo.n]), tuple(values[self.topo.n :]))
 
-    def moves(self, code: int, digits: list[int]) -> list[tuple[int, int, bool]]:
+    def moves(self, code: int) -> list[tuple[int, int, bool]]:
         """(v, delta, whether v's O-variable changes) per correct v whose action fires when v
-        moves alone from `code`, whose digits are `digits`, in id order."""
+        moves alone from `code`, in id order."""
         out = []
         for v, view, memo in self._views:
-            key = view(digits)
+            key = code & view
             move = memo.get(key, memo)
             if move is memo:
                 move = memo[key] = self._move(v, code)
@@ -518,9 +528,9 @@ class _Game:
     most changes of each watched process, that a play from it can score.
     `seen` maps a code to [is anchor, clean node, dirty node], so a successor
     costs one hash; a code is an anchor when the spec holds at every watched
-    process and `stable` holds. Edges keep no moves: `move` replays the
-    source's successors to recover one. Byzantine writes keep the Byzantine
-    state (nobody reads it), which keeps the graph small.
+    process and `stable` holds. Edges keep no moves: `move` pairs the
+    source's successors with its row to recover one. Byzantine writes keep
+    the Byzantine state (nobody reads it), which keeps the graph small.
 
     A Byzantine move writes one out-register: deg·(|domain| − 1) edges, not
     the |domain|^deg − 1 combined writes. The values stay the same:
@@ -543,7 +553,8 @@ class _Game:
         self.nodes: list[tuple[int, bool]] = []
         self.edges: list[Optional[list]] = []
         # per Byzantine out-register, in writer and slot order: (writer, its index among the
-        # writer's out-registers, position, per current digit the (delta, value) of each write)
+        # writer's out-registers, the field's shift and mask, per current digit the (delta,
+        # value) of each write)
         self.byz_writes = []
         for b in sorted(topo.byzantine):
             for i, slot in enumerate(topo.out_slot[b]):
@@ -553,7 +564,7 @@ class _Game:
                     [((index[value] - d) * weight, value) for value in protocol.register_domain(level_bound, current) if value != current]
                     for d, current in enumerate(alphabet)
                 ]
-                self.byz_writes.append((b, i, pos, writes))
+                self.byz_writes.append((b, i, coding.shifts[pos], coding.masks[pos], writes))
 
     def entry(self, code: int, cfg: Optional[Configuration] = None) -> list:
         """`seen`'s entry for `code`, made on its first lookup by the anchor test of its
@@ -572,13 +583,13 @@ class _Game:
         correct move from a game node is a game move, so the walk stays in the game's
         bounded domain: it needs no budget, and a move past the level cap raises the
         game's own OracleCapError."""
-        stable_codes, digits = self.stable_codes, self.coding.digits
+        stable_codes = self.stable_codes
         if code in stable_codes:
             return True
         visited, stack = {code}, [code]
         while stack:
             cur = stack.pop()
-            for _, nxt, changed in self._correct_moves(cur, digits(cur)):
+            for _, nxt, changed in self._correct_moves(cur):
                 if changed is not None:
                     return False
                 if nxt not in visited and nxt not in stable_codes:
@@ -591,46 +602,48 @@ class _Game:
         nid = entry[1 + dirty]
         if nid is None:
             nid = entry[1 + dirty] = len(self.nodes)
-            if nid > STATE_CAP:
+            if nid >= STATE_CAP:
                 raise OracleCapError(f"game graph exceeds {STATE_CAP} nodes")
             self.nodes.append((code, dirty))
             self.edges.append(None)
         return nid
 
-    def _edges(self, nid: int):
-        """(mover, register write or None, target, weight, changed) per move
-        from node `nid`; reached targets get ids."""
+    def _edges(self, nid: int) -> list[tuple[int, int, Optional[int]]]:
+        """The row of node `nid`: (target, weight, changed) per move, in `_successors`
+        order; reached targets get ids."""
         code, dirty = self.nodes[nid]
-        for pid, write, nxt, changed in self._successors(code):
+        row = []
+        for _, _, nxt, changed in self._successors(code):
             entry = self.seen.get(nxt) or self.entry(nxt)
             d2 = dirty or changed is not None
             weight = 0
             if entry[0]:
                 weight, d2 = int(d2), False
             tid = entry[1 + d2]
-            yield pid, write, self._node(entry, nxt, d2) if tid is None else tid, weight, changed
+            row.append((self._node(entry, nxt, d2) if tid is None else tid, weight, changed))
+        return row
 
-    def _correct_moves(self, code: int, digits: list[int]):
-        """(mover, next code, changed) per correct move from `code`, whose digits are `digits`:
-        changed is the mover when it is watched and its O-variable changes, else None;
-        OracleCapError when the move leaves the coded domain."""
+    def _correct_moves(self, code: int):
+        """(mover, next code, changed) per correct move from `code`: changed is the mover when
+        it is watched and its O-variable changes, else None; OracleCapError when the move
+        leaves the coded domain."""
         watch = self.watch
-        for v, delta, o_changed in self.coding.moves(code, digits):
+        for v, delta, o_changed in self.coding.moves(code):
             yield v, code + delta, v if o_changed and v in watch else None
 
     def _successors(self, code: int):
         """(mover, write, next code, changed) per move: the correct moves, then every Byzantine
         write of one out-register to another value of its bounded domain, as (index, value)."""
-        digits = self.coding.digits(code)
-        for v, nxt, changed in self._correct_moves(code, digits):
+        for v, nxt, changed in self._correct_moves(code):
             yield v, None, nxt, changed
-        for b, i, pos, writes in self.byz_writes:
-            for delta, value in writes[digits[pos]]:
+        for b, i, shift, mask, writes in self.byz_writes:
+            for delta, value in writes[(code >> shift) & mask]:
                 yield b, (i, value), code + delta, None
 
     def move(self, nid: int, tid: int, weight: int) -> tuple:
         """The move of the first edge from `nid` to `tid` with `weight`."""
-        pid, write = next((p, wr) for p, wr, t, w, _ in self._edges(nid) if (t, w) == (tid, weight))
+        moves = zip(self._successors(self.nodes[nid][0]), self.edges[nid])
+        pid, write = next((p, wr) for (p, wr, _, _), (t, w, _) in moves if (t, w) == (tid, weight))
         if write is None:
             return pid, None
         cfg, (i, value) = self.coding.decode(self.nodes[nid][0]), write
@@ -660,7 +673,7 @@ class _Game:
         def enter(nid: int) -> None:
             num[nid] = low[nid] = next(order)
             stack.append(nid)
-            out = edges[nid] = [(tid, weight, changed) for _, _, tid, weight, changed in self._edges(nid)]
+            out = edges[nid] = self._edges(nid)
             for per_node in (comp, num, low):  # the targets just numbered
                 per_node += [-1] * (len(edges) - len(per_node))
             work.append((nid, map(target, out)))

@@ -827,6 +827,12 @@ def test_compact_game_state_cap(monkeypatch):
     monkeypatch.setattr(analysis, "STATE_CAP", 49)
     with pytest.raises(OracleCapError, match="exceeds 49 nodes"):
         brute_force_verify(topo, SS_ST, "worst-disruptions", 3)
+    # the game has 328 nodes: a cap of 328 holds it, and a cap one below refuses it
+    monkeypatch.setattr(analysis, "STATE_CAP", 328)
+    assert brute_force_verify(topo, SS_ST, "worst-disruptions", 3).states_explored == 328
+    monkeypatch.setattr(analysis, "STATE_CAP", 327)
+    with pytest.raises(OracleCapError, match="exceeds 327 nodes"):
+        brute_force_verify(topo, SS_ST, "worst-disruptions", 3)
     # from at most 20 starts, which fit under a cap of 20, the walk that builds the graph meets it
     monkeypatch.setattr(analysis, "STATE_CAP", 20)
     game = analysis._Game(topo, SS_ST, 3, 0)
@@ -852,7 +858,7 @@ def test_condensed_longest_matches_edge_scan(adjacency):
     edges = [[(t % n, w, ch) for t, w, ch in out] for out in adjacency]
     game = analysis._Game.__new__(analysis._Game)
     game.nodes, game.edges, game.watch = [None] * n, [None] * n, {0, 1}
-    game._edges = lambda nid: ((None, None, t, w, ch) for t, w, ch in edges[nid])
+    game._edges = lambda nid: list(edges[nid])
     game.solve(list(range(n)))
     assert game.edges == edges
     ref = _RefGame.__new__(_RefGame)
@@ -881,7 +887,8 @@ _PATH3_DOMAINS = [pytest.param(SS_TO, None, 2, id="ss-to-lb2"), pytest.param(SS_
 @pytest.mark.parametrize("protocol,root,level_bound", _PATH3_DOMAINS)
 def test_coding_round_trips_the_path3_domains(protocol, root, level_bound):
     # the domains of the path3 convergence queries: the starts decode, in order, to the product
-    # of `_domain_choices`, and each configuration encodes back to its start
+    # of `_domain_choices`, each configuration encodes back to its start, and each start's
+    # fields hold digits below their radices, within the bits the fields take together
     topo = build_topology(path_edges(3), root=root, mode=protocol.name)
     coding = analysis._Coding(topo, protocol, level_bound)
     starts = list(coding.starts())
@@ -889,7 +896,8 @@ def test_coding_round_trips_the_path3_domains(protocol, root, level_bound):
     assert len(starts) == len(set(starts)) == len(domain) == coding.domain_size
     assert list(map(coding.decode, starts)) == domain
     assert list(map(coding.encode, domain)) == starts
-    assert 0 <= min(starts) and max(starts) < math.prod(coding.radices)
+    assert all(d < radix for start in starts for d, radix in zip(coding.digits(start), coding.radices))
+    assert 0 <= min(starts) and max(starts) < 1 << sum((radix - 1).bit_length() for radix in coding.radices)
 
 
 @st.composite
@@ -926,6 +934,42 @@ def test_coding_round_trips_random_topologies(instance):
         assert alphabet[: len(inner)] == inner and set(alphabet[: len(wide)]) == set(wide)
 
 
+def _kernel_coded_moves(coding, kernel, protocol, cfg):
+    """`Kernel.moves` from `cfg` as (mover, successor's code, whether its O-variable changes);
+    OracleCapError, as the coding's, at a move that passes the level cap or leaves the alphabet."""
+    out = []
+    for v, effect, nxt in kernel.moves(cfg):
+        try:
+            if effect.state.level > coding.level_cap:
+                raise KeyError(effect.state)
+            out.append((v, coding.encode(nxt), protocol.o_changed(cfg.states[v], effect.state)))
+        except KeyError:
+            raise OracleCapError("level escaped the bounded domain") from None
+    return out
+
+
+def _outcome(moves):
+    """The moves `moves()` returns, or the type and message of the error it raises: a guard
+    raises ValueError at a state outside its protocol's domain, which the anchor may hold."""
+    try:
+        return moves()
+    except (OracleCapError, ValueError) as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_coded_instances())
+def test_view_masks_match_kernel_moves_on_random_topologies(instance):
+    # through one coding, the drawn code and then the code with each field in turn moved to
+    # another digit: a view mask that missed a field would answer from a stale memo entry
+    coding, topo, protocol, level_bound, anchor, code, digits = instance
+    kernel = Kernel(topo, protocol)
+    codes = [code] + [code + ((d + 1) % k - d) * w for d, k, w in zip(digits, coding.radices, coding.weights)]
+    for c in codes:
+        got = _outcome(lambda: [(v, c + delta, changed) for v, delta, changed in coding.moves(c)])
+        assert got == _outcome(lambda: _kernel_coded_moves(coding, kernel, protocol, coding.decode(c)))
+
+
 @pytest.mark.parametrize("protocol,root", [pytest.param(SS_TO, None, id="ss-to"), pytest.param(SS_ST, 0, id="ss-st")])
 def test_coded_moves_match_kernel_moves(protocol, root):
     # move for move, every configuration of the path3 domains at level bound 1, in both neighbor
@@ -934,7 +978,7 @@ def test_coded_moves_match_kernel_moves(protocol, root):
         coding, kernel = analysis._Coding(topo, protocol, 1), Kernel(topo, protocol)
         for code in coding.starts():
             cfg = coding.decode(code)
-            got = [(v, coding.decode(code + delta), changed) for v, delta, changed in coding.moves(code, coding.digits(code))]
+            got = [(v, coding.decode(code + delta), changed) for v, delta, changed in coding.moves(code)]
             want = [(v, nxt, protocol.o_changed(cfg.states[v], effect.state)) for v, effect, nxt in kernel.moves(cfg)]
             assert got == want, cfg
 
