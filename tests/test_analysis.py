@@ -940,11 +940,12 @@ def _kernel_coded_moves(coding, kernel, protocol, cfg):
     out = []
     for v, effect, nxt in kernel.moves(cfg):
         try:
-            if effect.state.level > coding.level_cap:
-                raise KeyError(effect.state)
-            out.append((v, coding.encode(nxt), protocol.o_changed(cfg.states[v], effect.state)))
+            code = coding.encode(nxt)
         except KeyError:
-            raise OracleCapError("level escaped the bounded domain") from None
+            code = None
+        if code is None or effect.state.level > coding.level_cap:
+            raise OracleCapError("level escaped the bounded domain")
+        out.append((v, code, protocol.o_changed(cfg.states[v], effect.state)))
     return out
 
 
