@@ -4,9 +4,11 @@ disruption windows, bound reports, and an exhaustive small-instance oracle.
 A disruption is a trace window that starts at a configuration that is both
 c-legitimate and c-stable, contains at least one O-variable change by a
 c-correct process, and ends at the next configuration that is again
-c-legitimate and c-stable. Windows never overlap; a trace that never
-reaches a legitimate stable configuration reports no disruptions and a
-`never_stabilized` flag instead.
+c-legitimate and c-stable. Windows never overlap. The scan that finds
+them builds the run's containment report; `verify_containment` adds the
+bound checks, and the report's verdict is the run's. A trace that never
+reaches a legitimate stable configuration reports no disruptions and
+`never_stabilized`, and fails: the bounds say nothing about it.
 
 Stability ("no c-correct process will ever change an O-variable while the
 Byzantine processes stay silent") is decided by exhaustive search over
@@ -97,6 +99,8 @@ class StabilityChecker:
 
     def _search(self, config: Configuration) -> Stability:
         o_changed, moves, watch = self.protocol.o_changed, self.kernel.moves, self.watch
+        if not watch:  # no move can change an O-variable anyone watches
+            return Stability.STABLE
         seen = {config}
         frontier = [config]
         while frontier:
@@ -113,7 +117,11 @@ class StabilityChecker:
 
 
 # ---------------------------------------------------------------------------
-# disruption windows
+# disruption windows and containment reports
+
+# the bound a scenario lists to expect at least `expect_min_disruptions` disruptions
+MIN_DISRUPTIONS = "min_disruptions"
+
 
 @dataclass(frozen=True)
 class DisruptionRecord:
@@ -121,80 +129,6 @@ class DisruptionRecord:
     end_index: int
     o_var_changes: dict[int, int]
 
-
-@dataclass
-class TraceScan:
-    records: list[DisruptionRecord]
-    never_stabilized: bool
-    first_anchor: Optional[int]
-    stability_unknown_seen: bool
-    # O-variable changes per c-correct process from `first_anchor` on (all 0 when never stabilized)
-    o_changes: dict[int, int]
-
-
-def _changed_watch(trace: ExecutionTrace, i: int, watch, protocol: Protocol) -> list[int]:
-    before, after = trace.configs[i].states, trace.configs[i + 1].states
-    changed = protocol.o_changed
-    candidates = itertools.compress(range(len(before)), map(ne, before, after))
-    return [v for v in candidates if v in watch and changed(before[v], after[v])]
-
-
-def find_disruptions(
-    trace: ExecutionTrace,
-    topo: Topology,
-    radius: int,
-    protocol: Protocol,
-) -> TraceScan:
-    """Earliest-match, non-overlapping disruption windows over a trace.
-
-    The recorded start is the last configuration verified legitimate and
-    stable before the window's first O-variable change (stability is not
-    re-tested on quiet configurations in between; the count is unaffected).
-    The same pass totals each process's changes as `count_o_changes` does.
-    """
-    checker = StabilityChecker(topo, protocol, radius)
-    watch, configs, n_cfg = checker.watch, trace.configs, len(trace.configs)
-    first_anchor = next((i for i in range(n_cfg) if checker.anchor(configs[i])), None)
-    totals = {v: 0 for v in watch}
-    if first_anchor is None:
-        return TraceScan([], True, None, checker.saw_unknown, totals)
-
-    records: list[DisruptionRecord] = []
-    last_anchor = first_anchor
-    counts = None  # per-process changes in the open window, None while none is open
-    for i in range(first_anchor, n_cfg - 1):
-        changed = _changed_watch(trace, i, watch, protocol)
-        if changed and counts is None:
-            counts = {}
-        for v in changed:
-            totals[v] += 1
-            counts[v] = counts.get(v, 0) + 1
-        if counts is not None and checker.anchor(configs[i + 1]):
-            records.append(DisruptionRecord(last_anchor, i + 1, counts))
-            last_anchor, counts = i + 1, None
-    # a trailing window that never closes is not a disruption
-    return TraceScan(records, False, first_anchor, checker.saw_unknown, totals)
-
-
-def count_o_changes(
-    trace: ExecutionTrace, topo: Topology, radius: int, protocol: Protocol, from_index: int
-) -> dict[int, int]:
-    """Total O-variable changes per c-correct process from a config index on;
-    the reference for `TraceScan.o_changes`, testing every one at every step."""
-    watch = c_correct_set(topo, radius)
-    counts = {v: 0 for v in watch}
-    for before, after in zip(trace.configs[from_index:], trace.configs[from_index + 1 :]):
-        for v in watch:
-            if protocol.o_changed(before.states[v], after.states[v]):
-                counts[v] += 1
-    return counts
-
-
-# ---------------------------------------------------------------------------
-# containment reports
-
-# the bound a scenario lists to expect at least `expect_min_disruptions` disruptions
-MIN_DISRUPTIONS = "min_disruptions"
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -210,13 +144,17 @@ class ContainmentReport:
     n: int
     radius: int
     f: int
-    never_stabilized: bool
-    stabilization_index: Optional[int]
+    stabilization_index: Optional[int]  # the first legitimate stable configuration, None if none is
     stabilization_round: Optional[int]
     disruptions: list[DisruptionRecord]
+    # O-variable changes per c-correct process from `stabilization_index` on (all 0 when never stabilized)
     per_process_changes: dict[int, int]
-    bounds_checked: dict[str, BoundCheck] = field(default_factory=dict)
     stability_unknown_seen: bool = False
+    bounds_checked: dict[str, BoundCheck] = field(default_factory=dict)
+
+    @property
+    def never_stabilized(self) -> bool:
+        return self.stabilization_index is None
 
     @property
     def t_observed(self) -> int:
@@ -233,11 +171,74 @@ class ContainmentReport:
     @property
     def verdict(self) -> str:
         """'inconclusive' once a stability search ran out of budget, since
-        the anchors, and so every count, may then be off; else 'pass' or
-        'FAIL'."""
+        the anchors, and so every count, may then be off; else 'pass' when
+        every checked bound holds on a run that stabilized, else 'FAIL'. The
+        bounds speak of runs from a legitimate stable configuration, so a run
+        that never reaches one has shown nothing and fails."""
         if self.stability_unknown_seen:
             return "inconclusive"
-        return "pass" if self.all_passed else "FAIL"
+        return "pass" if self.all_passed and not self.never_stabilized else "FAIL"
+
+
+def _changed_watch(trace: ExecutionTrace, i: int, watch, protocol: Protocol) -> list[int]:
+    before, after = trace.configs[i].states, trace.configs[i + 1].states
+    changed = protocol.o_changed
+    candidates = itertools.compress(range(len(before)), map(ne, before, after))
+    return [v for v in candidates if v in watch and changed(before[v], after[v])]
+
+
+def find_disruptions(
+    trace: ExecutionTrace,
+    topo: Topology,
+    radius: int,
+    protocol: Protocol,
+) -> ContainmentReport:
+    """The containment report of a trace, with no bound checked yet: its
+    earliest-match, non-overlapping disruption windows.
+
+    The recorded start is the last configuration verified legitimate and
+    stable before the window's first O-variable change (stability is not
+    re-tested on quiet configurations in between; the count is unaffected).
+    The same pass totals each process's changes as `count_o_changes` does.
+    """
+    checker = StabilityChecker(topo, protocol, radius)
+    watch, configs, n_cfg = checker.watch, trace.configs, len(trace.configs)
+    first_anchor = next((i for i in range(n_cfg) if checker.anchor(configs[i])), None)
+    report = ContainmentReport(
+        protocol.name, topo.n, radius, len(topo.byzantine), first_anchor, None, [], {v: 0 for v in watch}
+    )
+    if first_anchor is not None:
+        report.stabilization_round = sum(1 for r in trace.round_ends if r <= first_anchor)
+        totals, records = report.per_process_changes, report.disruptions
+        last_anchor = first_anchor
+        counts = None  # per-process changes in the open window, None while none is open
+        for i in range(first_anchor, n_cfg - 1):
+            changed = _changed_watch(trace, i, watch, protocol)
+            if changed and counts is None:
+                counts = {}
+            for v in changed:
+                totals[v] += 1
+                counts[v] = counts.get(v, 0) + 1
+            if counts is not None and checker.anchor(configs[i + 1]):
+                records.append(DisruptionRecord(last_anchor, i + 1, counts))
+                last_anchor, counts = i + 1, None
+        # a trailing window that never closes is not a disruption
+    report.stability_unknown_seen = checker.saw_unknown
+    return report
+
+
+def count_o_changes(
+    trace: ExecutionTrace, topo: Topology, radius: int, protocol: Protocol, from_index: int
+) -> dict[int, int]:
+    """Total O-variable changes per c-correct process from a config index on;
+    the reference for `ContainmentReport.per_process_changes`, testing every one at every step."""
+    watch = c_correct_set(topo, radius)
+    counts = {v: 0 for v in watch}
+    for before, after in zip(trace.configs[from_index:], trace.configs[from_index + 1 :]):
+        for v in watch:
+            if protocol.o_changed(before.states[v], after.states[v]):
+                counts[v] += 1
+    return counts
 
 
 def verify_containment(
@@ -247,7 +248,7 @@ def verify_containment(
     radius: int,
     bounds: Optional[dict[str, tuple[int, str]]] = None,
 ) -> ContainmentReport:
-    """Assemble the per-trace containment report and check named bounds.
+    """The trace's containment report, from `find_disruptions`, with named bounds checked.
 
     `bounds` maps a name to (limit, kind) where kind is 'max' or 'min'. A
     name is one of `protocol.bounds`, whose record gives the observable, or
@@ -255,24 +256,9 @@ def verify_containment(
     run never stabilizes. The total-vs-per-process inequality t <= n*k is
     always checked.
     """
-    scan = find_disruptions(trace, topo, radius, protocol)
-    stab_round = None if scan.never_stabilized else sum(1 for r in trace.round_ends if r <= scan.first_anchor)
-
-    report = ContainmentReport(
-        protocol=protocol.name,
-        n=topo.n,
-        radius=radius,
-        f=len(topo.byzantine),
-        never_stabilized=scan.never_stabilized,
-        stabilization_index=scan.first_anchor,
-        stabilization_round=stab_round,
-        disruptions=scan.records,
-        per_process_changes=scan.o_changes,
-        stability_unknown_seen=scan.stability_unknown_seen,
-    )
-
+    report = find_disruptions(trace, topo, radius, protocol)
     t_obs, k_obs = report.t_observed, report.k_observed
-    values = {"disruptions": t_obs, "changes": k_obs, "rounds": stab_round}
+    values = {"disruptions": t_obs, "changes": k_obs, "rounds": report.stabilization_round}
     observables = {b.name: b.observable for b in protocol.bounds}
     observables[MIN_DISRUPTIONS] = "disruptions"
     for name, (limit, kind) in (bounds or {}).items():

@@ -517,14 +517,16 @@ def byzantine_writes(topo: Topology, protocol: Protocol, level_bound: int) -> li
 # ---------------------------------------------------------------------------
 # machine-checked execution-model invariants (used by tests on every trace)
 #
-# check_trace runs two audits:
+# check_trace runs two audits, and `strongstab replay` runs the first:
 # - replay, one pass: the trace starts at its initial configuration, and
 #   each step, re-executed from its recorded before-configuration, finds
 #   the recorded action first enabled at every activated correct process
 #   (priority), and the recorded after-configuration as the merge of effects
 #   computed against the before-configuration (simultaneity). A replayed step
 #   writes only its activated processes' states and out-registers, so a trace
-#   that replays is local too; a mismatch is first diagnosed for locality;
+#   that replays is local too; a mismatch is first diagnosed for locality.
+#   Then the recorded round ends must be the rounds the steps complete, and a
+#   trace that stops quiescent must leave no correct process enabled;
 # - fairness: no correct process idles for `bound` consecutive steps.
 
 def _check_step_locality(i: int, step: Step, before: Configuration, after: Configuration, topo: Topology) -> None:
@@ -546,7 +548,8 @@ def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
 
 
 def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
-    """Guards, priority, simultaneity, locality and replay determinism in one pass."""
+    """Guards, priority, simultaneity, locality and replay determinism in one pass, then
+    the recorded round ends and a quiescent stop against what the steps replayed."""
     if trace.configs[0] != trace.initial:
         raise EngineError("trace does not start at its initial configuration")
     _check_shape(topo, trace.initial)  # every replayed configuration keeps this shape
@@ -559,6 +562,11 @@ def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> N
         if after != configs[i + 1]:
             _check_step_locality(i, step, configs[i], configs[i + 1], topo)
             raise EngineError(f"step {i}: recorded result differs from the merged stale-read result")
+    rounds = round_boundaries(trace, topo.correct)
+    if trace.round_ends != rounds:
+        raise EngineError(f"recorded round_ends differ from the {len(rounds)} rounds the steps complete")
+    if trace.stop_reason == "quiescent" and not kernel.quiescent(configs[-1]):
+        raise EngineError("trace stops quiescent, but a correct process is enabled in its last configuration")
 
 
 # the replay pass checks both; the names stay for callers that audit by part

@@ -45,7 +45,7 @@ from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
 from strongstab.tree_orientation import SS_TO, TreeOrientationProtocol, spec_to
 from strongstab.tree_orientation import legitimate_configuration as to_legit
-from strongstab.topology import build_topology
+from strongstab.topology import build_topology, random_tree_edges
 
 
 def test_c_correct_set_examples():
@@ -113,11 +113,23 @@ def test_stability_budget_exhaustion_reports_unknown(monkeypatch):
     assert verdict in (Stability.UNKNOWN, Stability.UNSTABLE)
 
 
+@pytest.mark.parametrize("budget", [0, 20_000])
+def test_run_without_watched_processes_stabilizes_at_once(monkeypatch, budget):
+    # a radius this wide leaves no c-correct process, so no move changes a watched O-variable
+    monkeypatch.setattr(analysis, "STABILITY_BUDGET", budget)
+    t = build_topology(random_tree_edges(12, 1), byzantine=[0], neighbor_seed=1, mode="ss-to")
+    trace, _ = quick_run(t, SS_TO, init_seed=1, daemon_seed=1, max_steps=300)
+    assert not c_correct_set(t, 12)
+    report = verify_containment(trace, t, SS_TO, 12)
+    assert report.stabilization_index == 0 and not report.stability_unknown_seen
+    assert report.disruptions == [] and report.verdict == "pass"
+
+
 def test_trace_that_never_leaves_legitimacy_has_no_disruptions():
     t = st_topology(4, edges=path_edges(4), seed=1)
     trace, _ = quick_run(t, SS_ST, init=st_legit(t, 2))
     scan = find_disruptions(trace, t, 0, SS_ST)
-    assert scan.records == [] and not scan.never_stabilized
+    assert scan.disruptions == [] and not scan.never_stabilized
 
 
 def test_single_flip_yields_one_record_with_counts():
@@ -130,8 +142,8 @@ def test_single_flip_yields_one_record_with_counts():
     daemon = Daemon(kind="central", fairness_bound=100_000, rng_seed=1)
     trace = run(t, SS_ST, adv, daemon, oracle.best_anchor, StopCondition(max_steps=100))
     scan = find_disruptions(trace, t, 0, SS_ST)
-    assert len(scan.records) == oracle.worst_disruptions == 1
-    rec = scan.records[0]
+    assert len(scan.disruptions) == oracle.worst_disruptions == 1
+    rec = scan.disruptions[0]
     assert rec.start_index < rec.end_index
     assert sum(rec.o_var_changes.values()) >= 1
 
@@ -144,7 +156,7 @@ def test_windows_do_not_overlap_and_each_contains_a_change():
     )
     scan = find_disruptions(trace, t, 0, SS_ST)
     prev_end = -1
-    for rec in scan.records:
+    for rec in scan.disruptions:
         assert rec.start_index >= prev_end
         assert rec.end_index > rec.start_index
         assert sum(rec.o_var_changes.values()) >= 1
@@ -174,8 +186,8 @@ def test_scan_totals_match_count_o_changes():
                 if scan.never_stabilized:
                     expected = dict.fromkeys(c_correct_set(t, radius), 0)
                 else:
-                    expected = count_o_changes(trace, t, radius, protocol, scan.first_anchor)
-                assert scan.o_changes == expected, (protocol.name, seed, radius)
+                    expected = count_o_changes(trace, t, radius, protocol, scan.stabilization_index)
+                assert scan.per_process_changes == expected, (protocol.name, seed, radius)
                 seen.add("never stabilized" if scan.never_stabilized else "changes" if any(expected.values()) else "quiet")
         assert seen == {"never stabilized", "changes", "quiet"}, protocol.name
 
@@ -214,7 +226,8 @@ def test_never_stabilized_flag():
     trace, _ = quick_run(t, SS_TO, init_seed=1, max_steps=3)
     assert not any(all(spec_to(v, cfg, t) for v in range(t.n)) for cfg in trace.configs)
     scan = find_disruptions(trace, t, 0, SS_TO)
-    assert scan.never_stabilized and scan.first_anchor is None and scan.records == []
+    assert scan.never_stabilized and scan.stabilization_index is None and scan.disruptions == []
+    assert scan.verdict == "FAIL"  # a run that never stabilized has shown nothing about the bounds
 
 
 def test_oracle_two_node_orientation_converges_everywhere():

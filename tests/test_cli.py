@@ -16,6 +16,7 @@ from strongstab.cli import (
     ScenarioError,
     _players,
     _summarize,
+    _sweep_topology,
     _topology,
     bound_limits,
     load_scenario,
@@ -28,6 +29,7 @@ from strongstab.cli import (
 )
 from strongstab.engine import arbitrary_configuration, read_trace
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
+from strongstab.tree_orientation import SS_TO
 from strongstab.topology import InputError, build_topology, load_topology, random_tree_edges
 
 REPO = Path(__file__).resolve().parents[1]
@@ -506,6 +508,38 @@ def test_budget_exhausted_sweep_is_inconclusive(tmp_path, capsys, monkeypatch):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["pass", "inconclusive", "inconclusive"]
     summary = capsys.readouterr().out.splitlines()[1]
     assert summary.startswith("ss-to 7 0 silent 2 ") and summary.endswith(" inconclusive"), summary
+
+
+def test_run_and_sweep_fail_a_run_that_never_stabilizes(tmp_path, capsys):
+    """A sweep row is the run of the scenario its grid point makes, so `run`
+    of that scenario gives the row's verdict. Three steps from this arbitrary
+    start never reach a legitimate stable configuration, so no bound was
+    tested and both fail."""
+    spec = {
+        "protocol": "ss-to", "topology_kind": "chain", "n": "6", "f": "1", "adversary": "level-inflation",
+        "replications": "1", "seed": "2", "max_steps": "3", "init": "arbitrary",
+    }
+    sweep = _write(tmp_path, "never.sweep", "\n".join(f"{k} {v}" for k, v in spec.items()))
+    assert main(["sweep", "--spec", str(sweep), "--out", str(tmp_path / "sw")]) == 1
+    header, row = (tmp_path / "sw" / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    values = dict(zip(header.split(","), row.split(",")))
+    assert values["rounds"] == "" and values["pass"] == "False", values
+
+    seed = 3  # the spec's seed plus the job's 1-based index
+    topo = _sweep_topology("chain", 6, 1, SS_TO, seed, 1)
+    edges = "".join(f"edge {u} {v}\n" for u, v in topo.edges)
+    _write(tmp_path, "chain6.topo", f"n 6\nbyz {' '.join(map(str, topo.byzantine))}\n{edges}")
+    scenario = {
+        "topology": "chain6.topo", "protocol": "ss-to", "init": "arbitrary", "adversary": "level-inflation",
+        "seed": seed, "seed_neighbor": seed, "max_steps": 3,
+        "bounds": " ".join(b.name for b in SS_TO.bounds if b.swept(1)),
+    }
+    scn = _write(tmp_path, "never.scn", "\n".join(f"{k} {v}" for k, v in scenario.items()))
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "never_stabilized true\n" in out and out.endswith("result FAIL\n"), out
+    assert f"disruptions {values['disruptions']}\n" in out and f"max_process_changes {values['max_changes']}\n" in out
 
 
 def test_sweep_summary_ranks_fail_over_inconclusive_over_pass():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -457,7 +458,24 @@ def test_audit_rejects_fairness_gap():
         check_trace(trace, t, SS_ST, 1)
 
 
-# --- differential: the one-pass audit against the five separate checks ------
+def test_audit_rejects_round_ends_the_steps_do_not_complete():
+    t, trace, bound = _byz_trace()
+    assert trace.round_ends
+    for ends in (trace.round_ends[:-1], [r + 1 for r in trace.round_ends], list(range(1, len(trace.steps) + 1))):
+        with pytest.raises(EngineError, match="recorded round_ends differ"):
+            check_trace(dataclasses.replace(trace, round_ends=ends), t, SS_ST, bound)
+
+
+def test_audit_rejects_a_quiescent_stop_with_a_correct_process_enabled():
+    t = to_topology(5, byz=(2,), edges=[(0, 1), (1, 2), (2, 3), (1, 4)], seed=4)
+    trace, daemon = quick_run(t, SS_TO, "level-inflation", init_seed=1, max_steps=12)
+    assert trace.stop_reason == "max_steps" and not Kernel(t, SS_TO).quiescent(trace.configs[-1])
+    check_trace(trace, t, SS_TO, daemon.fairness_bound)
+    with pytest.raises(EngineError, match="trace stops quiescent, but a correct process is enabled"):
+        check_trace(dataclasses.replace(trace, stop_reason="quiescent"), t, SS_TO, daemon.fairness_bound)
+
+
+# --- differential: the one-pass audit against separate reference checks ------
 
 # the paper's guards per protocol and role, each with the negations of the ones before it
 _TO, _ST = tree_orientation, spanning_tree
@@ -581,11 +599,30 @@ def _ref_check_fairness(trace, correct, bound):
             )
 
 
+def _ref_check_rounds(trace, topo):
+    ends, seen = [], set()
+    for i, step in enumerate(trace.steps, 1):
+        seen |= step.activated
+        if topo.correct <= seen:
+            ends.append(i)
+            seen = set()
+    if trace.round_ends != ends:
+        raise EngineError("rounds")
+
+
+def _ref_check_stop(trace, topo, protocol):
+    last = trace.configs[-1]
+    if trace.stop_reason == "quiescent" and any(_ref_fire(topo, protocol, last, v)[0] for v in topo.correct):
+        raise EngineError("quiescent")
+
+
 def _ref_check_trace(trace, topo, protocol, bound):
     _ref_check_locality(trace, topo)
     _ref_check_simultaneity(trace, topo, protocol)
     _ref_check_priority(trace, topo, protocol)
     _ref_check_replay(trace, topo, protocol)
+    _ref_check_rounds(trace, topo)
+    _ref_check_stop(trace, topo, protocol)
     _ref_check_fairness(trace, topo.correct, bound)
 
 
