@@ -11,11 +11,12 @@ reaches a legitimate stable configuration reports no disruptions and
 `never_stabilized`, and fails: the bounds say nothing about it.
 
 Stability ("no c-correct process will ever change an O-variable while the
-Byzantine processes stay silent") is decided by exhaustive search over
-correct-process activations with the Byzantine state frozen. Runs search
+Byzantine processes stay silent") is decided by one walk, `_reaches_change`,
+over single correct-process moves with the Byzantine state frozen. Runs walk
 configurations with a budget; a blown budget is reported as unknown, which
 the disruption scan treats as not stable. The oracle walks the coded moves
-of its bounded domain exactly, with no budget.
+of its bounded domain exactly, with no budget. Later walks skip what
+earlier ones proved stable.
 """
 
 from __future__ import annotations
@@ -64,11 +65,32 @@ class Stability(Enum):
     UNKNOWN = "unknown"
 
 
+def _reaches_change(start, moves, stable: set, budget: Optional[int] = None) -> Optional[bool]:
+    """Whether moves from `start` can change a watched O-variable: a depth-first walk that
+    stops at the first move whose `changed` (the watched mover, else None) is set, where
+    `moves(node)` yields (mover, next node, changed). It skips the nodes of `stable` and
+    adds to it every node it visited when it meets no change; None past `budget` nodes."""
+    if start in stable:
+        return False
+    visited, stack = {start}, [start]
+    while stack:
+        for _, nxt, changed in moves(stack.pop()):
+            if changed is not None:
+                return True
+            if nxt not in visited and nxt not in stable:
+                if budget is not None and len(visited) > budget:
+                    return None
+                visited.add(nxt)
+                stack.append(nxt)
+    stable |= visited
+    return False
+
+
 class StabilityChecker:
-    """The runs' stability test: a budgeted reachability search for O-variable
-    changes under Byzantine silence, memoized per configuration. The
-    protocol's fast stability test short-circuits the search. `watch` is the
-    c-correct set. The oracle decides stability with `_Game.stable` instead."""
+    """The runs' stability test: `_reaches_change` over `Kernel.moves` within
+    `STABILITY_BUDGET` configurations, memoized per configuration and sharing one stable
+    set. The protocol's fast stability test short-circuits the walk. `watch` is the
+    c-correct set. The oracle walks its coded moves instead (`_Game.entry`)."""
 
     def __init__(self, topo: Topology, protocol: Protocol, radius: int):
         self.topo = topo
@@ -76,6 +98,7 @@ class StabilityChecker:
         self.watch = c_correct_set(topo, radius)
         self.kernel = Kernel(topo, protocol)
         self._cache: dict[Configuration, Stability] = {}
+        self._stable: set[Configuration] = set()
         self.saw_unknown = False
 
     def check(self, config: Configuration) -> Stability:
@@ -98,22 +121,15 @@ class StabilityChecker:
         return all(spec(v, config, topo) for v in self.watch) and self.check(config) is Stability.STABLE
 
     def _search(self, config: Configuration) -> Stability:
-        o_changed, moves, watch = self.protocol.o_changed, self.kernel.moves, self.watch
-        if not watch:  # no move can change an O-variable anyone watches
+        if not self.watch:  # no move can change an O-variable anyone watches
             return Stability.STABLE
-        seen = {config}
-        frontier = [config]
-        while frontier:
-            cfg = frontier.pop()
-            for v, effect, nxt in moves(cfg):
-                if v in watch and o_changed(cfg.states[v], effect.state):
-                    return Stability.UNSTABLE
-                if nxt not in seen:
-                    if len(seen) > STABILITY_BUDGET:
-                        return Stability.UNKNOWN
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return Stability.STABLE
+        reaches = _reaches_change(config, self._moves, self._stable, STABILITY_BUDGET)
+        return Stability.UNKNOWN if reaches is None else Stability.UNSTABLE if reaches else Stability.STABLE
+
+    def _moves(self, config: Configuration) -> Iterator[tuple[int, Configuration, Optional[int]]]:
+        o_changed, watch = self.protocol.o_changed, self.watch
+        for v, effect, nxt in self.kernel.moves(config):
+            yield v, nxt, v if v in watch and o_changed(config.states[v], effect.state) else None
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +530,7 @@ class _Game:
     most changes of each watched process, that a play from it can score.
     `seen` maps a code to [is anchor, clean node, dirty node], so a successor
     costs one hash; a code is an anchor when the spec holds at every watched
-    process and `stable` holds. Edges keep no moves: `move` pairs the
+    process and `entry` finds it stable. Edges keep no moves: `move` pairs the
     source's successors with its row to recover one. Byzantine writes keep
     the Byzantine state (nobody reads it), which keeps the graph small.
 
@@ -554,35 +570,16 @@ class _Game:
 
     def entry(self, code: int, cfg: Optional[Configuration] = None) -> list:
         """`seen`'s entry for `code`, made on its first lookup by the anchor test of its
-        configuration (`cfg` when given, else decoded)."""
+        configuration (`cfg` when given, else decoded). A correct move is a game move, so the
+        stability walk stays in the game's bounded domain and needs no budget."""
         entry = self.seen.get(code)
         if entry is None:
             cfg = self.coding.decode(code) if cfg is None else cfg
-            anchor = all(self.spec(v, cfg, self.topo) for v in self.watch) and self.stable(code)
+            anchor = all(self.spec(v, cfg, self.topo) for v in self.watch) and not _reaches_change(
+                code, self._correct_moves, self.stable_codes
+            )
             entry = self.seen[code] = [anchor, None, None]
         return entry
-
-    def stable(self, code: int) -> bool:
-        """Whether no sequence of correct moves from `code` changes a watched O-variable:
-        a depth-first walk that stops at the first such move. When it finds none, every
-        code it visited is stable and joins `stable_codes`, which later walks skip. A
-        correct move from a game node is a game move, so the walk stays in the game's
-        bounded domain: it needs no budget, and a move past the level cap raises the
-        game's own OracleCapError."""
-        stable_codes = self.stable_codes
-        if code in stable_codes:
-            return True
-        visited, stack = {code}, [code]
-        while stack:
-            cur = stack.pop()
-            for _, nxt, changed in self._correct_moves(cur):
-                if changed is not None:
-                    return False
-                if nxt not in visited and nxt not in stable_codes:
-                    visited.add(nxt)
-                    stack.append(nxt)
-        stable_codes |= visited
-        return True
 
     def _node(self, entry: list, code: int, dirty: bool) -> int:
         nid = entry[1 + dirty]

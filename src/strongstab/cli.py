@@ -62,12 +62,30 @@ PROTOCOLS = {"ss-st": SS_ST, "ss-to": SS_TO}
 
 # the exit code of a report's or a sweep's verdict
 EXIT_CODES = {"pass": 0, "FAIL": 1, "inconclusive": 3}
-# integer keys of scenarios and sweep specs that count something, so cannot be negative
-_COUNTS = ("max_steps", "radius", "expect_min_disruptions", "replications", "extra_edges")
 
-_SCENARIO_INTEGERS = "fairness_bound seed seed_neighbor max_steps radius expect_min_disruptions".split()
+# sweep topology kinds: (n, extra_edges, seed) -> edge list
+TOPOLOGY_KINDS = {
+    "random-tree": lambda n, extra, seed: random_tree_edges(n, seed),
+    "random-graph": random_connected_graph_edges,
+    "chain": lambda n, extra, seed: [(i, i + 1) for i in range(n - 1)],
+    "star": lambda n, extra, seed: [(0, i) for i in range(1, n)],
+}
+
+# the integer keys of scenarios and sweep specs that count something, so cannot be
+# negative, then the others; `n` and `f` take a list
+_COUNTS = ("max_steps", "radius", "expect_min_disruptions", "replications", "extra_edges", "n", "f")
+_INTEGERS = ("fairness_bound", "seed", "seed_neighbor", *_COUNTS)
+# keys whose first argument is one of a set of choices, with what a choice is called
+_CHOICES = {
+    "protocol": ("protocol", PROTOCOLS), "daemon": ("daemon kind", DAEMON_KINDS),
+    "topology_kind": ("topology kind", TOPOLOGY_KINDS), "init": ("init mode", ("arbitrary", "legitimate", "named")),
+}
+
 # key -> (fewest, most arguments); every key but `bounds` may appear once
-SCENARIO_KEYS = {key: (1, 1) for key in ("topology", "protocol", "daemon", *_SCENARIO_INTEGERS)}
+SCENARIO_KEYS = {
+    key: (1, 1)
+    for key in "topology protocol daemon fairness_bound seed seed_neighbor max_steps radius expect_min_disruptions".split()
+}
 SCENARIO_KEYS.update(init=(1, 2), adversary=(1, None), bounds=(0, None))
 
 
@@ -75,13 +93,31 @@ class ScenarioError(InputError):
     pass
 
 
-def _adversary_spec(line: Line) -> tuple[str, dict]:
-    """`adversary name key=value...` into the adversary name and its parameters."""
-    name, *params = line.args
-    for tok in params:
-        if "=" not in tok:
-            line.fail(f"adversary parameter {tok!r} must be key=value")
-    return name, dict(tok.split("=", 1) for tok in params)
+def _value(line: Line):
+    """The value of a scenario or sweep-spec line, checked on its line: an integer, or
+    for `n` and `f` an integer list, non-negative where it counts something; a
+    protocol, daemon or topology kind among its choices; `init` as (mode, file or
+    legitimate kind or None), a `named` mode needing its file; `adversary` as (name,
+    parameters); the names of `bounds`; else the one argument."""
+    key, args = line.key, line.args
+    if key in _INTEGERS:
+        numbers = line.integers()
+        if key in _COUNTS and min(numbers, default=0) < 0:
+            line.fail(f"{key} must be non-negative")
+        return numbers if key in ("n", "f") else numbers[0]
+    if key in _CHOICES and args[0] not in _CHOICES[key][1]:
+        line.fail(f"unknown {_CHOICES[key][0]} {args[0]!r}")
+    if key == "init":
+        if args == ["named"]:
+            line.fail("init named needs a file name")
+        return args[0], args[1] if len(args) > 1 else None
+    if key == "adversary":
+        name, *params = args
+        for tok in params:
+            if "=" not in tok:
+                line.fail(f"adversary parameter {tok!r} must be key=value")
+        return name, dict(tok.split("=", 1) for tok in params)
+    return args if key == "bounds" else args[0]
 
 
 @dataclass
@@ -109,28 +145,17 @@ class Scenario:
 
 
 def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
-    fields: dict = {"base_dir": base_dir}
+    values: dict = {"bounds": [], "init": ("arbitrary", None), "adversary": ("silent", {})}
     for line in parse_lines(text, "scenario", SCENARIO_KEYS, ScenarioError, repeatable=("bounds",)):
-        key, args = line.key, line.args
-        if key in _SCENARIO_INTEGERS:
-            fields[key] = line.integers()[0]
-            if key in _COUNTS and fields[key] < 0:
-                line.fail(f"{key} must be non-negative")
-        elif key == "protocol" and args[0] not in PROTOCOLS:
-            line.fail(f"unknown protocol {args[0]!r}")
-        elif key == "init":
-            fields["init_mode"] = args[0]
-            fields["init_arg"] = args[1] if len(args) > 1 else None
-        elif key == "adversary":
-            fields["adversary"], fields["adversary_params"] = _adversary_spec(line)
-        elif key == "bounds":
-            fields.setdefault("bounds", []).extend(args)
-        else:
-            fields[{"topology": "topology_path", "daemon": "daemon_kind"}.get(key, key)] = args[0]
-    for key, name in (("topology", "topology_path"), ("protocol", "protocol")):
-        if name not in fields:
+        values[line.key] = values["bounds"] + _value(line) if line.key == "bounds" else _value(line)
+    for key in ("topology", "protocol"):
+        if key not in values:
             raise ScenarioError(f"scenario missing required key {key!r}")
-    return Scenario(**fields)
+    (init_mode, init_arg), (adversary, params) = values.pop("init"), values.pop("adversary")
+    return Scenario(
+        values.pop("topology"), daemon_kind=values.pop("daemon", "distributed"), init_mode=init_mode, init_arg=init_arg,
+        adversary=adversary, adversary_params=params, base_dir=base_dir, **values,
+    )
 
 
 def load_scenario(path: str) -> Scenario:
@@ -236,12 +261,8 @@ def _players(sc: Scenario, topo: Topology):
         init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
     elif sc.init_mode == "legitimate":  # the protocol refuses a kind it does not know
         init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
-    elif sc.init_mode == "named":
-        if not sc.init_arg:
-            raise ScenarioError("init named needs a file name")
+    else:  # named, with its file
         init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
-    else:
-        raise ScenarioError(f"unknown init mode {sc.init_mode!r}")
     return protocol, daemon, adversary, init
 
 
@@ -266,15 +287,6 @@ def cmd_run(args) -> int:
     return EXIT_CODES[report.verdict]
 
 
-# sweep topology kinds: (n, extra_edges, seed) -> edge list
-TOPOLOGY_KINDS = {
-    "random-tree": lambda n, extra, seed: random_tree_edges(n, seed),
-    "random-graph": random_connected_graph_edges,
-    "chain": lambda n, extra, seed: [(i, i + 1) for i in range(n - 1)],
-    "star": lambda n, extra, seed: [(0, i) for i in range(1, n)],
-}
-
-
 def _sweep_topology(kind: str, n: int, f: int, protocol: Protocol, seed: int, extra: int) -> Topology:
     reason = None
     for attempt in range(50):
@@ -296,9 +308,9 @@ def _sweep_row(job: dict) -> dict:
     topology; self-contained so replications can run in worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
     topo = _sweep_topology(job["topology_kind"], job["n"], job["f"], protocol, job["seed"], job["extra_edges"])
-    adv_name, adv_params = job["adversary"]
+    (init_mode, init_arg), (adv_name, adv_params) = job["init"], job["adversary"]
     sc = Scenario(
-        "-", job["protocol"], daemon_kind=job["daemon"], init_mode=job["init"], adversary=adv_name,
+        "-", job["protocol"], daemon_kind=job["daemon"], init_mode=init_mode, init_arg=init_arg, adversary=adv_name,
         adversary_params=adv_params, seed=job["seed"], max_steps=job["max_steps"], radius=job["radius"],
         bounds=[b.name for b in protocol.bounds if b.swept(job["f"])],
     )
@@ -320,42 +332,22 @@ def _sweep_row(job: dict) -> dict:
     }
 
 
-_SWEEP_INTEGERS = ("replications", "seed", "max_steps", "radius", "extra_edges")
 # key -> (fewest, most arguments); every key but `adversary` may appear once
-SWEEP_KEYS = {key: (1, 1) for key in ("protocol", "topology_kind", "init", "daemon", *_SWEEP_INTEGERS)}
+SWEEP_KEYS = {key: (1, 1) for key in "protocol topology_kind init daemon replications seed max_steps radius extra_edges".split()}
 SWEEP_KEYS.update(n=(0, None), f=(0, None), adversary=(1, None))
 
 
 def parse_sweep_text(text: str) -> dict:
     """A sweep spec as its keys' values, defaults filled in; `n` and `f`
-    are integer lists and `adversary` a list of (name, parameters)."""
+    are integer lists, `init` is (mode, None) and `adversary` a list of
+    (name, parameters)."""
     spec: dict = {
         "protocol": "ss-to", "topology_kind": "random-tree", "n": [], "f": [0], "adversary": [],
         "replications": 5, "seed": 0, "max_steps": 3000, "radius": 0, "extra_edges": 1,
-        "init": "arbitrary", "daemon": "distributed",
+        "init": ("arbitrary", None), "daemon": "distributed",
     }
     for line in parse_lines(text, "sweep spec", SWEEP_KEYS, ScenarioError, repeatable=("adversary",)):
-        key, args = line.key, line.args
-        if key in ("n", "f"):
-            spec[key] = line.integers()
-            if min(spec[key], default=0) < 0:
-                line.fail(f"'{key}' must be non-negative")
-        elif key in _SWEEP_INTEGERS:
-            spec[key] = line.integers()[0]
-            if key in _COUNTS and spec[key] < 0:
-                line.fail(f"{key} must be non-negative")
-        elif key == "adversary":
-            spec["adversary"].append(_adversary_spec(line))
-        elif key == "protocol" and args[0] not in PROTOCOLS:
-            line.fail(f"unknown protocol {args[0]!r}")
-        elif key == "init" and args[0] not in ("arbitrary", "legitimate"):
-            line.fail(f"'init' must be arbitrary or legitimate, got {args[0]!r}")
-        elif key == "topology_kind" and args[0] not in TOPOLOGY_KINDS:
-            line.fail(f"unknown topology kind {args[0]!r}")
-        elif key == "daemon" and args[0] not in DAEMON_KINDS:
-            line.fail(f"unknown daemon kind {args[0]!r}")
-        else:
-            spec[key] = args[0]
+        spec[line.key] = spec["adversary"] + [_value(line)] if line.key == "adversary" else _value(line)
     spec["adversary"] = spec["adversary"] or [("silent", {})]
     return spec
 

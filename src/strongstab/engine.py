@@ -213,9 +213,12 @@ STOP_REASONS = ("quiescent", "max_steps", "predicate")  # why `run` stopped, as 
 class Daemon:
     """Scheduler: central activates one process per step, distributed any
     nonempty subset. Weak fairness is constructive: a correct process idle
-    for `fairness_bound` steps is force-activated. An activation set the
-    adversary proposes is honored, topped up with forced processes; only a
-    scheduling strategy proposes one.
+    for `fairness_bound` steps is force-activated. A central daemon activates
+    the correct process due first whenever k of them are due within the next
+    k steps, so it keeps every bound of at least the number of correct
+    processes. An activation set the adversary proposes is honored, topped up
+    with forced processes (set aside by a central daemon that must activate
+    a process due); only a scheduling strategy proposes one.
     """
 
     kind: str = "distributed"
@@ -239,7 +242,8 @@ class Kernel:
     """The step kernel of one run, audit pass, stability search or oracle query.
     Guards read only the local view and the role picks the actions, so `memo[role]`
     maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life.
-    `step` and `moves` advance configurations; the oracle's coded moves call `fire`."""
+    `step` and `moves` advance configurations; the oracle's coded moves call `fire`.
+    `step` holds the model's step rules, so runs and the replay audit enforce the same."""
 
     def __init__(self, topo: Topology, protocol: Protocol):
         self.topo = topo
@@ -272,11 +276,21 @@ class Kernel:
         """Whether no correct process has an enabled action in `config`."""
         return all(self.fire(config, v) is None for v in self.correct)
 
-    def step(self, config: Configuration, activated: Iterable[int], byz_writes: dict) -> tuple[dict, Configuration]:
+    def step(self, config: Configuration, activated: frozenset[int], byz_writes: dict) -> tuple[dict, Configuration]:
         """One step from `config`: the label each activated correct process fires, in id order,
-        and the merge of their effects, computed against `config`, with the non-None `byz_writes`."""
-        byzantine, actions = self.topo.byzantine, {}
-        effects = [(pid, write) for pid, write in byz_writes.items() if write is not None]
+        and the merge of their effects, computed against `config`, with the non-None `byz_writes`.
+        EngineError when `activated` is empty or a Byzantine write names a correct or
+        non-activated process."""
+        if not activated:
+            raise EngineError("activated set must be nonempty")
+        byzantine, actions, effects = self.topo.byzantine, {}, []
+        for pid, write in byz_writes.items():
+            if pid not in byzantine:
+                raise EngineError(f"byzantine write recorded for correct process {pid}")
+            if pid not in activated:
+                raise EngineError(f"byzantine write for non-activated process {pid}")
+            if write is not None:
+                effects.append((pid, write))
         for v in sorted(activated):
             if v not in byzantine:
                 fired = self.fire(config, v)
@@ -291,24 +305,6 @@ class Kernel:
             fired = self.fire(config, v)
             if fired is not None:
                 yield v, fired[1], apply_effects(config, self.topo, [(v, fired[1])])
-
-    def apply_step(self, config: Configuration, step: Step) -> Configuration:
-        """Re-execute one recorded step from `config`: a nonempty activated set, Byzantine writes only
-        by activated Byzantine processes, and at each activated correct process the label `step` fires."""
-        topo = self.topo
-        if not step.activated:
-            raise EngineError("activated set must be nonempty")
-        for pid in step.byz_writes:
-            if pid not in topo.byzantine:
-                raise EngineError(f"byzantine write recorded for correct process {pid}")
-            if pid not in step.activated:
-                raise EngineError(f"byzantine write for non-activated process {pid}")
-        actions, after = self.step(config, step.activated, step.byz_writes)
-        for pid, label in actions.items():
-            recorded = step.actions.get(pid)
-            if label != recorded:
-                raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
-        return after
 
 
 def apply_effects(
@@ -342,7 +338,7 @@ class _Scheduler:
         overdue = t - min(self.last_seen.values(), default=t) >= bound  # rare at the usual bound of 2n
         forced = {v for v, seen in self.last_seen.items() if t - seen >= bound} if overdue else set()
         if self.daemon.kind == "central":
-            activated = self._pick_central(forced, proposal)
+            activated = self._pick_central(t, proposal)
         else:
             activated = self._pick_distributed(forced, proposal)
         for v in activated:
@@ -355,11 +351,11 @@ class _Scheduler:
             )
         return frozenset(activated)
 
-    def _pick_central(self, forced: set[int], proposal: Optional[frozenset[int]]) -> set[int]:
-        if forced:
-            oldest = min(self.last_seen[v] for v in forced)
-            pick = self.rng.choice(sorted(v for v in forced if self.last_seen[v] == oldest))
-            return {pick}
+    def _pick_central(self, t: int, proposal: Optional[frozenset[int]]) -> set[int]:
+        # a correct process is due by its last activation plus the bound
+        bound, seen = self.daemon.fairness_bound, sorted(self.last_seen.values())
+        if any(last + bound <= t + k for k, last in enumerate(seen)):
+            return {self.rng.choice([v for v, last in self.last_seen.items() if last == seen[0]])}
         if proposal:
             if len(proposal) != 1:
                 raise EngineError("central daemon activates exactly one process")
@@ -556,7 +552,11 @@ def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> N
     kernel, configs = Kernel(topo, protocol), trace.configs
     for i, step in enumerate(trace.steps):
         try:
-            after = kernel.apply_step(configs[i], step)
+            actions, after = kernel.step(configs[i], step.activated, step.byz_writes)
+            for pid, label in actions.items():
+                recorded = step.actions.get(pid)
+                if label != recorded:
+                    raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
         except EngineError as exc:
             raise EngineError(f"step {i}: {exc}") from None
         if after != configs[i + 1]:
@@ -730,8 +730,13 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             )
             for pid, w in rec["byz"].items()
         }
+        for pid, w in byz_writes.items():
+            if w is not None and len(w.out_regs) != topo.degree(pid):
+                raise ValueError(f"step {i}: Byzantine process {pid} writes {len(w.out_regs)} registers, not {topo.degree(pid)}")
         actions = {index(p, topo.n, f"step {i}: acting id"): a for p, a in rec["actions"].items()}
         activated = frozenset(index(v, topo.n, f"step {i}: activated process") for v in rec["activated"])
+        if not activated:
+            raise ValueError(f"step {i}: activates no process")
         owners = {"actions": (actions, activated - topo.byzantine), "byz": (byz_writes, activated & topo.byzantine)}
         for what, (recorded, expected) in owners.items():
             if recorded.keys() != expected:

@@ -10,7 +10,6 @@ from strongstab.engine import (
     RegisterValue,
     StopCondition,
     Kernel,
-    Step,
     run,
 )
 from strongstab.spanning_tree import SS_ST, legitimate_configuration
@@ -52,8 +51,7 @@ def test_level_inflation_raises_by_step_each_activation():
     w1 = adv.act(cfg, t, 2)
     assert w1.state.level == cfg.states[2].level + 4
     # apply and inflate again from the new state
-    step = Step(frozenset({2}), {}, {2: w1})
-    cfg2 = Kernel(t, SS_TO).apply_step(cfg, step)
+    _, cfg2 = Kernel(t, SS_TO).step(cfg, frozenset({2}), {2: w1})
     w2 = adv.act(cfg2, t, 2)
     assert w2.state.level == w1.state.level + 4
     assert not adv.pledges_silence()
@@ -99,13 +97,9 @@ def test_chain_replay_waits_for_quiescence_then_alternates_endpoints():
 def test_engine_rejects_strategy_output_for_correct_process():
     t = st_topology(3, byz=(2,))
     cfg = legitimate_configuration(t, 0)
-    rogue = Step(
-        activated=frozenset({0}),
-        actions={},
-        byz_writes={0: ByzWrite(ProcessState(0, 0), (RegisterValue(False, 0),))},
-    )
+    rogue = {0: ByzWrite(ProcessState(0, 0), (RegisterValue(False, 0),))}
     with pytest.raises(Exception, match="correct process"):
-        Kernel(t, SS_ST).apply_step(cfg, rogue)
+        Kernel(t, SS_ST).step(cfg, frozenset({0}), rogue)
 
 
 def test_max_damage_reproduces_oracle_worst_case():

@@ -1,6 +1,9 @@
+import functools
 import graphlib
 import itertools
 import math
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,7 @@ from conftest import (
 )
 
 from strongstab import analysis
+from strongstab.adversary import Adversary
 from strongstab.analysis import (
     OracleCapError,
     Stability,
@@ -33,19 +37,24 @@ from strongstab.analysis import (
 from strongstab.engine import (
     ByzWrite,
     Configuration,
+    Daemon,
     GuardedAction,
     Kernel,
     LocalEffect,
     ProcessState,
     RegisterValue,
+    StopCondition,
     apply_effects,
     consistent_registers,
+    run,
 )
 from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
 from strongstab.tree_orientation import SS_TO, TreeOrientationProtocol, spec_to
 from strongstab.tree_orientation import legitimate_configuration as to_legit
-from strongstab.topology import build_topology, random_tree_edges
+from strongstab.topology import build_topology, load_topology, random_tree_edges
+
+TOPOLOGIES = Path(__file__).resolve().parents[1] / "topologies"
 
 
 def test_c_correct_set_examples():
@@ -1027,14 +1036,42 @@ def test_coded_game_successors_match_spliced_configurations(protocol, kwargs, ed
 @pytest.mark.parametrize("protocol,kwargs,edges,level_bound", _GAME_CASES)
 def test_coded_stability_matches_the_budgeted_search(protocol, kwargs, edges, level_bound):
     # on every node code of the solved game, in node order (so later walks meet codes earlier
-    # ones found stable): the oracle's walk against the runs' search, never out of budget here
+    # ones found stable): the one stability walk over the oracle's coded moves and over the
+    # runs' configurations, never out of budget here, against a full search of each closure
     topo = build_topology(edges, **kwargs)
     game = analysis._Game(topo, protocol, level_bound, 0)
     game.solve(_start_ids(game, sorted(protocol.legitimate_set(topo, level_bound))))
-    checker = StabilityChecker(topo, protocol, 0)
-    want = {code: checker._search(game.coding.decode(code)) for code, _ in game.nodes}
-    assert Stability.UNKNOWN not in want.values()
-    assert {code: game.stable(code) for code in want} == {code: v is Stability.STABLE for code, v in want.items()}
+    checker, kernel = StabilityChecker(topo, protocol, 0), Kernel(topo, protocol)
+    configs = {code: game.coding.decode(code) for code, _ in game.nodes}
+    want = {code: _stable_by_full_search(kernel, protocol, game.watch, cfg) for code, cfg in configs.items()}
+    coded = {code: not analysis._reaches_change(code, game._correct_moves, game.stable_codes) for code in configs}
+    searched = {code: checker._search(cfg) for code, cfg in configs.items()}
+    assert coded == want
+    assert searched == {code: Stability.STABLE if stable else Stability.UNSTABLE for code, stable in want.items()}
+
+
+def test_stability_walk_stops_at_a_change_skips_stable_nodes_and_keeps_its_budget():
+    # nodes 0..5 in a chain; the move out of node 2 changes the watched process 0
+    chain = lambda node: [(0, node + 1, 0 if node == 2 else None)] if node < 5 else []
+    assert analysis._reaches_change(0, chain, set()) is True
+    assert analysis._reaches_change(3, chain, set(), budget=1) is None  # 5 would be its third node
+    stable = set()
+    assert analysis._reaches_change(3, chain, stable, budget=2) is False and stable == {3, 4, 5}
+    assert analysis._reaches_change(2, chain, stable, budget=0) is True and stable == {3, 4, 5}
+    assert analysis._reaches_change(1, {1: [(1, 4, None)]}.get, stable, budget=0) is False and stable == {1, 3, 4, 5}
+
+
+def _stable_by_full_search(kernel, protocol, watch, config):
+    """Whether no configuration reachable by single correct moves from `config` has a move
+    that changes a watched O-variable, found by visiting every one of them."""
+    reached, frontier, changes = {config}, [config], False
+    for cfg in frontier:  # the loop also reads the configurations appended while it runs
+        for v, effect, nxt in kernel.moves(cfg):
+            changes |= v in watch and protocol.o_changed(cfg.states[v], effect.state)
+            if nxt not in reached:
+                reached.add(nxt)
+                frontier.append(nxt)
+    return not changes
 
 
 def _climb(view):
@@ -1122,3 +1159,46 @@ def test_single_moves_decide_convergence_like_simultaneous_moves(protocol, root)
             return [kernel.step(cfg, moving, {})[1] for moving in sets]
 
         assert brute_force_verify(topo, protocol, "converges-to", 1).converges is _converges_under(topo, protocol, 1, simultaneous)
+
+
+class _RandomWriter(Adversary):
+    """Each Byzantine write sets every out-register to a random value of the
+    oracle's register domain at `level_bound`, and keeps the writer's state."""
+
+    def __init__(self, seed, topo, protocol, level_bound):
+        super().__init__({}, seed, topo, protocol)
+        self.level_bound = level_bound
+
+    def act(self, config, topo, pid):
+        domain = self.protocol.register_domain
+        out = tuple(self.rng.choice(domain(self.level_bound, config.registers[slot])) for slot in topo.out_slot[pid])
+        return ByzWrite(config.states[pid], out)
+
+
+@functools.cache
+def _oracle_and_anchors(name, protocol, level_bound):
+    """An instance, its oracle answer, and the members of its legitimate set that a run's
+    anchor test accepts."""
+    topo = load_topology(str(TOPOLOGIES / f"{name}.topo"), mode=protocol.name)
+    oracle = brute_force_verify(topo, protocol, "worst-disruptions", level_bound)
+    checker = StabilityChecker(topo, protocol, 0)
+    return topo, oracle, [c for c in sorted(protocol.legitimate_set(topo, level_bound)) if checker.anchor(c)]
+
+
+@pytest.mark.parametrize("kind", ["distributed", "central"])
+@pytest.mark.parametrize(
+    "name,protocol,level_bound",
+    [pytest.param(*case, id=f"{case[0]}-lb{case[2]}") for case in [("path5_to", SS_TO, 2), ("path3_st", SS_ST, 2), ("star4_to", SS_TO, 1), ("tree8_to", SS_TO, 1)]],
+)
+def test_no_run_beats_the_oracle(name, protocol, level_bound, kind):
+    # the oracle plays single moves, so under the distributed daemon this also tests that model
+    topo, oracle, anchors = _oracle_and_anchors(name, protocol, level_bound)
+    assert anchors and not oracle.unbounded
+    rng = random.Random(f"{name} {kind}")
+    for seed in range(40):
+        adversary = _RandomWriter(seed, topo, protocol, level_bound)
+        daemon = Daemon(kind=kind, fairness_bound=2 * topo.n, rng_seed=seed)
+        trace = run(topo, protocol, adversary, daemon, rng.choice(anchors), StopCondition(max_steps=60))
+        report = verify_containment(trace, topo, protocol, 0)
+        assert report.verdict == "pass", render_report(report)
+        assert report.t_observed <= oracle.worst_disruptions and report.k_observed <= oracle.worst_per_process

@@ -615,6 +615,8 @@ def _edited(lines, i, edit):
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec["states"][0].pop()), id="step-state-of-one"),
         pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"]["out"][0].__setitem__(1, True)), id="byz-register-level-a-bool"),
         pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"].update(state=[0])), id="byz-state-of-one"),
+        pytest.param(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"].update(out=[[0, 0], [0, 0]])), id="byz-write-of-too-many-registers"),
+        pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.update(activated=[], actions={})), id="step-activates-no-process"),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.update(i=99)), id="step-i-not-its-position"),
         pytest.param(_edited(_FAKEROOT, 2, lambda rec: rec.pop("i")), id="step-without-i"),
         # ids, slots, round ends and the meta topology are plain ints, and a slot key is canonical decimal

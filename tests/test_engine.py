@@ -34,6 +34,7 @@ from strongstab.engine import (
     arbitrary_configuration,
     check_fairness,
     check_locality,
+    check_replay,
     check_trace,
     consistent_registers,
     read_trace,
@@ -52,39 +53,37 @@ def _quiescent_config(topo):
     return legitimate_configuration(topo, 1)
 
 
-def test_apply_step_rejects_empty_activation():
+def test_step_rejects_empty_activation():
     t = st_topology(3)
     cfg = _quiescent_config(t)
     with pytest.raises(EngineError, match="nonempty"):
-        Kernel(t, SS_ST).apply_step(cfg, Step(frozenset(), {}, {}))
+        Kernel(t, SS_ST).step(cfg, frozenset(), {})
 
 
-def test_apply_step_rejects_byz_write_for_correct_process():
+def test_step_rejects_byz_write_for_correct_process():
     t = st_topology(3, byz=(2,))
     cfg = _quiescent_config(t)
-    bad = Step(
-        activated=frozenset({1}),
-        actions={},
-        byz_writes={1: ByzWrite(ProcessState(0, 9), (RegisterValue(False, 9),) * 2)},
-    )
+    write = ByzWrite(ProcessState(0, 9), (RegisterValue(False, 9),) * 2)
     with pytest.raises(EngineError, match="correct process"):
-        Kernel(t, SS_ST).apply_step(cfg, bad)
+        Kernel(t, SS_ST).step(cfg, frozenset({1}), {1: write})
+    with pytest.raises(EngineError, match="non-activated process 2"):
+        Kernel(t, SS_ST).step(cfg, frozenset({1}), {2: write._replace(out_regs=write.out_regs[:1])})
 
 
-def test_apply_step_rejects_wrong_recorded_action():
+def test_replay_rejects_wrong_recorded_action():
     t = st_topology(3)
     cfg = _quiescent_config(t)  # nothing is enabled here
     bad = Step(activated=frozenset({1}), actions={1: "GA1"}, byz_writes={})
-    with pytest.raises(EngineError, match="records action"):
-        Kernel(t, SS_ST).apply_step(cfg, bad)
+    trace = ExecutionTrace(cfg, [cfg, cfg], [bad], [], "max_steps")
+    with pytest.raises(EngineError, match="step 0: step records action 'GA1' for process 1, but None is enabled"):
+        check_replay(trace, t, SS_ST)
 
 
 def test_byzantine_write_only_touches_own_state_and_registers():
     t = st_topology(3, byz=(2,))
     cfg = _quiescent_config(t)
     write = ByzWrite(ProcessState(0, 999), (RegisterValue(True, 999),) * t.degree(2))
-    step = Step(activated=frozenset({2}), actions={}, byz_writes={2: write})
-    nxt = Kernel(t, SS_ST).apply_step(cfg, step)
+    _, nxt = Kernel(t, SS_ST).step(cfg, frozenset({2}), {2: write})
     assert nxt.states[2] == ProcessState(0, 999)
     assert all(nxt.states[v] == cfg.states[v] for v in (0, 1))
     touched = {slot for slot in range(t.num_registers) if nxt.registers[slot] != cfg.registers[slot]}
@@ -100,8 +99,8 @@ def test_simultaneous_neighbors_read_stale_registers():
     registers[t.out_slot[0][0]] = regs[0]
     registers[t.out_slot[1][0]] = regs[1]
     cfg = Configuration(states, tuple(registers))
-    step = Step(activated=frozenset({0, 1}), actions={0: "GA1", 1: "GA1"}, byz_writes={})
-    nxt = Kernel(t, SS_TO).apply_step(cfg, step)
+    actions, nxt = Kernel(t, SS_TO).step(cfg, frozenset({0, 1}), {})
+    assert actions == {0: "GA1", 1: "GA1"}
     # each copied the other's old advertisement, not the freshly written one
     assert nxt.states[0].level == 5
     assert nxt.states[1].level == 3
@@ -292,7 +291,8 @@ def test_trace_writer_cases_reach_every_record_shape(tmp_path):
 
 
 class _RefScheduler:
-    """The daemon's choice with the forced set rebuilt by a full scan at every step."""
+    """The daemon's choice with the forced set, and the central daemon's windows of the next
+    k steps that k deadlines fill, rebuilt by a full scan at every step."""
 
     def __init__(self, daemon, topo):
         self.daemon, self.rng = daemon, random.Random(daemon.rng_seed)
@@ -303,9 +303,11 @@ class _RefScheduler:
         bound, rng = self.daemon.fairness_bound, self.rng
         forced = {v for v, seen in self.last_seen.items() if t - seen >= bound}
         if self.daemon.kind == "central":
-            if forced:
-                oldest = min(self.last_seen[v] for v in forced)
-                activated = {rng.choice(sorted(v for v in forced if self.last_seen[v] == oldest))}
+            deadlines = {v: seen + bound for v, seen in self.last_seen.items()}
+            within = lambda k: sum(deadline < t + k for deadline in deadlines.values())
+            if any(within(k) >= k for k in range(1, len(deadlines) + 1)):
+                first = min(deadlines.values())
+                activated = {rng.choice(sorted(v for v, deadline in deadlines.items() if deadline == first))}
             else:
                 activated = set(proposal) if proposal else {rng.choice(self.all_pids)}
         else:
@@ -350,6 +352,25 @@ def test_scheduler_picks_what_the_full_scan_picks(n, byz, kind, bound, seed):
     wishes = lambda: [None, frozenset(), frozenset(rng.sample(range(n), rng.randint(1, size)))]
     proposals = [rng.choice(wishes()) for _ in range(60)]
     assert _picks(_Scheduler(daemon, topo), proposals) == _picks(_RefScheduler(daemon, topo), proposals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    byz=st.sets(st.integers(0, 8)),
+    slack=st.integers(0, 3),
+    seed=st.integers(0, 10**6),
+)
+def test_central_daemon_keeps_every_bound_of_at_least_the_correct_count(n, byz, slack, seed):
+    # whatever a scheduling adversary proposes, Byzantine processes included
+    topo = build_topology(path_edges(n), byzantine=byz & set(range(n)))
+    correct, rng = len(topo.correct), random.Random(seed)
+    proposals = [rng.choice([None, frozenset({rng.randrange(n)})]) for _ in range(80)]
+    keep = Daemon(kind="central", fairness_bound=max(correct, 1) + slack, rng_seed=seed)
+    assert _picks(_Scheduler(keep, topo), proposals)[1] is None
+    if correct >= 2:
+        miss = Daemon(kind="central", fairness_bound=correct - 1, rng_seed=seed)
+        assert _picks(_Scheduler(miss, topo), proposals)[1] is not None
 
 
 # ---------------------------------------------------------------------------
