@@ -2,7 +2,7 @@
 
 A strategy is omniscient (it may read the whole configuration) but the
 engine only ever applies its output to the Byzantine process's own state
-and output registers. `act` returns a ByzWrite or None for "no change this
+and output registers. `act` returns a LocalEffect or None for "no change this
 activation"; `pledges_silence` tells the engine the strategy will never act
 again, which is what lets runs with Byzantine processes reach quiescence.
 """
@@ -13,7 +13,7 @@ import random
 from typing import Optional
 
 from . import analysis
-from .engine import ByzWrite, Configuration, Daemon, Kernel, ProcessState, Protocol, RegisterValue
+from .engine import Configuration, Daemon, Kernel, LocalEffect, ProcessState, Protocol, RegisterValue
 from .topology import InputError, Topology, TopologyError
 
 
@@ -42,7 +42,9 @@ class Adversary:
         if self.schedules and daemon.kind != "central":
             raise InputError(f"adversary {self.name} needs a central daemon (daemon central)")
 
-    def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[ByzWrite]:
+    def act(self, config: Configuration, topo: Topology, pid: int) -> Optional[LocalEffect]:
+        """What activated Byzantine process `pid` writes in `config`: its new state and one
+        register per neighbor, or None to leave them as they are."""
         raise NotImplementedError
 
     def pledges_silence(self) -> bool:
@@ -52,8 +54,8 @@ class Adversary:
         """The activation set wished for step `t`, or None for the daemon's own pick; asked every step."""
         return None
 
-    def _uniform_write(self, state: ProcessState, reg: RegisterValue, degree: int) -> ByzWrite:
-        return ByzWrite(state=state, out_regs=(reg,) * degree)
+    def _uniform_write(self, state: ProcessState, reg: RegisterValue, degree: int) -> LocalEffect:
+        return LocalEffect(state=state, out_regs=(reg,) * degree)
 
 
 class SilentAdversary(Adversary):
@@ -194,7 +196,7 @@ class MaxDamageAdversary(Adversary):
         super().__init__(params, seed, topo, protocol)
         self._script: Optional[list] = None
         self._i = 0
-        self._pending: dict[int, ByzWrite] = {}
+        self._pending: dict[int, LocalEffect] = {}
 
     def _build(self, config: Configuration) -> None:
         worst, play = analysis.best_disruption_play(

@@ -29,10 +29,10 @@ from operator import itemgetter, mul, ne
 from typing import Iterator, Optional
 
 from .engine import (
-    ByzWrite,
     Configuration,
     ExecutionTrace,
     Kernel,
+    LocalEffect,
     Protocol,
     RegisterValue,
     apply_effects,
@@ -631,7 +631,7 @@ class _Game:
             return pid, None
         cfg, (i, value) = self.coding.decode(self.nodes[nid][0]), write
         own = cfg.registers[self.topo.register_access[pid][2]]
-        return pid, ByzWrite(cfg.states[pid], own[:i] + (value,) + own[i + 1 :])
+        return pid, LocalEffect(cfg.states[pid], own[:i] + (value,) + own[i + 1 :])
 
     def solve(self, start_ids: list[int]) -> None:
         """Make the edges of the nodes reachable from `start_ids`, each the first

@@ -49,7 +49,7 @@ from .topology import (
     Topology,
     TopologyError,
     build_topology,
-    correct_metrics,
+    correct_diameter,
     load_topology,
     parse_lines,
     random_connected_graph_edges,
@@ -122,14 +122,14 @@ def _value(line: Line):
 
 @dataclass
 class Scenario:
+    """A scenario's keys as `_value` returns them; `topology_path` holds the `topology` key."""
+
     topology_path: str
     protocol: str
-    daemon_kind: str = "distributed"
+    daemon: str = "distributed"
     fairness_bound: Optional[int] = None
-    init_mode: str = "arbitrary"
-    init_arg: Optional[str] = None
-    adversary: str = "silent"
-    adversary_params: dict = field(default_factory=dict)
+    init: tuple[str, Optional[str]] = ("arbitrary", None)
+    adversary: tuple[str, dict] = field(default_factory=lambda: ("silent", {}))
     seed: int = 0
     seed_neighbor: Optional[int] = None  # named init files name parents by neighbor position, so pin the order
     max_steps: int = 2000
@@ -145,17 +145,13 @@ class Scenario:
 
 
 def parse_scenario_text(text: str, base_dir: Path) -> Scenario:
-    values: dict = {"bounds": [], "init": ("arbitrary", None), "adversary": ("silent", {})}
+    values: dict = {"bounds": []}
     for line in parse_lines(text, "scenario", SCENARIO_KEYS, ScenarioError, repeatable=("bounds",)):
         values[line.key] = values["bounds"] + _value(line) if line.key == "bounds" else _value(line)
     for key in ("topology", "protocol"):
         if key not in values:
             raise ScenarioError(f"scenario missing required key {key!r}")
-    (init_mode, init_arg), (adversary, params) = values.pop("init"), values.pop("adversary")
-    return Scenario(
-        values.pop("topology"), daemon_kind=values.pop("daemon", "distributed"), init_mode=init_mode, init_arg=init_arg,
-        adversary=adversary, adversary_params=params, base_dir=base_dir, **values,
-    )
+    return Scenario(values.pop("topology"), base_dir=base_dir, **values)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -254,15 +250,16 @@ def _players(sc: Scenario, topo: Topology):
     protocol = PROTOCOLS[sc.protocol]
     seeds = sc.resolved_seeds()
     fairness = sc.fairness_bound if sc.fairness_bound is not None else 2 * topo.n
-    daemon = Daemon(kind=sc.daemon_kind, fairness_bound=fairness, rng_seed=seeds["daemon"])
-    adversary = make_adversary(sc.adversary, sc.adversary_params, seeds["adversary"], topo, protocol)
+    daemon = Daemon(kind=sc.daemon, fairness_bound=fairness, rng_seed=seeds["daemon"])
+    adversary = make_adversary(*sc.adversary, seeds["adversary"], topo, protocol)
     adversary.check_daemon(daemon)
-    if sc.init_mode == "arbitrary":
+    mode, arg = sc.init
+    if mode == "arbitrary":
         init = engine_mod.arbitrary_configuration(topo, protocol, seeds["init"])
-    elif sc.init_mode == "legitimate":  # the protocol refuses a kind it does not know
-        init = protocol.legitimate_configuration(topo, seeds["init"], sc.init_arg)
+    elif mode == "legitimate":  # the protocol refuses a kind it does not know
+        init = protocol.legitimate_configuration(topo, seeds["init"], arg)
     else:  # named, with its file
-        init = read_config_file(str(resolve_named_init(sc.init_arg, sc.base_dir)), topo, protocol)
+        init = read_config_file(str(resolve_named_init(arg, sc.base_dir)), topo, protocol)
     return protocol, daemon, adversary, init
 
 
@@ -308,11 +305,9 @@ def _sweep_row(job: dict) -> dict:
     topology; self-contained so replications can run in worker processes."""
     protocol = PROTOCOLS[job["protocol"]]
     topo = _sweep_topology(job["topology_kind"], job["n"], job["f"], protocol, job["seed"], job["extra_edges"])
-    (init_mode, init_arg), (adv_name, adv_params) = job["init"], job["adversary"]
     sc = Scenario(
-        "-", job["protocol"], daemon_kind=job["daemon"], init_mode=init_mode, init_arg=init_arg, adversary=adv_name,
-        adversary_params=adv_params, seed=job["seed"], max_steps=job["max_steps"], radius=job["radius"],
-        bounds=[b.name for b in protocol.bounds if b.swept(job["f"])],
+        "-", job["protocol"], daemon=job["daemon"], init=job["init"], adversary=job["adversary"], seed=job["seed"],
+        max_steps=job["max_steps"], radius=job["radius"], bounds=[b.name for b in protocol.bounds if b.swept(job["f"])],
     )
     _, report = _verify(sc, topo)
     verdict = report.verdict
@@ -320,10 +315,10 @@ def _sweep_row(job: dict) -> dict:
         "protocol": job["protocol"],
         "n": job["n"],
         "f": job["f"],
-        "adversary": adv_name,
+        "adversary": sc.adversary[0],
         "seed": job["seed"],
         "delta": topo.max_degree,
-        "d": correct_metrics(topo).d,
+        "d": correct_diameter(topo),
         "rounds": report.stabilization_round,
         "disruptions": report.t_observed,
         "max_changes": report.k_observed,

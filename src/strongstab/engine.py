@@ -31,7 +31,7 @@ from functools import cached_property
 from operator import attrgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .topology import InputError, Topology, build_topology, correct_metrics, read_text
+from .topology import InputError, Topology, build_topology, correct_diameter, read_text
 
 
 class EngineError(RuntimeError):
@@ -71,18 +71,17 @@ class LocalView(NamedTuple):
 
 
 class LocalEffect(NamedTuple):
-    state: ProcessState
-    out_regs: tuple[RegisterValue, ...]
+    """What one process writes in a step: its new state and its out-registers,
+    in neighbor order. A correct action's effect and a Byzantine write alike."""
 
-
-class ByzWrite(NamedTuple):
     state: ProcessState
     out_regs: tuple[RegisterValue, ...]
 
 
 class BoundInputs(NamedTuple):
-    """What a bound formula reads off a topology: n, f, the maximum degree Δ
-    and the correct subgraph's diameter d (n when it is disconnected)."""
+    """What a bound formula reads off a topology: n, the number f of Byzantine
+    processes, the maximum degree Δ and the correct subgraph's diameter d
+    (n when `correct_diameter` is None)."""
 
     topo: Topology
     n: int
@@ -92,8 +91,8 @@ class BoundInputs(NamedTuple):
 
     @classmethod
     def of(cls, topo: Topology) -> BoundInputs:
-        metrics = correct_metrics(topo)
-        return cls(topo, topo.n, metrics.f, topo.max_degree, metrics.d if metrics.d is not None else topo.n)
+        d = correct_diameter(topo)
+        return cls(topo, topo.n, len(topo.byzantine), topo.max_degree, topo.n if d is None else d)
 
 
 @dataclass(frozen=True)
@@ -193,12 +192,14 @@ class Protocol:
 class Step:
     activated: frozenset[int]
     actions: dict[int, Optional[str]]
-    byz_writes: dict[int, Optional[ByzWrite]]
+    byz_writes: dict[int, Optional[LocalEffect]]
 
 
 @dataclass
 class ExecutionTrace:
-    initial: Configuration
+    """A run: `configs[0]` is its start and `configs[i]` the configuration after
+    step i, `steps[i-1]`; `round_ends` are the 1-based steps that end a round."""
+
     configs: list[Configuration]
     steps: list[Step]
     round_ends: list[int]
@@ -308,7 +309,7 @@ class Kernel:
 
 
 def apply_effects(
-    config: Configuration, topo: Topology, effects: Iterable[tuple[int, LocalEffect | ByzWrite]]
+    config: Configuration, topo: Topology, effects: Iterable[tuple[int, LocalEffect]]
 ) -> Configuration:
     """Write each (process, effect) pair's new state and out-registers into a
     copy of `config`. Every effect must carry one register per neighbor."""
@@ -327,10 +328,8 @@ def apply_effects(
 class _Scheduler:
     def __init__(self, daemon: Daemon, topo: Topology):
         self.daemon = daemon
-        self.topo = topo
         self.rng = random.Random(daemon.rng_seed)
-        self.correct = sorted(topo.correct)
-        self.last_seen = {v: 0 for v in self.correct}
+        self.last_seen = {v: 0 for v in sorted(topo.correct)}
         self.all_pids = list(range(topo.n))
 
     def pick(self, t: int, proposal: Optional[frozenset[int]]) -> frozenset[int]:
@@ -411,13 +410,7 @@ def run(
         actions, after = kernel.step(config, activated, byz_writes)
         configs.append(after)
         steps.append(Step(activated=activated, actions=actions, byz_writes=byz_writes))
-    trace = ExecutionTrace(
-        initial=init,
-        configs=configs,
-        steps=steps,
-        round_ends=[],
-        stop_reason=stop_reason,
-    )
+    trace = ExecutionTrace(configs=configs, steps=steps, round_ends=[], stop_reason=stop_reason)
     trace.round_ends = round_boundaries(trace, topo.correct)
     return trace
 
@@ -514,8 +507,8 @@ def byzantine_writes(topo: Topology, protocol: Protocol, level_bound: int) -> li
 # machine-checked execution-model invariants (used by tests on every trace)
 #
 # check_trace runs two audits, and `strongstab replay` runs the first:
-# - replay, one pass: the trace starts at its initial configuration, and
-#   each step, re-executed from its recorded before-configuration, finds
+# - replay, one pass: each step, numbered from 1 as in the trace file,
+#   re-executed from its recorded before-configuration, finds
 #   the recorded action first enabled at every activated correct process
 #   (priority), and the recorded after-configuration as the merge of effects
 #   computed against the before-configuration (simultaneity). A replayed step
@@ -539,28 +532,26 @@ def _check_step_locality(i: int, step: Step, before: Configuration, after: Confi
 
 
 def check_locality(trace: ExecutionTrace, topo: Topology) -> None:
-    for i, step in enumerate(trace.steps):
-        _check_step_locality(i, step, trace.configs[i], trace.configs[i + 1], topo)
+    for i, step in enumerate(trace.steps, 1):
+        _check_step_locality(i, step, trace.configs[i - 1], trace.configs[i], topo)
 
 
 def check_replay(trace: ExecutionTrace, topo: Topology, protocol: Protocol) -> None:
     """Guards, priority, simultaneity, locality and replay determinism in one pass, then
     the recorded round ends and a quiescent stop against what the steps replayed."""
-    if trace.configs[0] != trace.initial:
-        raise EngineError("trace does not start at its initial configuration")
-    _check_shape(topo, trace.initial)  # every replayed configuration keeps this shape
     kernel, configs = Kernel(topo, protocol), trace.configs
-    for i, step in enumerate(trace.steps):
+    _check_shape(topo, configs[0])  # every replayed configuration keeps this shape
+    for i, step in enumerate(trace.steps, 1):
         try:
-            actions, after = kernel.step(configs[i], step.activated, step.byz_writes)
+            actions, after = kernel.step(configs[i - 1], step.activated, step.byz_writes)
             for pid, label in actions.items():
                 recorded = step.actions.get(pid)
                 if label != recorded:
                     raise EngineError(f"step records action {recorded!r} for process {pid}, but {label!r} is enabled")
         except EngineError as exc:
             raise EngineError(f"step {i}: {exc}") from None
-        if after != configs[i + 1]:
-            _check_step_locality(i, step, configs[i], configs[i + 1], topo)
+        if after != configs[i]:
+            _check_step_locality(i, step, configs[i - 1], configs[i], topo)
             raise EngineError(f"step {i}: recorded result differs from the merged stale-read result")
     rounds = round_boundaries(trace, topo.correct)
     if trace.round_ends != rounds:
@@ -637,8 +628,8 @@ def write_trace(path: str, trace: ExecutionTrace, topo: Topology, protocol: Prot
         fh.write(_dumps(meta) + "\n")
         init = {
             "type": "init",
-            "states": [list(s) for s in trace.initial.states],
-            "registers": [reg(r) for r in trace.initial.registers],
+            "states": [list(s) for s in trace.configs[0].states],
+            "registers": [reg(r) for r in trace.configs[0].registers],
         }
         fh.write(_dumps(init) + "\n")
         for i, step in enumerate(trace.steps):
@@ -725,7 +716,7 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             registers[index(slot, topo.num_registers, f"step {i}: register slot")] = reg(val, f"step {i}: register")
         configs.append(configuration(f"step {i}", rec["states"], registers))
         byz_writes = {
-            index(pid, topo.n, f"step {i}: Byzantine id"): None if w is None else ByzWrite(
+            index(pid, topo.n, f"step {i}: Byzantine id"): None if w is None else LocalEffect(
                 state(w["state"], f"step {i}: Byzantine state"), tuple(reg(r, f"step {i}: Byzantine register") for r in w["out"])
             )
             for pid, w in rec["byz"].items()
@@ -742,4 +733,4 @@ def read_trace(path: str) -> tuple[ExecutionTrace, Topology, str]:
             if recorded.keys() != expected:
                 raise ValueError(f"step {i}: {what} names {sorted(recorded)}, not the activated {sorted(expected)}")
         steps.append(Step(activated, actions, byz_writes))
-    return ExecutionTrace(init, configs, steps, end["round_ends"], end["stop_reason"]), topo, meta["protocol"]
+    return ExecutionTrace(configs, steps, end["round_ends"], end["stop_reason"]), topo, meta["protocol"]

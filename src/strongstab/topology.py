@@ -81,15 +81,6 @@ def _in_getter(slots: tuple[int, ...]) -> Callable:
     return itemgetter(*slots) if len(slots) > 1 else itemgetter(slice(slots[0], slots[0] + 1))
 
 
-@dataclass(frozen=True)
-class CorrectSubgraphMetrics:
-    """Connectivity and diameter of the subgraph induced by correct processes."""
-
-    connected: bool
-    d: Optional[int]
-    f: int
-
-
 def build_topology(
     edge_list: Iterable[tuple[int, int]],
     root: Optional[int] = None,
@@ -183,7 +174,7 @@ def validate_mode(t: Topology, mode: str) -> None:
             raise TopologyError("ss-st requires a root process")
         if t.root in t.byzantine:
             raise TopologyError("root must not be Byzantine in ss-st mode")
-        if not correct_metrics(t).connected:
+        if correct_diameter(t) is None:
             raise TopologyError("correct subgraph is disconnected in ss-st mode")
     elif mode == "ss-to":
         if not t.is_tree():
@@ -194,20 +185,19 @@ def validate_mode(t: Topology, mode: str) -> None:
         raise TopologyError(f"unknown mode {mode!r}")
 
 
-def correct_metrics(t: Topology) -> CorrectSubgraphMetrics:
-    """BFS connectivity and diameter of the correct-process subgraph."""
+def correct_diameter(t: Topology) -> Optional[int]:
+    """BFS diameter of the correct-process subgraph; None when it is disconnected or empty."""
     correct = sorted(t.correct)
-    f = len(t.byzantine)
     if not correct:
-        return CorrectSubgraphMetrics(connected=False, d=None, f=f)
+        return None
     adjacency = {v: [u for u in t.neighbor_order[v] if u not in t.byzantine] for v in correct}
     diameter = 0
     for v in correct:
         dist = _bfs_dist(adjacency, [v])
         if len(dist) != len(correct):
-            return CorrectSubgraphMetrics(connected=False, d=None, f=f)
+            return None
         diameter = max(diameter, max(dist.values()))
-    return CorrectSubgraphMetrics(connected=True, d=diameter, f=f)
+    return diameter
 
 
 def distance_to_byzantine(t: Topology) -> dict[int, float]:

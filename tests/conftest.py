@@ -150,8 +150,8 @@ def ref_write_trace(path, trace, topo, protocol):
         fh.write(dumps(meta) + "\n")
         init = {
             "type": "init",
-            "states": [list(s) for s in trace.initial.states],
-            "registers": [reg(r) for r in trace.initial.registers],
+            "states": [list(s) for s in trace.configs[0].states],
+            "registers": [reg(r) for r in trace.configs[0].registers],
         }
         fh.write(dumps(init) + "\n")
         for i, step in enumerate(trace.steps):

@@ -22,7 +22,7 @@ from strongstab.spanning_tree import SS_ST
 from strongstab.spanning_tree import legitimate_configuration as st_legit
 from strongstab.tree_orientation import SS_TO, in_lc2
 from strongstab.tree_orientation import legitimate_configuration as to_legit
-from strongstab.topology import build_topology, correct_metrics
+from strongstab.topology import build_topology, correct_diameter
 
 ALL_REPORTS: list[analysis.ContainmentReport] = []
 CHECKED_TRACES = {"count": 0}
@@ -85,8 +85,7 @@ def test_criterion_2_construction_convergence():
             predicate=Kernel(topo, SS_ST).quiescent,
         )
         assert trace.stop_reason == "predicate", (case, trace.stop_reason)
-        m = correct_metrics(topo)
-        limit = 4 * (topo.n - m.f) * topo.max_degree ** m.d
+        limit = 4 * (topo.n - len(topo.byzantine)) * topo.max_degree ** correct_diameter(topo)
         rounds = len(trace.round_ends)
         assert rounds <= limit, (case, rounds, limit)
         worst_rounds_ratio = max(worst_rounds_ratio, rounds / limit)
@@ -109,9 +108,8 @@ def test_criterion_3_construction_disruption_bounds():
         (_exhaustive_st_instance([(0, 1), (0, 2), (0, 3)], [3], 3), 3),
     ]
     for topo, bound in small:
-        m = correct_metrics(topo)
-        t_limit = m.f * topo.max_degree**m.d
-        k_limit = topo.max_degree**m.d
+        k_limit = topo.max_degree ** correct_diameter(topo)
+        t_limit = len(topo.byzantine) * k_limit
         oracle = analysis.brute_force_verify(topo, SS_ST, "worst-disruptions", level_bound=bound)
         assert not oracle.unbounded
         assert oracle.worst_disruptions <= t_limit
@@ -139,13 +137,10 @@ def test_criterion_3_construction_disruption_bounds():
             topo, SS_ST, name, params if name == "oscillate" else {},
             seeds=case * 7, max_steps=1500, init=st_legit(topo, case),
         )
-        m = correct_metrics(topo)
+        k_limit = topo.max_degree ** correct_diameter(topo)
         rep = _report(
             trace, topo, SS_ST, 0,
-            {
-                "st_disruptions": (m.f * topo.max_degree**m.d, "max"),
-                "st_changes": (topo.max_degree**m.d, "max"),
-            },
+            {"st_disruptions": (len(topo.byzantine) * k_limit, "max"), "st_changes": (k_limit, "max")},
         )
         assert rep.verdict == "pass", (case, rep.bounds_checked)
     print("\nCRITERION 3 PASS: exact worst cases match the game oracle; "
@@ -162,7 +157,7 @@ def test_criterion_4_orientation_fault_free():
         assert trace.stop_reason == "quiescent", case
         assert Kernel(topo, SS_TO).quiescent(trace.configs[-1]), case
         assert len({state.level for state in trace.configs[-1].states}) == 1, case  # LC0 is flat
-        d = correct_metrics(topo).d
+        d = correct_diameter(topo)
         rounds = len(trace.round_ends)
         assert rounds <= 2 * d + 2, (case, rounds, d)
         if rounds / (2 * d + 2) > worst[0]:

@@ -4,8 +4,8 @@ from conftest import path_edges, quick_run, st_topology, to_topology
 
 from strongstab.adversary import ChainReplayAdversary, make_adversary
 from strongstab.engine import (
-    ByzWrite,
     Daemon,
+    LocalEffect,
     ProcessState,
     RegisterValue,
     StopCondition,
@@ -97,7 +97,7 @@ def test_chain_replay_waits_for_quiescence_then_alternates_endpoints():
 def test_engine_rejects_strategy_output_for_correct_process():
     t = st_topology(3, byz=(2,))
     cfg = legitimate_configuration(t, 0)
-    rogue = {0: ByzWrite(ProcessState(0, 0), (RegisterValue(False, 0),))}
+    rogue = {0: LocalEffect(ProcessState(0, 0), (RegisterValue(False, 0),))}
     with pytest.raises(Exception, match="correct process"):
         Kernel(t, SS_ST).step(cfg, frozenset({0}), rogue)
 

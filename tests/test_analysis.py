@@ -21,7 +21,7 @@ from conftest import (
     to_topology,
 )
 
-from strongstab import analysis
+from strongstab import analysis, cli
 from strongstab.adversary import Adversary
 from strongstab.analysis import (
     OracleCapError,
@@ -35,7 +35,6 @@ from strongstab.analysis import (
     verify_containment,
 )
 from strongstab.engine import (
-    ByzWrite,
     Configuration,
     Daemon,
     GuardedAction,
@@ -50,7 +49,7 @@ from strongstab.engine import (
 )
 from strongstab.spanning_tree import SS_ST, spec_st
 from strongstab.spanning_tree import legitimate_configuration as st_legit
-from strongstab.tree_orientation import SS_TO, TreeOrientationProtocol, spec_to
+from strongstab.tree_orientation import SS_TO, TreeOrientationProtocol, ga1, spec_to
 from strongstab.tree_orientation import legitimate_configuration as to_legit
 from strongstab.topology import build_topology, load_topology, random_tree_edges
 
@@ -237,6 +236,8 @@ def test_never_stabilized_flag():
     scan = find_disruptions(trace, t, 0, SS_TO)
     assert scan.never_stabilized and scan.stabilization_index is None and scan.disruptions == []
     assert scan.verdict == "FAIL"  # a run that never stabilized has shown nothing about the bounds
+    report = verify_containment(trace, t, SS_TO, 0, {"to_rounds": (12, "max")})  # 2d+2 on the 6-path
+    assert "bound to_rounds observed -1 <= limit 12 FAIL\nresult FAIL\n" in render_report(report)
 
 
 def test_oracle_two_node_orientation_converges_everywhere():
@@ -389,6 +390,57 @@ def test_convergence_walk_reports_its_first_failure():
     got = brute_force_verify(topo, _StuckAndCycle(), "converges-to", level_bound=1)
     assert not got.diverged_by_cycle and _ref_oracle_converges(topo, _StuckAndCycle(), 1).diverged_by_cycle
     assert got.states_explored == 3  # the start, process 0's move, then process 2's: stuck
+
+
+class _PointsAtHighest(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with ss-to's GA1 always enabled: a process points at
+    the neighbor showing the highest level, even a lower one, so a Byzantine leaf that shows a
+    level above its neighbor's takes it as a child and lets it go, one disruption per round trip."""
+
+    _actions = (GuardedAction("GA1", lambda view: True, ga1),)
+
+
+def _rise(view):
+    level = max(r.level for r in view.in_regs)
+    return LocalEffect(view.state._replace(level=level), tuple(r._replace(level=level) for r in view.out_regs))
+
+
+def _swap_parent(view):
+    return LocalEffect(view.state._replace(prnt=3 - view.state.prnt), view.out_regs)
+
+
+class _RiseThenSpin(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with two actions: a process takes up a higher level
+    shown to it, and a process of degree 2 above level 0 swaps its parent. A Byzantine leaf that
+    shows level 1 sets its neighbor swapping forever: no disruption ever ends, but the changes
+    never stop."""
+
+    _actions = (
+        GuardedAction("RISE", lambda view: any(r.level > view.state.level for r in view.in_regs), _rise),
+        GuardedAction("SPIN", lambda view: view.degree == 2 and view.state.level > 0, _swap_parent),
+    )
+
+
+@pytest.mark.parametrize("level_bound,anchors,states", [(1, 10, 16), (2, 26, 48)])
+def test_oracle_reports_unbounded_disruptions(tmp_path, monkeypatch, capsys, level_bound, anchors, states):
+    t = to_topology(3, byz=(0,))  # the 3-path with Byzantine leaf 0
+    result = brute_force_verify(t, _PointsAtHighest(), "worst-disruptions", level_bound)
+    assert result.unbounded and (result.anchors, result.states_explored) == (anchors, states)
+    assert result.worst_disruptions is None and result.worst_per_process is None
+    anchor = min(_PointsAtHighest().legitimate_set(t, level_bound))
+    with pytest.raises(OracleCapError, match="disruption count is unbounded from this start"):
+        analysis.best_disruption_play(t, _PointsAtHighest(), anchor, level_bound)
+    monkeypatch.setitem(cli.PROTOCOLS, "ss-to", _PointsAtHighest())
+    topo = tmp_path / "path3.topo"
+    topo.write_text("n 3\nbyz 0\nedge 0 1\nedge 1 2\n", encoding="utf-8")
+    assert cli.main(["oracle", "--topology", str(topo), "--protocol", "ss-to", "--level-bound", str(level_bound)]) == 1
+    assert capsys.readouterr().out == f"anchors: {anchors}\nworst disruptions: UNBOUNDED\n"
+
+
+def test_oracle_reports_unbounded_changes_with_bounded_disruptions():
+    result = brute_force_verify(to_topology(3, byz=(0,)), _RiseThenSpin(), "worst-disruptions", 1)
+    assert result.unbounded and (result.anchors, result.states_explored) == (4, 56)
+    assert result.worst_disruptions == 0 and result.best_play == [] and result.worst_per_process is None
 
 
 def test_oracle_worst_disruptions_three_node_construction():
@@ -578,7 +630,7 @@ def _ref_byz_write_options(topo, protocol, cfg, b, level_bound):
         for slot in topo.out_slot[b]
     ]
     for combo in itertools.product(*per_edge):
-        yield ByzWrite(state=cfg.states[b], out_regs=tuple(combo))
+        yield LocalEffect(state=cfg.states[b], out_regs=tuple(combo))
 
 
 def _fresh_moves(topo, protocol, cfg):
@@ -1172,14 +1224,28 @@ class _RandomWriter(Adversary):
     def act(self, config, topo, pid):
         domain = self.protocol.register_domain
         out = tuple(self.rng.choice(domain(self.level_bound, config.registers[slot])) for slot in topo.out_slot[pid])
-        return ByzWrite(config.states[pid], out)
+        return LocalEffect(config.states[pid], out)
+
+
+# ss-st hubs and cycles as (edges, Byzantine z), built here because a new topology file would
+# add queries to the checked-in oracle matrix
+_ST_SHAPES = {
+    "hub_d2_st": ([(0, 1), (1, 2), (1, 3), (2, 3)], 3),
+    "hub_d3_st": (path_edges(4) + [(1, 4), (2, 4), (3, 4)], 4),
+    "cycle4_st": (path_edges(4) + [(3, 0)], 2),
+    "cycle5_st": (path_edges(5) + [(4, 0)], 2),
+}
 
 
 @functools.cache
 def _oracle_and_anchors(name, protocol, level_bound):
     """An instance, its oracle answer, and the members of its legitimate set that a run's
     anchor test accepts."""
-    topo = load_topology(str(TOPOLOGIES / f"{name}.topo"), mode=protocol.name)
+    if name in _ST_SHAPES:
+        edges, z = _ST_SHAPES[name]
+        topo = st_topology(byz=(z,), edges=edges)
+    else:
+        topo = load_topology(str(TOPOLOGIES / f"{name}.topo"), mode=protocol.name)
     oracle = brute_force_verify(topo, protocol, "worst-disruptions", level_bound)
     checker = StabilityChecker(topo, protocol, 0)
     return topo, oracle, [c for c in sorted(protocol.legitimate_set(topo, level_bound)) if checker.anchor(c)]
@@ -1188,7 +1254,13 @@ def _oracle_and_anchors(name, protocol, level_bound):
 @pytest.mark.parametrize("kind", ["distributed", "central"])
 @pytest.mark.parametrize(
     "name,protocol,level_bound",
-    [pytest.param(*case, id=f"{case[0]}-lb{case[2]}") for case in [("path5_to", SS_TO, 2), ("path3_st", SS_ST, 2), ("star4_to", SS_TO, 1), ("tree8_to", SS_TO, 1)]],
+    [
+        pytest.param(*case, id=f"{case[0]}-lb{case[2]}")
+        for case in [
+            ("path5_to", SS_TO, 2), ("path3_st", SS_ST, 2), ("star4_to", SS_TO, 1), ("tree8_to", SS_TO, 1),
+            ("hub_d2_st", SS_ST, 2), ("hub_d3_st", SS_ST, 1), ("cycle4_st", SS_ST, 3), ("cycle5_st", SS_ST, 2),
+        ]
+    ],
 )
 def test_no_run_beats_the_oracle(name, protocol, level_bound, kind):
     # the oracle plays single moves, so under the distributed daemon this also tests that model

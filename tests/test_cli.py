@@ -60,9 +60,8 @@ def test_scenario_parsing_defaults_and_params(tmp_path):
     p = _basic_scenario(tmp_path, adversary="oscillate period=3 cycles=2")
     sc = load_scenario(str(p))
     assert sc.protocol == "ss-st"
-    assert sc.daemon_kind == "distributed"
-    assert sc.adversary == "oscillate"
-    assert sc.adversary_params == {"period": "3", "cycles": "2"}
+    assert sc.daemon == "distributed"
+    assert sc.adversary == ("oscillate", {"period": "3", "cycles": "2"})
     assert sc.bounds == ["st_disruptions", "st_changes"]
     seeds = sc.resolved_seeds()
     assert seeds == {"daemon": 1001, "init": 1002, "adversary": 1003, "neighbor": 1004}
@@ -167,8 +166,8 @@ def test_every_checked_in_input_parses():
     for path in sorted((REPO / "scenarios").glob("*.scn")):
         sc = load_scenario(str(path))
         _players(sc, _topology(sc))  # loads the scenario's topology and named init file
-        if sc.init_mode == "named":
-            named.add(resolve_named_init(sc.init_arg, sc.base_dir).name)
+        if sc.init[0] == "named":
+            named.add(resolve_named_init(sc.init[1], sc.base_dir).name)
     assert named == {p.name for p in (REPO / "src" / "strongstab" / "corpus").glob("*.init")}
     for path in sorted((REPO / "sweeps").glob("*.sweep")):
         assert parse_sweep_text(path.read_text(encoding="utf-8"))["n"]
@@ -348,7 +347,7 @@ def test_max_damage_plays_the_oracle_worst_case_under_a_central_daemon(tmp_path)
     scn = _basic_scenario(tmp_path, **_MAX_DAMAGE, adversary="max-damage", topology=topo, seed="4")
     assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 0
     trace, topo, _ = read_trace(str(tmp_path / "o" / "trace.jsonl"))
-    worst, _ = analysis.best_disruption_play(topo, SS_ST, trace.initial, 3)
+    worst, _ = analysis.best_disruption_play(topo, SS_ST, trace.configs[0], 3)
     assert worst == 1
     assert f"disruptions {worst}\n" in (tmp_path / "o" / "report.txt").read_text(encoding="utf-8")
 
@@ -542,6 +541,15 @@ def test_run_and_sweep_fail_a_run_that_never_stabilizes(tmp_path, capsys):
     assert f"disruptions {values['disruptions']}\n" in out and f"max_process_changes {values['max_changes']}\n" in out
 
 
+def test_run_fails_a_round_bound_when_the_run_never_stabilizes(tmp_path, capsys):
+    # one step from an arbitrary start leaves the fault-free 4-path unoriented; to_rounds is 2d+2 = 8
+    topo = _write(tmp_path, "p4.topo", "n 4\nedge 0 1\nedge 1 2\nedge 2 3\n")
+    scn = _basic_scenario(tmp_path, topology=topo.name, protocol="ss-to", max_steps="1", bounds="to_rounds")
+    assert main(["run", "--scenario", str(scn), "--out", str(tmp_path / "o")]) == 1
+    out = capsys.readouterr().out
+    assert "bound to_rounds observed -1 <= limit 8 FAIL\n" in out and out.endswith("result FAIL\n"), out
+
+
 def test_sweep_summary_ranks_fail_over_inconclusive_over_pass():
     row = dict(protocol="ss-to", n=4, f=0, adversary="silent", rounds=1, disruptions=0, max_changes=0)
     for passes, verdict in [
@@ -655,6 +663,17 @@ def test_replay_rechecks_a_quiescent_stop(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "replay FAILED: trace stops quiescent, but a correct process is enabled in its last configuration\n"
     )
+
+
+def test_replay_numbers_steps_as_the_trace_file_does(tmp_path, capsys):
+    # line 3 is step record i=2, in which process 2 fires GA1 and Byzantine process 5 writes one register
+    path = tmp_path / "trace.jsonl"
+    path.write_text(_edited(_FAKEROOT, 3, lambda rec: rec["actions"].update({"2": "GA2"})))
+    assert main(["replay", str(path)]) == 1
+    assert capsys.readouterr().out == "replay FAILED: step 2: step records action 'GA2' for process 2, but 'GA1' is enabled\n"
+    path.write_text(_edited(_FAKEROOT, 3, lambda rec: rec["byz"]["5"].update(out=[[0, 0], [0, 0]])))
+    assert main(["replay", str(path)]) == 2
+    assert "step 2: Byzantine process 5 writes 2 registers, not 1" in capsys.readouterr().err
 
 
 def test_replay_of_unknown_protocol_exits_two(tmp_path, capsys):

@@ -19,13 +19,13 @@ from conftest import (
 )
 
 from strongstab.engine import (
-    ByzWrite,
     Configuration,
     Daemon,
     EngineError,
     ExecutionTrace,
     FairnessError,
     Kernel,
+    LocalEffect,
     LocalView,
     ProcessState,
     RegisterValue,
@@ -63,7 +63,7 @@ def test_step_rejects_empty_activation():
 def test_step_rejects_byz_write_for_correct_process():
     t = st_topology(3, byz=(2,))
     cfg = _quiescent_config(t)
-    write = ByzWrite(ProcessState(0, 9), (RegisterValue(False, 9),) * 2)
+    write = LocalEffect(ProcessState(0, 9), (RegisterValue(False, 9),) * 2)
     with pytest.raises(EngineError, match="correct process"):
         Kernel(t, SS_ST).step(cfg, frozenset({1}), {1: write})
     with pytest.raises(EngineError, match="non-activated process 2"):
@@ -74,15 +74,15 @@ def test_replay_rejects_wrong_recorded_action():
     t = st_topology(3)
     cfg = _quiescent_config(t)  # nothing is enabled here
     bad = Step(activated=frozenset({1}), actions={1: "GA1"}, byz_writes={})
-    trace = ExecutionTrace(cfg, [cfg, cfg], [bad], [], "max_steps")
-    with pytest.raises(EngineError, match="step 0: step records action 'GA1' for process 1, but None is enabled"):
+    trace = ExecutionTrace([cfg, cfg], [bad], [], "max_steps")
+    with pytest.raises(EngineError, match="step 1: step records action 'GA1' for process 1, but None is enabled"):
         check_replay(trace, t, SS_ST)
 
 
 def test_byzantine_write_only_touches_own_state_and_registers():
     t = st_topology(3, byz=(2,))
     cfg = _quiescent_config(t)
-    write = ByzWrite(ProcessState(0, 999), (RegisterValue(True, 999),) * t.degree(2))
+    write = LocalEffect(ProcessState(0, 999), (RegisterValue(True, 999),) * t.degree(2))
     _, nxt = Kernel(t, SS_ST).step(cfg, frozenset({2}), {2: write})
     assert nxt.states[2] == ProcessState(0, 999)
     assert all(nxt.states[v] == cfg.states[v] for v in (0, 1))
@@ -146,7 +146,7 @@ def test_round_boundaries_examples():
     def fake_trace(activated_sets):
         cfgs = [None] * (len(activated_sets) + 1)
         steps = [Step(frozenset(s), {}, {}) for s in activated_sets]
-        return ExecutionTrace(initial=None, configs=cfgs, steps=steps, round_ends=[])
+        return ExecutionTrace(configs=cfgs, steps=steps, round_ends=[])
 
     assert round_boundaries(fake_trace([{0}, {1}, {0, 1}]), frozenset({0, 1})) == [2, 3]
     assert round_boundaries(fake_trace([{0, 1}, {0, 1}]), frozenset({0, 1})) == [1, 2]
@@ -386,15 +386,11 @@ def _byz_trace():
     return t, trace, daemon.fairness_bound
 
 
-def _tampered(trace, configs=None, steps=None, initial=None):
-    """A copy of `trace` with {index: value} replacements in its
-    configurations and steps, and optionally another initial configuration."""
+def _tampered(trace, configs=None, steps=None):
+    """A copy of `trace` with {index: value} replacements in its configurations and steps."""
     configs = [(configs or {}).get(k, c) for k, c in enumerate(trace.configs)]
     steps = [(steps or {}).get(k, s) for k, s in enumerate(trace.steps)]
-    return ExecutionTrace(
-        initial=trace.initial if initial is None else initial,
-        configs=configs, steps=steps, round_ends=trace.round_ends, stop_reason=trace.stop_reason,
-    )
+    return ExecutionTrace(configs, steps, trace.round_ends, trace.stop_reason)
 
 
 def _bumped_state(config, pid):
@@ -446,19 +442,12 @@ def test_audit_rejects_result_that_differs_from_merged_stale_reads():
         check_trace(_tampered(trace, configs={i + 1: _bumped_state(trace.configs[i + 1], pid)}), t, SS_ST, bound)
 
 
-def test_audit_rejects_trace_that_does_not_start_at_its_initial_configuration():
-    t, trace, bound = _byz_trace()
-    idle = min(set(range(t.n)) - trace.steps[0].activated)
-    with pytest.raises(EngineError):
-        check_trace(_tampered(trace, initial=_bumped_state(trace.initial, idle)), t, SS_ST, bound)
-
-
 def test_audit_rejects_configurations_of_the_wrong_shape():
     # a process missing from every configuration of a trace
     t, trace, bound = _byz_trace()
     short = [c._replace(states=c.states[:-1]) for c in trace.configs]
     with pytest.raises(EngineError, match="shape"):
-        check_trace(_tampered(trace, configs=dict(enumerate(short)), initial=short[0]), t, SS_ST, bound)
+        check_trace(_tampered(trace, configs=dict(enumerate(short))), t, SS_ST, bound)
 
 
 def test_audit_rejects_byzantine_write_recorded_for_correct_process():
@@ -467,7 +456,7 @@ def test_audit_rejects_byzantine_write_recorded_for_correct_process():
     step = trace.steps[i]
     pid = min(step.activated - t.byzantine)
     after = trace.configs[i + 1]
-    write = ByzWrite(after.states[pid], tuple(after.registers[s] for s in t.out_slot[pid]))
+    write = LocalEffect(after.states[pid], tuple(after.registers[s] for s in t.out_slot[pid]))
     forged = Step(step.activated, step.actions, {**step.byz_writes, pid: write})
     with pytest.raises(EngineError):
         check_trace(_tampered(trace, steps={i: forged}), t, SS_ST, bound)
@@ -600,7 +589,7 @@ def _ref_check_priority(trace, topo, protocol):
 
 
 def _ref_check_replay(trace, topo, protocol):
-    config = trace.initial
+    config = trace.configs[0]
     for i, step in enumerate(trace.steps):
         config = _ref_apply_step(config, step, protocol, topo)
         if config != trace.configs[i + 1]:
@@ -656,9 +645,7 @@ def _raises(fn, *args):
 
 
 def _mutated(trace, topo, rng):
-    """One field of the trace, as a trace file stores it, changed at random.
-    The start configuration is stored once, so `initial` and `configs[0]`
-    change together."""
+    """One field of the trace, as a trace file stores it, changed at random."""
     i = rng.randrange(len(trace.steps))
     step = trace.steps[i]
     kind = rng.choice(["start", "state", "register", "activated", "label", "byz"])
@@ -677,7 +664,7 @@ def _mutated(trace, topo, rng):
             old = states[pid]
             states[pid] = ProcessState(old.prnt + rng.choice((-1, 0, 1)), old.level + rng.choice((-1, 1)))
             cfg = cfg._replace(states=tuple(states))
-        return _tampered(trace, configs={k: cfg}, initial=cfg if kind == "start" else None)
+        return _tampered(trace, configs={k: cfg})
     if kind == "activated":
         forged = Step(step.activated ^ {rng.randrange(topo.n)}, step.actions, step.byz_writes)
     elif kind == "label":
@@ -687,7 +674,7 @@ def _mutated(trace, topo, rng):
     else:
         pid = rng.randrange(topo.n)
         degree = topo.degree(pid) + rng.choice((0, 0, 1))
-        write = ByzWrite(ProcessState(0, rng.randrange(9)), (RegisterValue(False, rng.randrange(9)),) * degree)
+        write = LocalEffect(ProcessState(0, rng.randrange(9)), (RegisterValue(False, rng.randrange(9)),) * degree)
         forged = Step(step.activated, step.actions, {**step.byz_writes, pid: write})
     return _tampered(trace, steps={i: forged})
 
@@ -726,7 +713,7 @@ def test_one_pass_audit_rejects_exactly_what_the_five_checks_reject(case, seed):
 )
 def test_fairness_scan_matches_window_unions(n, bound, sets):
     steps = [Step(s, {}, {}) for s in sets]
-    trace = ExecutionTrace(initial=None, configs=[None] * (len(sets) + 1), steps=steps, round_ends=[])
+    trace = ExecutionTrace(configs=[None] * (len(sets) + 1), steps=steps, round_ends=[])
     correct = frozenset(range(n))
 
     def message(check):

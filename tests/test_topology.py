@@ -9,7 +9,7 @@ from strongstab.topology import (
     InputError,
     TopologyError,
     build_topology,
-    correct_metrics,
+    correct_diameter,
     distance_to_byzantine,
     load_topology,
     parse_topology_text,
@@ -27,8 +27,7 @@ def test_smallest_path():
 
 def test_byzantine_leaf_keeps_correct_subgraph_connected():
     t = build_topology([(0, 1), (1, 2)], root=0, byzantine=[2], mode="ss-st")
-    m = correct_metrics(t)
-    assert m.connected and m.d == 1 and m.f == 1
+    assert correct_diameter(t) == 1
 
 
 @pytest.mark.parametrize(
@@ -83,16 +82,18 @@ def test_given_neighbor_order_rebuilds_the_same_slots():
         build_topology(random_tree_edges(12, 4), neighbor_order=bad)
 
 
-def test_correct_metrics_examples():
+def test_correct_diameter_examples():
     t = build_topology([(0, 1), (1, 2), (2, 3)], byzantine=[3])
-    m = correct_metrics(t)
-    assert (m.connected, m.d, m.f) == (True, 2, 1)
+    assert correct_diameter(t) == 2
 
     t = build_topology([(0, 1), (1, 2)], byzantine=[1])
-    assert not correct_metrics(t).connected
+    assert correct_diameter(t) is None
+
+    t = build_topology([(0, 1)], byzantine=[0, 1])
+    assert correct_diameter(t) is None
 
     star = build_topology([(0, i) for i in range(1, 5)])
-    assert correct_metrics(star).d == 2
+    assert correct_diameter(star) == 2
 
 
 def test_distance_to_byzantine_examples():
@@ -132,7 +133,7 @@ def _all_pairs_diameter(t):
 @given(n=st.integers(3, 24), seed=st.integers(0, 10_000), extra=st.integers(0, 5))
 def test_diameter_matches_all_pairs_bfs(n, seed, extra):
     t = build_topology(random_connected_graph_edges(n, extra, seed), neighbor_seed=seed)
-    assert correct_metrics(t).d == _all_pairs_diameter(t)
+    assert correct_diameter(t) == _all_pairs_diameter(t)
 
 
 @settings(max_examples=40, deadline=None)
