@@ -34,8 +34,6 @@ HEADLINE = {
     ("path3_ff", "ss-to", "converges-to", 2),
     ("path3_ff_st", "ss-st", "converges-to", 1),
 }
-# about 40 s alone on 2 CPUs, more than the other 131 queries of the matrix together
-SLOW = ("tree8_to", "ss-to", "worst-disruptions", 2)
 
 
 def cli(*args: str) -> bool:
@@ -45,8 +43,8 @@ def cli(*args: str) -> bool:
 
 
 def oracle_matrix() -> int:
-    """Every oracle query on topologies/*.topo x protocol x property x level bounds 1-3 but
-    `SLOW`, with its exit code, stdout and stderr, into results/oracle/matrix.txt, so the
+    """Every oracle query on topologies/*.topo x protocol x property x level bounds 1-3, with
+    its exit code, stdout and stderr, into results/oracle/matrix.txt, so the
     diff of results/ shows any oracle output that changes; the number of failed headline queries."""
     failures, entries = 0, []
     queries = itertools.product(
@@ -55,8 +53,6 @@ def oracle_matrix() -> int:
     )
     print("+ oracle matrix", flush=True)
     for query in queries:
-        if query == SLOW:
-            continue
         topology, protocol, prop, level_bound = query
         args = [
             "oracle", "--topology", f"topologies/{topology}.topo", "--protocol", protocol,

@@ -326,17 +326,28 @@ def render_report(report: ContainmentReport) -> str:
 
 @dataclass
 class OracleResult:
+    """An oracle answer. A 'worst-disruptions' answer holds the number of anchors (legitimate
+    stable starts) and of game states, each worst case (None when unbounded, as its flag
+    says), a start and a play from it that score `worst_disruptions`, and, when the query
+    composed several pieces, each piece's global ids and answer (`parts`)."""
+
     prop: str
     converges: Optional[bool] = None
     counterexample: Optional[Configuration] = None
     diverged_by_cycle: bool = False
     worst_disruptions: Optional[int] = None
     worst_per_process: Optional[int] = None
-    unbounded: bool = False
+    unbounded_disruptions: bool = False
+    unbounded_changes: bool = False
     anchors: int = 0
     states_explored: int = 0
     best_anchor: Optional[Configuration] = None
     best_play: Optional[list] = None
+    parts: list[tuple[tuple[int, ...], OracleResult]] = field(default_factory=list)
+
+    @property
+    def unbounded(self) -> bool:
+        return self.unbounded_disruptions or self.unbounded_changes
 
 
 def brute_force_verify(topo: Topology, protocol: Protocol, prop: str, level_bound: int) -> OracleResult:
@@ -351,7 +362,11 @@ def brute_force_verify(topo: Topology, protocol: Protocol, prop: str, level_boun
     bounded register domain and compute, over all legitimate stable starting
     configurations, the exact maximum number of disruptions and of
     per-process O-variable changes any schedule can realize, plus one play
-    achieving the disruption maximum.
+    achieving the disruption maximum. The game runs on each of
+    `protocol.pieces(topo)` alone, with its own level cap and state cap, and
+    the answers compose: anchors multiply, game states and disruptions add
+    up, per-process changes take the most, the best anchors merge and the
+    plays run one after another.
 
     OracleCapError: more initial or legitimate configurations than
     `STATE_CAP`, a larger game graph, or a move past the level cap.
@@ -360,8 +375,61 @@ def brute_force_verify(topo: Topology, protocol: Protocol, prop: str, level_boun
     if prop == "converges-to":
         return _oracle_converges(topo, protocol, level_bound)
     if prop == "worst-disruptions":
-        return _oracle_worst(topo, protocol, level_bound, 0, None)
+        pieces = protocol.pieces(topo)
+        if len(pieces) == 1:
+            return _oracle_worst(topo, protocol, level_bound, 0, None)
+        parts = [(piece, ids, _oracle_worst(piece, protocol, level_bound, 0, None)) for piece, ids in pieces]
+        return _compose(topo, parts)
     raise ValueError(f"unknown oracle property {prop!r}")
+
+
+def _compose(topo: Topology, parts: list[tuple[Topology, tuple[int, ...], OracleResult]]) -> OracleResult:
+    """The worst-disruptions answer on `topo` from its pieces' answers, each with its piece
+    and the global id of every local id."""
+    results = [r for _, _, r in parts]
+    result = OracleResult(
+        prop="worst-disruptions",
+        anchors=math.prod(r.anchors for r in results),
+        states_explored=sum(r.states_explored for r in results),
+        unbounded_disruptions=any(r.unbounded_disruptions for r in results),
+        unbounded_changes=any(r.unbounded_changes for r in results),
+        parts=[(ids, r) for _, ids, r in parts],
+    )
+    if result.unbounded_disruptions:
+        return result
+    result.worst_disruptions = sum(r.worst_disruptions for r in results)
+    if not result.unbounded_changes:
+        result.worst_per_process = max(r.worst_per_process for r in results)
+    states, registers = [None] * topo.n, [None] * topo.num_registers
+    slots = [_global_slots(topo, piece, ids) for piece, ids, _ in parts]
+    for (_, ids, r), to_global in zip(parts, slots):
+        for v, state in zip(ids, r.best_anchor.states):
+            states[v] = state
+        for slot, value in zip(to_global, r.best_anchor.registers):
+            registers[slot] = value
+    result.best_anchor = Configuration(tuple(states), tuple(registers))
+    # a Byzantine write of a piece writes the process's whole out-register tuple as it then stands
+    result.best_play = play = []
+    for (piece, ids, r), to_global in zip(parts, slots):
+        for pid, write in r.best_play:
+            v = ids[pid]
+            if write is not None:
+                for slot, value in zip(piece.out_slot[pid], write.out_regs):
+                    registers[to_global[slot]] = value
+                write = LocalEffect(write.state, tuple(registers[slot] for slot in topo.out_slot[v]))
+            play.append((v, write))
+    return result
+
+
+def _global_slots(topo: Topology, piece: Topology, ids: tuple[int, ...]) -> list[int]:
+    """`topo`'s register slot of each of `piece`'s slots, where `ids` holds the global id of
+    every local id."""
+    slots = [0] * piece.num_registers
+    for v, order in enumerate(piece.neighbor_order):
+        g = ids[v]
+        for u, slot in zip(order, piece.out_slot[v]):
+            slots[slot] = topo.out_slot[g][topo.neighbor_pos[g][ids[u]] - 1]
+    return slots
 
 
 def _level_cap(topo: Topology, level_bound: int) -> int:
@@ -719,11 +787,15 @@ def _oracle_worst(topo, protocol, level_bound, radius, anchors) -> OracleResult:
             raise InputError("supplied start is not legitimate and stable")
     if not start_ids:
         raise InputError(f"no legitimate stable configuration has levels within level bound {level_bound}")
-    result = OracleResult(prop="worst-disruptions", anchors=len(start_ids))
     game.solve(start_ids)
-    result.states_explored = len(game.nodes)
-    if game.unbounded_disruptions:
-        result.unbounded = True
+    result = OracleResult(
+        prop="worst-disruptions",
+        anchors=len(start_ids),
+        states_explored=len(game.nodes),
+        unbounded_disruptions=game.unbounded_disruptions,
+        unbounded_changes=game.unbounded_changes,
+    )
+    if result.unbounded_disruptions:
         return result
     worst = [game.values[game.comp[s]] for s in start_ids]
     best = max(value[0] for value in worst)
@@ -731,10 +803,8 @@ def _oracle_worst(topo, protocol, level_bound, radius, anchors) -> OracleResult:
     best_start = next(s for s, value in zip(start_ids, worst) if value[0] == best)
     result.best_anchor = game.coding.decode(game.nodes[best_start][0])
     result.best_play = _extract_play(game, game.comp, [value[0] for value in game.values], best_start)
-    if game.unbounded_changes:
-        result.unbounded = True
-        return result
-    result.worst_per_process = max(max(value[1:], default=0) for value in worst)
+    if not result.unbounded_changes:
+        result.worst_per_process = max(max(value[1:], default=0) for value in worst)
     return result
 
 
@@ -776,7 +846,7 @@ def best_disruption_play(
 ) -> tuple[int, list]:
     """Exact worst disruption count from one anchor and a play achieving it."""
     result = _oracle_worst(topo, protocol, level_bound, radius, [anchor])
-    if result.unbounded:
+    if result.unbounded_disruptions:
         raise OracleCapError("disruption count is unbounded from this start")
     return result.worst_disruptions, result.best_play or []
 

@@ -421,12 +421,22 @@ def cmd_oracle(args) -> int:
         print(f"states explored: {result.states_explored}")
         return 0 if result.converges else 1
     print(f"anchors: {result.anchors}")
-    if result.unbounded:
+    if result.unbounded_disruptions:
         print("worst disruptions: UNBOUNDED")
         return 1
     print(f"worst disruptions: {result.worst_disruptions}")
+    if result.unbounded_changes:
+        print("worst per-process changes: UNBOUNDED")
+        return 1
     print(f"worst per-process changes: {result.worst_per_process}")
     print(f"game states: {result.states_explored}")
+    for ids, part in result.parts:  # a composed answer: one line per branch of the Byzantine process
+        branch = [v for v in ids if v not in topo.byzantine]
+        y = next(v for v in branch if not topo.byzantine.isdisjoint(topo.neighbor_order[v]))
+        print(
+            f"branch {y}: size {len(branch)}, anchors {part.anchors}, worst disruptions {part.worst_disruptions},"
+            f" worst per-process changes {part.worst_per_process}"
+        )
     return 0
 
 

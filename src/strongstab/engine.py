@@ -133,7 +133,7 @@ class Protocol:
       runs' budgeted stability search (which settles a quiescent
       configuration at once); and `legitimate_configuration`,
       which refuses a kind it does not know with InputError;
-    - `sweep_placement` where the default does not fit.
+    - `sweep_placement` and `pieces` where the defaults do not fit.
     """
 
     name: str = ""
@@ -169,6 +169,12 @@ class Protocol:
     def o_changed(self, before: ProcessState, after: ProcessState) -> bool:
         """Whether going from `before` to `after` changes an O-variable."""
         return self._o_key(before) != self._o_key(after)
+
+    def pieces(self, topo: Topology) -> tuple[tuple[Topology, tuple[int, ...]], ...]:
+        """Sub-instances whose worst-disruptions answers compose into `topo`'s: disruptions
+        add up and per-process changes take the most. Each comes with the global id of
+        every local id. By default `topo` itself is the one piece."""
+        return ((topo, tuple(range(topo.n))),)
 
     def sweep_placement(self, n: int, f: int, rng: random.Random) -> tuple[Optional[int], list[int]]:
         """Root and Byzantine processes of a sweep topology on `n` processes."""

@@ -174,7 +174,7 @@ def validate_mode(t: Topology, mode: str) -> None:
             raise TopologyError("ss-st requires a root process")
         if t.root in t.byzantine:
             raise TopologyError("root must not be Byzantine in ss-st mode")
-        if correct_diameter(t) is None:
+        if len(_bfs_dist(_correct_adjacency(t), [t.root])) != len(t.correct):
             raise TopologyError("correct subgraph is disconnected in ss-st mode")
     elif mode == "ss-to":
         if not t.is_tree():
@@ -190,7 +190,7 @@ def correct_diameter(t: Topology) -> Optional[int]:
     correct = sorted(t.correct)
     if not correct:
         return None
-    adjacency = {v: [u for u in t.neighbor_order[v] if u not in t.byzantine] for v in correct}
+    adjacency = _correct_adjacency(t)
     diameter = 0
     for v in correct:
         dist = _bfs_dist(adjacency, [v])
@@ -198,6 +198,11 @@ def correct_diameter(t: Topology) -> Optional[int]:
             return None
         diameter = max(diameter, max(dist.values()))
     return diameter
+
+
+def _correct_adjacency(t: Topology) -> dict[int, list[int]]:
+    """Each correct process's correct neighbors."""
+    return {v: [u for u in t.neighbor_order[v] if u not in t.byzantine] for v in t.correct}
 
 
 def distance_to_byzantine(t: Topology) -> dict[int, float]:

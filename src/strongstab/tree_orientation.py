@@ -32,7 +32,7 @@ from .engine import (
     registers_stale,
 )
 from .engine import out_of_sync as pred3, resync as ga3  # the paper's names for the register-sync rule
-from .topology import InputError, Topology, TopologyError
+from .topology import InputError, Topology, TopologyError, build_topology
 
 
 def pred1(view: LocalView) -> bool:
@@ -245,6 +245,40 @@ class TreeOrientationProtocol(Protocol):
                 for slot, value in write.items():
                     registers[slot] = value
                 yield Configuration(ordered, tuple(registers))
+
+    def pieces(self, topo: Topology) -> tuple[tuple[Topology, tuple[int, ...]], ...]:
+        """With one Byzantine process z of degree two or more, one piece per branch of z: z
+        plus the branch, ids renumbered in increasing order, each neighbor order restricted
+        to the piece. Else the whole tree.
+
+        Why the worst case composes (disruptions add up, per-process changes take the most):
+        - the branches share only z, whose registers only Byzantine moves write. A correct
+          move reads and writes inside its own branch, so moves of different branches
+          commute, and a configuration's reachable moves are each branch's;
+        - the spec of a correct process reads only its branch (z's parent pointer is exempt),
+          and stability, with z frozen, is each branch's stability. So a configuration is
+          legitimate and stable exactly when each branch's projection is, and the anchors
+          are the product of the branches' anchors;
+        - a global disruption window changes an O-variable in some branch, which is dirty
+          from then on, and that branch is an anchor again by the window's end. So the
+          window holds at least one branch window, and windows do not overlap: the global
+          count is at most the sum of the branches' counts;
+        - the branches' plays can be played one after another, each from its own worst
+          anchor: while one branch plays, the others rest at anchors, so each branch
+          disruption closes a global one, and the sum is reached;
+        - each process lives in one branch, so its changes are its branch's.
+        """
+        z = next(iter(topo.byzantine), None)
+        if len(topo.byzantine) != 1 or topo.degree(z) < 2:
+            return super().pieces(topo)
+        out = []
+        for y, edges in _branches(topo):
+            ids = tuple(sorted({z, y, *(v for _, v in edges)}))
+            local = {v: i for i, v in enumerate(ids)}
+            order = [[local[u] for u in topo.neighbor_order[v] if u in local] for v in ids]
+            piece_edges = [(local[u], local[v]) for u, v in ((z, y), *edges)]
+            out.append((build_topology(piece_edges, byzantine=[local[z]], neighbor_order=order), ids))
+        return tuple(out)
 
     def fast_stable(self, config: Configuration, topo: Topology) -> bool:
         # the one closed form beyond quiescence: levels in LC2 may still rise, but no parent changes

@@ -37,6 +37,7 @@ from strongstab.analysis import (
 from strongstab.engine import (
     Configuration,
     Daemon,
+    ExecutionTrace,
     GuardedAction,
     Kernel,
     LocalEffect,
@@ -425,7 +426,7 @@ class _RiseThenSpin(TreeOrientationProtocol):
 def test_oracle_reports_unbounded_disruptions(tmp_path, monkeypatch, capsys, level_bound, anchors, states):
     t = to_topology(3, byz=(0,))  # the 3-path with Byzantine leaf 0
     result = brute_force_verify(t, _PointsAtHighest(), "worst-disruptions", level_bound)
-    assert result.unbounded and (result.anchors, result.states_explored) == (anchors, states)
+    assert result.unbounded_disruptions and (result.anchors, result.states_explored) == (anchors, states)
     assert result.worst_disruptions is None and result.worst_per_process is None
     anchor = min(_PointsAtHighest().legitimate_set(t, level_bound))
     with pytest.raises(OracleCapError, match="disruption count is unbounded from this start"):
@@ -437,10 +438,20 @@ def test_oracle_reports_unbounded_disruptions(tmp_path, monkeypatch, capsys, lev
     assert capsys.readouterr().out == f"anchors: {anchors}\nworst disruptions: UNBOUNDED\n"
 
 
-def test_oracle_reports_unbounded_changes_with_bounded_disruptions():
-    result = brute_force_verify(to_topology(3, byz=(0,)), _RiseThenSpin(), "worst-disruptions", 1)
-    assert result.unbounded and (result.anchors, result.states_explored) == (4, 56)
+def test_oracle_reports_unbounded_changes_with_bounded_disruptions(tmp_path, monkeypatch, capsys):
+    t = to_topology(3, byz=(0,))
+    result = brute_force_verify(t, _RiseThenSpin(), "worst-disruptions", 1)
+    assert result.unbounded_changes and not result.unbounded_disruptions and result.unbounded
+    assert (result.anchors, result.states_explored) == (4, 56)
     assert result.worst_disruptions == 0 and result.best_play == [] and result.worst_per_process is None
+    # a bounded disruption count gives a play, however the changes go
+    anchor = min(_RiseThenSpin().legitimate_set(t, 1))
+    assert analysis.best_disruption_play(t, _RiseThenSpin(), anchor, 1) == (0, [])
+    monkeypatch.setitem(cli.PROTOCOLS, "ss-to", _RiseThenSpin())
+    topo = tmp_path / "path3.topo"
+    topo.write_text("n 3\nbyz 0\nedge 0 1\nedge 1 2\n", encoding="utf-8")
+    assert cli.main(["oracle", "--topology", str(topo), "--protocol", "ss-to", "--level-bound", "1"]) == 1
+    assert capsys.readouterr().out == "anchors: 4\nworst disruptions: 0\nworst per-process changes: UNBOUNDED\n"
 
 
 def test_oracle_worst_disruptions_three_node_construction():
@@ -462,7 +473,7 @@ def test_oracle_worst_disruptions_three_node_orientation():
 
 
 def test_oracle_caps(monkeypatch):
-    # a 5-path with a middle Byzantine process has 12 544 LC1 configurations at level bound 3
+    # each branch of a 5-path with a middle Byzantine process has 112 LC1 configurations at level bound 3
     monkeypatch.setattr(analysis, "STATE_CAP", 100)
     t5 = build_topology(path_edges(5), byzantine=[2], mode="ss-to")
     with pytest.raises(OracleCapError, match="legitimate configurations exceed cap 100"):
@@ -802,7 +813,7 @@ def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000, anchors=No
     result.states_explored = len(game.nodes)
     value, unbounded = game.longest(comp, comp_count, lambda w, ch: w)
     if unbounded:
-        result.unbounded = True
+        result.unbounded_disruptions = result.unbounded_changes = True
         return result
     best = max(value[comp[s]] for s in start_ids)
     result.worst_disruptions = best
@@ -813,7 +824,7 @@ def _ref_oracle_worst(topo, protocol, level_bound, state_cap=500_000, anchors=No
     for p in sorted(game.watch):
         val_p, unb = game.longest(comp, comp_count, lambda w, ch, p=p: 1 if p in ch else 0)
         if unb:
-            result.unbounded = True
+            result.unbounded_changes = True
             return result
         worst_k = max(worst_k, max(val_p[comp[s]] for s in start_ids))
     result.worst_per_process = worst_k
@@ -858,6 +869,60 @@ def test_compact_game_matches_move_storing_game(protocol, kwargs, edges, level_b
             assert getattr(got, name) == getattr(want, name), (name, topo.neighbor_order)
         _assert_single_register_writes(topo, protocol, got.best_anchor, got.best_play)
     assert orders == math.prod(math.factorial(len(edges_of)) for edges_of in topo.neighbor_order)
+
+
+# every tree shape with 3 to 6 processes
+_TREE_SHAPES = {
+    "path3": path_edges(3),
+    "path4": path_edges(4),
+    "star4": [(0, 1), (0, 2), (0, 3)],
+    "path5": path_edges(5),
+    "star5": [(0, 1), (0, 2), (0, 3), (0, 4)],
+    "fork5": [(0, 1), (1, 2), (2, 3), (2, 4)],
+    "path6": path_edges(6),
+    "star6": [(0, i) for i in range(1, 6)],
+    "fork6-inner": [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5)],
+    "fork6-middle": [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)],
+    "double-star6": [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)],
+    "long-arm6": [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5)],
+}
+
+
+def _inner_byzantine_cases():
+    """Each tree shape with each process of degree two or more as the Byzantine one, at level
+    bound 1, and at level bound 2 for the shapes up to 5 processes but the 5-star."""
+    for name, edges in _TREE_SHAPES.items():
+        n = len(edges) + 1
+        bounds = (1, 2) if n <= 5 and name != "star5" else (1,)
+        for z in range(n):
+            if sum(z in edge for edge in edges) >= 2:
+                for level_bound in bounds:
+                    yield pytest.param(edges, z, level_bound, id=f"{name}-byz{z}-lb{level_bound}")
+
+
+def _play_trace(topo, protocol, start, play):
+    """The trace of `play` from `start`, one mover a step through `Kernel.step`."""
+    kernel, configs = Kernel(topo, protocol), [start]
+    for pid, write in play:
+        actions, nxt = kernel.step(configs[-1], frozenset([pid]), {} if write is None else {pid: write})
+        assert write is not None or actions[pid], (pid, "a correct move of the play must fire")
+        configs.append(nxt)
+    return ExecutionTrace(configs, [], [])
+
+
+@pytest.mark.parametrize("edges,z,level_bound", _inner_byzantine_cases())
+def test_composed_oracle_matches_the_whole_game(edges, z, level_bound):
+    # the branches' answers compose into the whole tree's, and the composed play from the
+    # composed anchor scores the composed worst case
+    topo = build_topology(edges, byzantine=[z], mode="ss-to")
+    assert len(SS_TO.pieces(topo)) == topo.degree(z)
+    got = brute_force_verify(topo, SS_TO, "worst-disruptions", level_bound)
+    want = analysis._oracle_worst(topo, SS_TO, level_bound, 0, None)
+    for name in _GAME_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.best_anchor in set(SS_TO.legitimate_set(topo, level_bound))
+    trace = _play_trace(topo, SS_TO, got.best_anchor, got.best_play)
+    assert find_disruptions(trace, topo, 0, SS_TO).t_observed == got.worst_disruptions
 
 
 def test_move_memo_matches_fresh_fire(monkeypatch):

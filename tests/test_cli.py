@@ -379,7 +379,7 @@ def test_small_sweep_runs_and_writes_csv(tmp_path):
     assert rows[0].startswith("protocol,n,f,adversary,seed,delta,d,rounds")
 
 
-def test_oracle_subcommand(capsys):
+def test_oracle_subcommand(capsys, monkeypatch):
     rc = main(
         [
             "oracle",
@@ -396,10 +396,17 @@ def test_oracle_subcommand(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "worst disruptions: 1" in out
-    # the 8-tree has more than 500 000 LC1 configurations at level bound 3
+    # the 8-tree has more than 500 000 LC1 configurations at level bound 3, but its
+    # branches, each queried alone, have a few hundred at most
     rc = main(["oracle", "--topology", str(REPO / "topologies" / "tree8_to.topo"), "--protocol", "ss-to"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "anchors: 1744896\nworst disruptions: 2\nworst per-process changes: 1\n" in out
+    # each branch of the 5-path has 112 legitimate configurations at level bound 3
+    monkeypatch.setattr(analysis, "STATE_CAP", 100)
+    rc = main(["oracle", "--topology", str(REPO / "topologies" / "path5_to.topo"), "--protocol", "ss-to"])
     assert rc == 2
-    assert capsys.readouterr().err == "error: legitimate configurations exceed cap 500000\n"
+    assert capsys.readouterr().err == "error: legitimate configurations exceed cap 100\n"
 
 
 @pytest.mark.parametrize(
