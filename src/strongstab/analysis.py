@@ -30,12 +30,12 @@ from typing import Iterator, Optional
 
 from .engine import (
     Configuration,
+    EngineError,
     ExecutionTrace,
     Kernel,
     LocalEffect,
     Protocol,
     RegisterValue,
-    apply_effects,
 )
 from .topology import InputError, Topology, distance_to_byzantine
 
@@ -512,9 +512,11 @@ class _Coding:
 
     A correct move adds a delta to the code. The delta depends only on the
     mover's view, its state field and its in- and out-register fields, so it
-    is memoized per process on the code masked to that view; a miss decodes
-    the configuration and asks `Kernel.fire`, and refuses a move whose level
-    passes the level cap or whose effect falls outside the alphabet.
+    is memoized per process on the code masked to that view, the query's one
+    memo. A miss reads those fields, asks `Kernel.first_action`, and adds up
+    the index changes of the state and out-register fields, each times its
+    weight. It refuses a move whose level passes the level cap, whose effect
+    has the wrong register count, or whose effect falls outside the alphabet.
     """
 
     def __init__(self, topo: Topology, protocol: Protocol, level_bound: int, anchors=()):
@@ -534,11 +536,9 @@ class _Coding:
         self._inner = [len(choices) for choices in inner]
         self.domain_size = math.prod(self._inner)
         fields = list(map(mul, self.masks, self.weights))
-        n = topo.n
-        self._views = [
-            (v, fields[v] + sum(fields[n + s] for s in topo.in_slot[v] + topo.out_slot[v]), {})
-            for v in sorted(topo.correct)
-        ]
+        # per correct process, the positions of its view: its state, its out-registers, its in-registers
+        self._ports = {v: (v, *[topo.n + s for s in topo.out_slot[v] + topo.in_slot[v]]) for v in sorted(topo.correct)}
+        self._views = [(v, sum(fields[p] for p in ports), {}) for v, ports in self._ports.items()]
 
     def starts(self) -> Iterator[int]:
         """The code of every in-domain configuration, in the product order of `_domain_choices`."""
@@ -570,18 +570,26 @@ class _Coding:
         return out
 
     def _move(self, v: int, code: int) -> Optional[tuple[int, int, bool]]:
-        config = self.decode(code)
-        fired = self.kernel.fire(config, v)
+        ports = self._ports[v]
+        degree = len(ports) // 2
+        digits = [(code >> self.shifts[p]) & self.masks[p] for p in ports]
+        state, *regs = [self.alphabets[p][d] for p, d in zip(ports, digits)]
+        fired = self.kernel.first_action(v, state, tuple(regs[degree:]), tuple(regs[:degree]))
         if fired is None:
             return None
         effect = fired[1]
         if effect.state.level > self.level_cap:
             raise OracleCapError(_ESCAPED)
-        try:
-            delta = self.encode(apply_effects(config, self.topo, [(v, effect)])) - code
+        if len(effect.out_regs) != degree:
+            raise EngineError(f"effect for process {v} has the wrong register count")
+        try:  # the effect writes the state and out-register positions, the first 1 + degree
+            delta = sum(
+                (self.index[p][value] - d) * self.weights[p]
+                for p, value, d in zip(ports, (effect.state, *effect.out_regs), digits)
+            )
         except KeyError:
             raise OracleCapError(_ESCAPED) from None
-        return v, delta, self.protocol.o_changed(config.states[v], effect.state)
+        return v, delta, self.protocol.o_changed(state, effect.state)
 
 
 # --- worst-case disruption game ---------------------------------------------

@@ -13,12 +13,13 @@ topology beyond the local degree. That is what keeps protocols anonymous.
 
 One step kernel serves every caller: each run, audit pass, stability search
 and oracle query owns a `Kernel`, which fires correct processes memoized per
-(role, local view). Guards are evaluated only in `Kernel.fire`, and effects
-are written only through `apply_effects`. A configuration advances through
-`Kernel.step` (runs and replays) and `Kernel.moves` (single-process moves, for
-the stability search). The oracle walks integer codes of configurations
-instead: the first time a process meets a view, it fires it through the
-kernel and keeps the move as a code delta (`analysis._Coding`).
+(role, local view). Guards are evaluated only in `Kernel.first_action`, and
+configurations are written only through `apply_effects`. A configuration
+advances through `Kernel.step` (runs and replays) and `Kernel.moves`
+(single-process moves, for the stability search). The oracle walks integer
+codes of configurations instead: the first time a process meets a view, it
+asks `Kernel.first_action` and keeps the move as a code delta, which it
+memoizes itself (`analysis._Coding`).
 """
 
 from __future__ import annotations
@@ -249,7 +250,8 @@ class Kernel:
     """The step kernel of one run, audit pass, stability search or oracle query.
     Guards read only the local view and the role picks the actions, so `memo[role]`
     maps a view's (state, in_regs, out_regs) to `fire`'s result for the kernel's life.
-    `step` and `moves` advance configurations; the oracle's coded moves call `fire`.
+    `step` and `moves` advance configurations; the oracle's coded moves, which keep
+    their own memo, call `first_action`, which evaluates the guards and memoizes nothing.
     `step` holds the model's step rules, so runs and the replay audit enforce the same."""
 
     def __init__(self, topo: Topology, protocol: Protocol):
@@ -270,14 +272,17 @@ class Kernel:
         key = (config.states[v], in_regs(regs), regs[out_regs])
         fired = memo.get(key, memo)
         if fired is memo:
-            view = LocalView(key[0], degree, key[1], key[2])
-            fired = None
-            for action in actions:
-                if action.guard(view):
-                    fired = action.label, action.effect(view)
-                    break
-            memo[key] = fired
+            fired = memo[key] = self.first_action(v, *key)
         return fired
+
+    def first_action(self, v: int, state: ProcessState, in_regs: tuple, out_regs: tuple) -> Optional[tuple[str, LocalEffect]]:
+        """`fire`'s answer for correct process `v` with this state and these registers, unmemoized."""
+        degree, _, _, actions, _ = self._access[v]
+        view = LocalView(state, degree, in_regs, out_regs)
+        for action in actions:
+            if action.guard(view):
+                return action.label, action.effect(view)
+        return None
 
     def quiescent(self, config: Configuration) -> bool:
         """Whether no correct process has an enabled action in `config`."""

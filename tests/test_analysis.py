@@ -37,6 +37,7 @@ from strongstab.analysis import (
 from strongstab.engine import (
     Configuration,
     Daemon,
+    EngineError,
     ExecutionTrace,
     GuardedAction,
     Kernel,
@@ -926,28 +927,36 @@ def test_composed_oracle_matches_the_whole_game(edges, z, level_bound):
 
 
 def test_move_memo_matches_fresh_fire(monkeypatch):
-    # every configuration of the path3 domains through the kernel a query filled;
-    # a second query, on another neighbor order, starts from an empty kernel of its own
+    # a query fires its misses unmemoized, so its kernel's memo stays empty and the coding's
+    # per-view memo is its one memo; each entry is the move a fresh kernel finds on the decoded
+    # configuration, and a second query, on another neighbor order, starts from an empty memo of its own
     made = []
 
-    class Recorded(Kernel):
+    class Recorded(analysis._Coding):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append((self, sum(map(len, self.memo.values()))))
+            made.append((self, sum(map(len, self.kernel.memo.values())) + sum(len(memo) for _, _, memo in self._views)))
 
-    monkeypatch.setattr(analysis, "Kernel", Recorded)
+    monkeypatch.setattr(analysis, "_Coding", Recorded)
     for protocol, root in ((SS_TO, None), (SS_ST, 0)):
         made.clear()
         for order in ([[1], [0, 2], [1]], [[1], [2, 0], [1]]):
             topo = build_topology(path_edges(3), root=root, neighbor_order=order, mode=protocol.name)
             assert brute_force_verify(topo, protocol, "converges-to", 1).converges
-            queried = made[-1][0]
-            for cfg in _enumerate_domain(topo, protocol, 1):
-                assert [(v, nxt) for v, _, nxt in queried.moves(cfg)] == _fresh_moves(topo, protocol, cfg), cfg
+            coding, fresh = made[-1][0], Kernel(topo, protocol)
+            assert not any(coding.kernel.memo.values())
+            for v, _, memo in coding._views:
+                for key, move in memo.items():
+                    cfg = coding.decode(key)
+                    want = [
+                        (v, coding.encode(nxt) - key, protocol.o_changed(cfg.states[v], effect.state))
+                        for u, effect, nxt in fresh.moves(cfg)
+                        if u == v
+                    ]
+                    assert ([move] if move else []) == want, (v, cfg)
         (first, empty_first), (second, empty_second) = made
         assert empty_first == empty_second == 0
-        first, second = first.memo, second.memo
-        assert first.keys() == second.keys() and all(first[role] and first[role] is not second[role] for role in first)
+        assert all(memo and memo is not other for (_, _, memo), (_, _, other) in zip(first._views, second._views))
 
 
 def _start_ids(game, configs):
@@ -1222,6 +1231,26 @@ def test_coded_moves_refuse_to_leave_the_domain():
     topo = build_topology(hub, root=0, byzantine=[5], mode="ss-st")
     with pytest.raises(OracleCapError, match="^level escaped the bounded domain$"):
         brute_force_verify(topo, SS_ST, "worst-disruptions", level_bound=1)
+
+
+def _short(view):
+    return LocalEffect(view.state, view.out_regs[:-1])
+
+
+class _Short(TreeOrientationProtocol):
+    """ss-to's domains and legitimate set, with one always-enabled action that writes one register too few."""
+
+    _actions = (GuardedAction("SHORT", lambda view: True, _short),)
+
+
+def test_coded_moves_refuse_a_short_effect():
+    # the coded moves refuse an effect with one register too few, as the kernel's moves do
+    topo, toy = to_topology(3), _Short()
+    message = "^effect for process 0 has the wrong register count$"
+    with pytest.raises(EngineError, match=message):
+        brute_force_verify(topo, toy, "converges-to", level_bound=1)
+    with pytest.raises(EngineError, match=message):
+        list(Kernel(topo, toy).moves(next(_enumerate_domain(topo, toy, 1))))
 
 
 def test_max_damage_anchor_above_the_level_bound():
